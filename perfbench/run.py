@@ -6,26 +6,26 @@ Usage (from the repository root):
     python3 perfbench/run.py                    # every workload, tracing off
 
 A run starts fresh single-threaded worker processes (``worker.py``), one
-workload pass each, as long as another pass fits in ``--seconds``; a pass is
-never cut, so a run holds at least one.  With ``--trace 0`` it reports the end-to-end
-metrics as medians over its passes: ``wall_s`` (one pass, report rendering
-included), ``setup_s`` (from spawning the interpreter to the first workload
-call, sampled from every pass and from extra set-up-only processes),
-``peak_rss_mb`` (``ru_maxrss`` of the worker) and ``decided_share`` (closure
-questions of the report not left unknown, 1.0 when the workload asks none).
-With ``--trace 1`` it alternates untraced and traced passes and reports the
-per-layer metrics of the traced ones, plus ``trace.overhead_s`` (traced
-minus untraced wall time) and ``trace.coverage`` (share of the traced wall
-time inside spans).
+workload pass each, as long as another pass fits in ``--seconds``; a pass
+is never cut, so a run holds at least one.  With ``--trace 0`` it reports
+the end-to-end metrics as medians over its passes: ``wall_s`` (one pass,
+report rendering included), ``setup_s`` (from spawning the interpreter to
+the first workload call, sampled from every pass and from extra
+set-up-only processes), ``peak_rss_mb`` (``ru_maxrss`` of the worker) and
+``decided_share`` (share of the report's closure questions not left
+unknown).  With ``--trace 1`` it alternates traced and untraced passes and
+reports the per-layer metrics of the traced ones, plus ``trace.overhead_s``
+(traced minus untraced wall time) and ``trace.coverage`` (share of the
+traced wall time inside spans).
 
 Every pass checks its output after the timed region (dimension and
-cell-count rows, certificate replay, oracle verdict).  The sha256 of the
-rendered reports must agree across all passes of a run, between traced and
-untraced passes, and with earlier runs of the same source tree and seed,
-which are kept in ``perfbench/out/digests.json``.  Each run also writes its
-passes, spans and machine state to ``perfbench/out/``.  The last line of
-stdout is one JSON object: ``correct``, ``attempted``, ``failed``,
-``metrics``.  ``attempted`` counts semigroup reports, one per job per pass.
+cell-count rows, certificate replay).  The sha256 of the rendered reports
+must agree across all passes of a run, between traced and untraced passes,
+and with earlier runs of the same source tree and seed, which are kept in
+``perfbench/out/digests.json``.  Each run also writes its passes, spans
+and machine state to ``perfbench/out/``.  The last line of stdout is one
+JSON object: ``correct``, ``attempted``, ``failed``, ``metrics``.
+``attempted`` counts semigroup reports, one per job per pass.
 """
 
 import argparse
@@ -130,7 +130,7 @@ def unit_of(metric):
 
 def run(workload, seed, seconds, trace):
     """One benchmark run; returns (result line dict, run record)."""
-    jobs = len(WORKLOADS[workload][1])
+    jobs = len(WORKLOADS[workload])
     record = {
         "workload": workload,
         "seed": seed,
@@ -233,7 +233,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", choices=sorted(WORKLOADS) + ["all"], default="all")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=int, default=30)
+    parser.add_argument("--seconds", type=int, default=55)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 

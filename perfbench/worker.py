@@ -23,39 +23,26 @@ SRC = HERE.parent / "src"
 # were recorded from the reports at the commit that introduced the benchmark
 # and are the reference the correctness check compares against.
 WORKLOADS = {
-    "ladder-e6e8": (
-        "analyze",
-        [
-            ((3, 4), None, (0, 1, 2, 2, 2, 3), (1, 2, 3, 4, 4, 5)),
-            ((3, 5), None, (0, 1, 2, 2, 3, 3, 3, 4), (1, 2, 3, 4, 5, 6, 6, 7)),
-        ],
-    ),
-    "search-delta6": ("analyze", [((4, 5), 6, (0, 1, 2, 3, 3, 4), (1, 2, 3, 5, 6, 8))]),
-    "plucker-wide": ("analyze", [((4, 7), 3, (0, 1, 2), (1, 2, 3))]),
-    "oracle-delta6": ("oracle", [((4, 5), 12, None, None), ((3, 7), 12, None, None)]),
+    "ladder-e6e8": [
+        ((3, 4), None, (0, 1, 2, 2, 2, 3), (1, 2, 3, 4, 4, 5)),
+        ((3, 5), None, (0, 1, 2, 2, 3, 3, 3, 4), (1, 2, 3, 4, 5, 6, 6, 7)),
+    ],
+    "plucker-wide": [((4, 7), 3, (0, 1, 2), (1, 2, 3))],
 }
 
 # The traced run fails when one of these records no call: a wrapper that an
 # import change bypasses would otherwise report a silent zero.
-MUST_CALL = {
-    "analyze": (
-        "gamma_modules.enumerate_colength",
-        "ideal_cells.canonical_family",
-        "ideal_cells.cell_matrix",
-        "ideal_cells.plucker_point",
-        "closure_analysis.build_cell",
-        "closure_analysis.cell_closure_contains",
-        "closure_analysis.components",
-        "report_cli.canonical_delta_labels",
-        "report_cli.StratReport.to_json",
-    ),
-    "oracle": (
-        "gamma_modules.enumerate_colength",
-        "ideal_cells.canonical_family",
-        "report_cli.enumerate_colength_reference",
-        "report_cli.specialization_diff",
-    ),
-}
+MUST_CALL = (
+    "gamma_modules.enumerate_colength",
+    "ideal_cells.canonical_family",
+    "ideal_cells.cell_matrix",
+    "ideal_cells.plucker_point",
+    "closure_analysis.build_cell",
+    "closure_analysis.cell_closure_contains",
+    "closure_analysis.components",
+    "report_cli.canonical_delta_labels",
+    "report_cli.StratReport.to_json",
+)
 
 VERDICT_KEYS = (
     "contained",
@@ -85,8 +72,6 @@ def trace_targets():
         ("closure_analysis.components", closure_analysis, "components"),
         ("report_cli.canonical_delta_labels", report_cli, "canonical_delta_labels"),
         ("report_cli.StratReport.to_json", report_cli.StratReport, "to_json"),
-        ("report_cli.enumerate_colength_reference", report_cli, "enumerate_colength_reference"),
-        ("report_cli.specialization_diff", report_cli, "specialization_diff"),
     ]
 
 
@@ -135,8 +120,6 @@ def layer_metrics(tr, wall):
 
     m["report_cli.labels_s"] = tr.self_s("report_cli.canonical_delta_labels")
     m["report_cli.render_s"] = tr.self_s("report_cli.StratReport.to_json")
-    m["report_cli.oracle_reference_s"] = tr.self_s("report_cli.enumerate_colength_reference")
-    m["report_cli.oracle_specialize_s"] = tr.self_s("report_cli.specialization_diff")
     m["trace.coverage"] = tr.covered_s() / wall
     return m
 
@@ -158,7 +141,7 @@ def check_report(report, dims, cells, seed, replay_certificate):
 
 def main(argv):
     name, seed, mode = argv[0], int(argv[1]), argv[2]
-    kind, jobs = WORKLOADS[name]
+    jobs = WORKLOADS[name]
 
     sys.path.insert(0, str(SRC))
     import hilbstrat
@@ -187,12 +170,8 @@ def main(argv):
     cpu_start = time.process_time()
     for sg, (_, r_max, _, _) in zip(semigroups, jobs):
         try:
-            if kind == "analyze":
-                report = report_cli.analyze(sg, r_max=r_max, config=config)
-                outputs.append((report, report.to_json()))
-            else:
-                diff = report_cli.oracle_check(sg, r_max=r_max, seed=seed)
-                outputs.append((diff, json.dumps(diff, indent=2) + "\n"))
+            report = report_cli.analyze(sg, r_max=r_max, config=config)
+            outputs.append((report, report.to_json()))
         except Exception:
             outputs.append((None, traceback.format_exc()))
     wall = time.perf_counter() - start
@@ -207,12 +186,10 @@ def main(argv):
         digest.update(text.encode())
         if result is None:
             job_errors = [text]
-        elif kind == "analyze":
+        else:
             job_errors = check_report(result, dims, cells, seed, replay_certificate)
             pairs += sum(len(s.cells) * (len(s.cells) - 1) for s in result.sections)
             unknowns += sum(s.unknowns for s in result.sections)
-        else:
-            job_errors = [] if result["ok"] else ["oracle_check reports a mismatch"]
         if job_errors:
             failed += 1
             errors += ["<%s> %s" % (",".join(map(str, gens)), e) for e in job_errors]
@@ -230,7 +207,7 @@ def main(argv):
         "unknowns": unknowns,
     }
     if tr is not None:
-        missing = [f for f in MUST_CALL[kind] if not tr.ncalls(f)]
+        missing = [f for f in MUST_CALL if not tr.ncalls(f)]
         if missing:
             out["failed"] = len(jobs)
             out["errors"].append("traced functions recorded no call: %s" % ", ".join(missing))
