@@ -2,10 +2,17 @@
 
 Containment of a cell C' in the closure of C is certified by a
 one-parameter degeneration: each coordinate of C is sent to mu_j * s^{e_j}
-for a bounded integer exponent vector e, the projective limit s -> 0 of
-the Plücker vector is computed exactly, and the limit is matched against
-the symbolic Plücker point of C'.  A match plus a full-rank Jacobian at a
-rational witness point proves the limits sweep out a dense subset of C'.
+for an integer exponent vector e with |e_j| <= W (the window), the
+projective limit s -> 0 of the Plücker vector is computed exactly, and the
+limit is matched against the symbolic Plücker point of C'.  A match plus a
+full-rank Jacobian at a rational witness point proves the limits sweep out
+a dense subset of C'.
+
+The limit along e depends only on the face of the source's Newton polytope
+on which e is minimal (its initial form), so each face is tried once, with
+the first exponent vector that reaches it.  At most ``budget`` (default
+50,000) vectors are tried per coordinate system; an unresolved search
+reports whether that budget or the window ran out first.
 
 Non-containment is decided by three closed obstructions: the Schubert
 incidence condition, dimension comparison, and an identically vanishing
@@ -14,6 +21,8 @@ Plücker coordinate at the target's pivot minor.
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from operator import mul
 
 from .gamma_modules import delta_set
 from .ideal_cells import canonical_family, cell_matrix, minor_column_sets, plucker_point
@@ -242,10 +251,8 @@ def _coordinate_systems(src, max_systems=16):
     free = src.family.free_params
     systems = [[]]
     cands = _candidate_replacements(src)
-    from itertools import combinations as _comb
-
     for size in range(1, len(cands) + 1):
-        for subset in _comb(range(len(cands)), size):
+        for subset in combinations(range(len(cands)), size):
             chosen = [cands[i] for i in subset]
             if len(set(t[0] for t in chosen)) != len(chosen):
                 continue
@@ -411,6 +418,20 @@ def _dominance_witness(n_map, q, dst, uvars, seed_str):
     return None
 
 
+def _undercuts(scan, evec, mp):
+    """True iff some exponent in ``scan`` weighs less than mp under evec.
+
+    The first such exponent moves to the front of ``scan``: neighbouring
+    vectors tend to be rejected by the same term.
+    """
+    for pos, alpha in enumerate(scan):
+        if sum(map(mul, evec, alpha)) < mp:
+            if pos:
+                scan.insert(0, scan.pop(pos))
+            return True
+    return False
+
+
 def _search_system(src, dst, system, window, seed, sys_idx, budget, only_exponents=None):
     k = len(system.coords)
     arrays = system.arrays
@@ -418,7 +439,7 @@ def _search_system(src, dst, system, window, seed, sys_idx, budget, only_exponen
     pivot_terms = arrays[dst.pivot_minor_index]
     if not pivot_terms:
         return None
-    pivot_refs = sorted(set(j for _, _, j in pivot_terms))
+    pivot_exps = [uniq[j] for j in sorted(set(j for _, _, j in pivot_terms))]
     forced_refs = []
     for kk in dst.forced_zero:
         refs = sorted(set(j for _, _, j in arrays[kk]))
@@ -430,11 +451,19 @@ def _search_system(src, dst, system, window, seed, sys_idx, budget, only_exponen
     else:
         candidates = _exponent_vectors(k, window, budget)
 
+    scan = list(uniq)
+    tried = set()
     for evec in candidates:
-        dots = [sum(e * a for e, a in zip(evec, alpha)) for alpha in uniq]
-        mp = min(dots[j] for j in pivot_refs)
-        if any(d < mp for d in dots):
+        mp = min(sum(map(mul, evec, alpha)) for alpha in pivot_exps)
+        if _undercuts(scan, evec, mp):
             continue
+        dots = [sum(map(mul, evec, alpha)) for alpha in uniq]
+        # the limit, its match and the witness map depend only on the face
+        # where evec is minimal, so a face that failed once fails again
+        face = tuple(j for j, d in enumerate(dots) if d == mp)
+        if face in tried:
+            continue
+        tried.add(face)
         bad = False
         for refs in forced_refs:
             if min(dots[j] for j in refs) == mp:
@@ -495,7 +524,10 @@ def cell_closure_contains(src, dst, window=DEFAULT_WINDOW, seed=42, budget=50000
         verdict = _search_system(src, dst, system, window, seed, sys_idx, budget)
         if verdict is not None:
             return verdict
-    return ClosureVerdict(UNKNOWN, "no degeneration found in window %d" % window)
+    # every coordinate system has one coordinate per free parameter
+    if (2 * window + 1) ** len(src.family.free_params) > budget:
+        return ClosureVerdict(UNKNOWN, "budget")
+    return ClosureVerdict(UNKNOWN, "window")
 
 
 def replay_certificate(src, dst, certificate, seed=42):

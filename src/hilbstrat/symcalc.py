@@ -69,19 +69,6 @@ class ParamPoly:
     def variable(cls, name):
         return cls({((name, 1),): Fraction(1)})
 
-    @classmethod
-    def monomial(cls, coeff, powers):
-        """Build coeff * prod(name**exp) from an iterable of (name, exp)."""
-        c = _as_fraction(coeff)
-        if not c:
-            return cls.zero()
-        d = {}
-        for name, e in powers:
-            if e:
-                d[name] = d.get(name, 0) + e
-        key = tuple(sorted(d.items()))
-        return cls({key: c})
-
     # -- predicates and views ------------------------------------------
 
     def is_zero(self):

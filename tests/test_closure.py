@@ -11,6 +11,7 @@ from hilbstrat import (
     degeneration_limit,
     replay_certificate,
 )
+from hilbstrat import closure_analysis
 from hilbstrat.closure_analysis import CONTAINED, NOT_CONTAINED, UNKNOWN, ClosureVerdict
 
 E6 = (3, 4)
@@ -132,6 +133,67 @@ def test_zero_window_is_honest(cells_of):
     v = cell_closure_contains(src, dst, window=0)
     assert v.status == UNKNOWN
     assert v.certificate is None
+
+
+def test_unknown_names_the_exhausted_limit(cells_of):
+    """A search cut off by the vector budget says so; a full window says window."""
+    src, dst = cells_of(E6, 2)[1], cells_of(E6, 2)[0]
+    cut = cell_closure_contains(src, dst, budget=1)
+    assert cut.status == UNKNOWN
+    assert cut.reason == "budget"
+    narrow = cell_closure_contains(src, dst, window=0)
+    assert narrow.status == UNKNOWN
+    assert narrow.reason == "window"
+
+
+def test_each_face_is_matched_once(cells_of, monkeypatch):
+    """Within one coordinate system a limit vector keeps exactly the terms of
+    its face, so distinct faces give distinct limits: no limit may reach
+    the target match twice."""
+    cells = cells_of(E8, 8)
+    calls = []
+    current = []
+    search = closure_analysis._search_system
+    match = closure_analysis._match_target
+
+    def counting_search(src, dst, system, *args, **kwargs):
+        current[:] = [system]
+        return search(src, dst, system, *args, **kwargs)
+
+    def counting_match(limit_vec, dst):
+        face = tuple(tuple(sorted(p.terms)) for p in limit_vec)
+        calls.append((id(current[0]), face))
+        return match(limit_vec, dst)
+
+    monkeypatch.setattr(closure_analysis, "_search_system", counting_search)
+    monkeypatch.setattr(closure_analysis, "_match_target", counting_match)
+    v = cell_closure_contains(cells[6], cells[4])
+    assert v.status == CONTAINED
+    assert v.certificate["system"] == 7
+    assert len(calls) > 1
+    assert len(calls) == len(set(calls))
+
+
+def test_limit_depends_only_on_face(cells_of):
+    """Two non-parallel exponent vectors minimal on the same face of the top
+    cell's Newton polytope give the same limit point."""
+    cells = cells_of(E8, 8)
+    src, dst = cells[6], cells[2]
+    system = list(closure_analysis._coordinate_systems(src))[1]
+    e1, e2 = (0, -1, 0, -3), (0, -1, 2, -3)
+
+    def face(evec):
+        dots = [sum(e * a for e, a in zip(evec, alpha)) for alpha in system.uniq_exps]
+        return [j for j, d in enumerate(dots) if d == min(dots)]
+
+    assert face(e1) == face(e2)
+    assert e1[2] * e2[3] != e1[3] * e2[2]  # not parallel
+    lim1 = degeneration_limit(src, 1, e1)
+    lim2 = degeneration_limit(src, 1, e2)
+    assert lim1 == lim2
+    assert not lim1[dst.pivot_minor_index].is_zero()
+    # the search certifies with the first vector on the face
+    assert cell_closure_contains(src, dst).certificate["exponents"] == list(e1)
 
 
 def test_containment_respects_schubert_order(cells_of):
