@@ -439,7 +439,7 @@ def _search_system(src, dst, system, window, seed, sys_idx, budget, only_exponen
     pivot_terms = arrays[dst.pivot_minor_index]
     if not pivot_terms:
         return None
-    pivot_exps = [uniq[j] for j in sorted(set(j for _, _, j in pivot_terms))]
+    pivot_exps = [uniq[j] for _, _, j in pivot_terms]
     forced_refs = []
     for kk in dst.forced_zero:
         refs = sorted(set(j for _, _, j in arrays[kk]))

@@ -184,7 +184,8 @@ def test_limit_depends_only_on_face(cells_of):
 
     def face(evec):
         dots = [sum(e * a for e, a in zip(evec, alpha)) for alpha in system.uniq_exps]
-        return [j for j, d in enumerate(dots) if d == min(dots)]
+        low = min(dots)
+        return [j for j, d in enumerate(dots) if d == low]
 
     assert face(e1) == face(e2)
     assert e1[2] * e2[3] != e1[3] * e2[2]  # not parallel
