@@ -15,8 +15,9 @@ the first exponent vector that reaches it.  At most ``budget`` (default
 reports whether that budget or the window ran out first.
 
 Non-containment is decided by three closed obstructions: the Schubert
-incidence condition, dimension comparison, and an identically vanishing
-Plücker coordinate at the target's pivot minor.
+incidence condition, dimension comparison, and the target's pivot minor
+missing from the source's Plücker point (a map from column sets to the
+nonzero minors only).
 """
 
 import random
@@ -25,7 +26,7 @@ from itertools import combinations
 from operator import mul
 
 from .gamma_modules import delta_set
-from .ideal_cells import canonical_family, cell_matrix, minor_column_sets, plucker_point
+from .ideal_cells import canonical_family, cell_matrix, minor_support, plucker_point
 from .schubert import closure_leq, schubert_index
 from .symcalc import ParamPoly, limit_s_to_zero
 
@@ -67,10 +68,8 @@ class StratCell:
         "pivots",
         "plucker",
         "dim",
-        "pivot_minor_index",
         "entry_minors",
         "plucker_degree",
-        "forced_zero",
         "systems_cache",
     )
 
@@ -88,19 +87,17 @@ def build_cell(sg, module, r, index=0, label=None, margin=0):
     cell.delta = delta_set(module, r)
     cell.schubert = schubert_index(cell.delta)
     cell.rows, cell.pivots = cell_matrix(cell.family, r)
-    cell.plucker = plucker_point(cell.family, r)
+    minors = zip(minor_support(cell.rows), plucker_point(cell.family, r))
+    cell.plucker = {cols: p for cols, p in minors if not p.is_zero()}
     cell.dim = cell.family.dimension
-    _sets, idx = minor_column_sets(2 * sg.delta, sg.delta)
-    cell.pivot_minor_index = idx[tuple(cell.pivots)]
-    cell.entry_minors = _entry_minors(cell, idx)
-    cell.plucker_degree = max(1, max(p.total_degree() for p in cell.plucker))
-    cell.forced_zero = tuple(k for k, p in enumerate(cell.plucker) if p.is_zero())
+    cell.entry_minors = _entry_minors(cell)
+    cell.plucker_degree = max(1, max(p.total_degree() for p in cell.plucker.values()))
     cell.systems_cache = None
     return cell
 
 
-def _entry_minors(cell, index_map):
-    """For each free parameter, the single-swap minor exposing it.
+def _entry_minors(cell):
+    """For each free parameter, (column set, sign) of the minor exposing it.
 
     A free parameter appears as a bare matrix entry in the row of the
     minimal generator it was seeded on; swapping that row's pivot column
@@ -119,7 +116,7 @@ def _entry_minors(cell, index_map):
             raise AssertionError("expected bare %s at row %d col %d" % (name, ri, col))
         cols = tuple(sorted([p for k, p in enumerate(cell.pivots) if k != ri] + [col]))
         sign = 1 if (ri + cols.index(col)) % 2 == 0 else -1
-        out[name] = (index_map[cols], sign)
+        out[name] = (cols, sign)
     return out
 
 
@@ -241,7 +238,7 @@ def _candidate_replacements(src):
         for e in sorted(nf.coeffs):
             if e != s:
                 consider(nf.coeffs[e])
-    for p in src.plucker:
+    for p in src.plucker.values():
         consider(p)
     return cands
 
@@ -272,10 +269,10 @@ def _coordinate_systems(src, max_systems=16):
         sysm.coords = [replaced.get(p, p) for p in free]
         sysm.uvars = ["u%02d" % j for j in range(len(free))]
         to_u = {c: ParamPoly.variable(u) for c, u in zip(sysm.coords, sysm.uvars)}
-        plucker = []
-        for p in src.plucker:
+        plucker = {}
+        for cols, p in src.plucker.items():
             q = p.subs(mapping) if mapping else p
-            plucker.append(q.subs(to_u))
+            plucker[cols] = q.subs(to_u)
         sysm.plucker = plucker
         sysm.arrays, sysm.uniq_exps = _term_arrays(plucker, sysm.uvars)
         yield sysm
@@ -286,8 +283,8 @@ def _term_arrays(plucker, uvars):
     k = len(uvars)
     uniq = []
     uniq_idx = {}
-    arrays = []
-    for p in plucker:
+    arrays = {}
+    for cols, p in plucker.items():
         items = []
         for key, c in p.terms.items():
             vec = [0] * k
@@ -300,7 +297,7 @@ def _term_arrays(plucker, uvars):
                 uniq_idx[vec] = j
                 uniq.append(vec)
             items.append((key, c, j))
-        arrays.append(items)
+        arrays[cols] = items
     return arrays, uniq
 
 
@@ -359,19 +356,24 @@ def _rank(matrix):
     return rank
 
 
-def _match_target(limit_vec, dst):
-    """Identify the limit with a parametrized point of the target cell.
+def _match_target(limit, dst):
+    """Identify the limit (a Plücker map) with a parametrized point of the
+    target cell.
 
     Solves the target's free coefficients through single-swap minors and
     verifies every Plücker coordinate matches after clearing the pivot
     denominator; exact polynomial identities throughout.
     """
-    q = limit_vec[dst.pivot_minor_index]
-    if q.is_zero():
+    # a coordinate that vanishes on the target must vanish in the limit
+    if any(cols not in dst.plucker for cols in limit):
         return None
+    q = limit.get(dst.pivots)
+    if q is None:
+        return None
+    zero = ParamPoly.zero()
     n = {}
-    for name, (midx, sign) in dst.entry_minors.items():
-        val = limit_vec[midx]
+    for name, (cols, sign) in dst.entry_minors.items():
+        val = limit.get(cols, zero)
         n[name] = val if sign == 1 else -val
     D = dst.plucker_degree
     powers = {0: ParamPoly.one(), 1: q}
@@ -382,7 +384,7 @@ def _match_target(limit_vec, dst):
         return powers[e]
 
     lhs_factor = qp(D - 1)
-    for kk, pk in enumerate(dst.plucker):
+    for cols, pk in dst.plucker.items():
         h = ParamPoly.zero()
         for key, cf in pk.terms.items():
             deg = sum(x for _, x in key)
@@ -390,7 +392,7 @@ def _match_target(limit_vec, dst):
             for nm, ex in key:
                 term = term * n[nm] ** ex
             h = h + term
-        if limit_vec[kk] * lhs_factor != h:
+        if limit.get(cols, zero) * lhs_factor != h:
             return None
     return n, q
 
@@ -436,15 +438,15 @@ def _search_system(src, dst, system, window, seed, sys_idx, budget, only_exponen
     k = len(system.coords)
     arrays = system.arrays
     uniq = system.uniq_exps
-    pivot_terms = arrays[dst.pivot_minor_index]
+    pivot_terms = arrays.get(dst.pivots)
     if not pivot_terms:
         return None
     pivot_exps = [uniq[j] for _, _, j in pivot_terms]
+    # coordinates that vanish on the target must vanish in the limit
     forced_refs = []
-    for kk in dst.forced_zero:
-        refs = sorted(set(j for _, _, j in arrays[kk]))
-        if refs:
-            forced_refs.append(refs)
+    for cols, items in arrays.items():
+        if cols not in dst.plucker and items:
+            forced_refs.append(sorted(set(j for _, _, j in items)))
 
     if only_exponents is not None:
         candidates = [tuple(only_exponents)]
@@ -471,14 +473,12 @@ def _search_system(src, dst, system, window, seed, sys_idx, budget, only_exponen
                 break
         if bad:
             continue
-        limit_vec = []
-        for items in arrays:
-            terms = {}
-            for key, c, j in items:
-                if dots[j] == mp:
-                    terms[key] = c
-            limit_vec.append(ParamPoly(terms))
-        matched = _match_target(limit_vec, dst)
+        limit = {}
+        for cols, items in arrays.items():
+            terms = {key: c for key, c, j in items if dots[j] == mp}
+            if terms:
+                limit[cols] = ParamPoly(terms)
+        matched = _match_target(limit, dst)
         if matched is None:
             continue
         n_map, q = matched
@@ -514,7 +514,7 @@ def cell_closure_contains(src, dst, window=DEFAULT_WINDOW, seed=42, budget=50000
         return ClosureVerdict(NOT_CONTAINED, "dimension")
     if not closure_leq(src.schubert, dst.schubert):
         return ClosureVerdict(NOT_CONTAINED, "schubert")
-    if src.plucker[dst.pivot_minor_index].is_zero():
+    if dst.pivots not in src.plucker:
         # that Plücker coordinate vanishes on the whole source cell, hence
         # on its closure, but is the unit pivot minor on the target cell
         return ClosureVerdict(NOT_CONTAINED, "pivot_coordinate")
@@ -551,7 +551,7 @@ def replay_certificate(src, dst, certificate, seed=42):
 
 
 def degeneration_limit(src, system_index, exponents):
-    """The projective limit vector of a recorded degeneration (for checks)."""
+    """The projective limit of a recorded degeneration, as a Plücker map (for checks)."""
     for sys_idx, system in enumerate(_coordinate_systems(src)):
         if sys_idx != system_index:
             continue
@@ -559,8 +559,8 @@ def degeneration_limit(src, system_index, exponents):
         subs = {}
         for coord, u, e in zip(system.coords, system.uvars, exponents):
             subs[u] = ParamPoly.variable(u) * svar ** e
-        vec = [p.subs(subs) for p in system.plucker]
-        return limit_s_to_zero(vec)
+        vec = limit_s_to_zero([p.subs(subs) for p in system.plucker.values()])
+        return {cols: p for cols, p in zip(system.plucker, vec) if not p.is_zero()}
     raise ValueError("no coordinate system with index %d" % system_index)
 
 

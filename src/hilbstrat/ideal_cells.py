@@ -8,12 +8,12 @@ Each cell is the set of ideals I ⊆ k[[Γ]] whose order set is a prescribed
 one per minimal generator g_i of S, with c running over the gaps of S
 (elements of Γ∖S) above g_i.  Coefficient relations forced by the module
 structure are eliminated symbolically; the survivors are free coordinates
-on the cell.
+on the cell.  Its Plücker point is computed from sparse chart minors, in
+lexicographic column-set order (``plucker_point``).
 """
 
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
+from functools import cache
 
 from .errors import (
     CardinalityMismatch,
@@ -48,10 +48,8 @@ class CanonicalFamily:
     __slots__ = (
         "module",
         "truncation",
-        "seeds",
         "generators",
         "generator_orders",
-        "params",
         "free_params",
         "eliminated",
         "dimension",
@@ -59,12 +57,10 @@ class CanonicalFamily:
         "display_names",
     )
 
-    def __init__(self, module, truncation, seeds, normal_forms, params, free_params, eliminated):
+    def __init__(self, module, truncation, normal_forms, free_params, eliminated):
         self.module = module
         self.truncation = truncation
-        self.seeds = seeds
         self.normal_forms = normal_forms
-        self.params = params
         self.free_params = free_params
         self.eliminated = eliminated
         self.dimension = len(free_params)
@@ -248,36 +244,11 @@ def canonical_family(sg, module, truncation=None, margin=0):
             raise PivotLoss("normal form at order %d lost its unit leading term" % s)
         normal_forms[s] = d
 
-    return CanonicalFamily(module, truncation, seeds, normal_forms, params, free, eliminated)
+    return CanonicalFamily(module, truncation, normal_forms, free, eliminated)
 
 
 def cell_dimension(sg, module):
     return canonical_family(sg, module).dimension
-
-
-@lru_cache(maxsize=None)
-def minor_column_sets(space_dim, rank):
-    """All rank-subsets of columns in lexicographic order, plus an index map."""
-    sets = list(combinations(range(space_dim), rank))
-    index = {cols: i for i, cols in enumerate(sets)}
-    return sets, index
-
-
-def det(matrix):
-    """Determinant by first-row expansion; entries are ParamPoly."""
-    n = len(matrix)
-    if n == 0:
-        return ParamPoly.one()
-    if n == 1:
-        return matrix[0][0]
-    total = ParamPoly.zero()
-    for j, a in enumerate(matrix[0]):
-        if a.is_zero():
-            continue
-        sub = [row[:j] + row[j + 1 :] for row in matrix[1:]]
-        term = a * det(sub)
-        total = total + term if j % 2 == 0 else total - term
-    return total
 
 
 def cell_matrix(family, r):
@@ -303,7 +274,7 @@ def cell_matrix(family, r):
     for s in orders:
         shifted = family.normal_forms[s].shift(-r)
         rows.append([shifted.coeff(e) for e in range(dd)])
-    pivots = [s - r for s in orders]
+    pivots = tuple(s - r for s in orders)
     one = ParamPoly.one()
     for i, p in enumerate(pivots):
         if rows[i][p] != one:
@@ -317,13 +288,54 @@ def cell_matrix(family, r):
     return rows, pivots
 
 
+def minor_support(rows):
+    """Column sets, in lexicographic order, on which the δ×δ minor of
+    ``rows`` has a nonzero term.  A DFS over the rows, memoised on (row,
+    columns used): its cost grows with the support, not with the matchings.
+    """
+    nonzero = [[c for c, q in enumerate(row) if not q.is_zero()] for row in rows]
+
+    @cache
+    def tails(i, used):
+        # bitmasks of the columns that rows i, i+1, ... can take besides ``used``
+        if i == len(rows):
+            return {0}
+        return {
+            1 << c | t
+            for c in nonzero[i]
+            if not used >> c & 1
+            for t in tails(i + 1, used | 1 << c)
+        }
+
+    return sorted(tuple(c for c in range(m.bit_length()) if m >> c & 1) for m in tails(0, 0))
+
+
 def plucker_point(family, r):
-    """All δ×δ minors of the cell matrix, in lexicographic column order."""
-    sg = family.module.ambient
-    rows, _ = cell_matrix(family, r)
-    dd = 2 * sg.delta
-    sets, _ = minor_column_sets(dd, sg.delta)
-    return tuple(det([[row[c] for c in cols] for row in rows]) for cols in sets)
+    """The δ×δ minors of the cell matrix on ``minor_support``, in
+    lexicographic column-set order; one can still cancel to zero.
+
+    No other row reaches a pivot column, so a row whose pivot is in the set
+    must take it: each minor is ± a chart minor, of the rows without their
+    pivot on the non-pivot columns.  The expansion along the first row is
+    memoised on the columns left, so the minors share their sub-minors.
+    """
+    rows, pivots = cell_matrix(family, r)
+
+    @cache
+    def minor(cols):
+        # minor of the last popcount(cols) rows on the columns in the bitmask
+        if not cols:
+            return ParamPoly.one()
+        i = len(rows) - cols.bit_count()
+        total = ParamPoly.zero()
+        for c in [pivots[i]] if cols >> pivots[i] & 1 else range(len(rows[i])):
+            bit = 1 << c
+            if cols & bit and not rows[i][c].is_zero():
+                term = rows[i][c] * minor(cols ^ bit)
+                total = total - term if (cols & (bit - 1)).bit_count() & 1 else total + term
+        return total
+
+    return tuple(minor(sum(1 << c for c in cols)) for cols in minor_support(rows))
 
 
 def reduce_against(rows, pivots, vector):

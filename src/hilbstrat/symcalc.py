@@ -283,7 +283,8 @@ class TruncSeries:
     """Power series in t truncated at a fixed order.
 
     ``coeffs`` maps exponent -> nonzero ParamPoly for exponents in
-    [0, trunc).  Exponents at or above ``trunc`` are unknown, not zero.
+    [0, trunc); the constructor drops zero coefficients, so the arithmetic
+    below need not.  Exponents at or above ``trunc`` are unknown, not zero.
     """
 
     __slots__ = ("trunc", "coeffs")
@@ -333,24 +334,14 @@ class TruncSeries:
         coeffs = dict(self.coeffs)
         for e, p in other.coeffs.items():
             q = coeffs.get(e)
-            s = p if q is None else q + p
-            if s.is_zero():
-                coeffs.pop(e, None)
-            else:
-                coeffs[e] = s
+            coeffs[e] = p if q is None else q + p
         return TruncSeries(self.trunc, coeffs)
 
+    def __neg__(self):
+        return TruncSeries(self.trunc, {e: -p for e, p in self.coeffs.items()})
+
     def __sub__(self, other):
-        self._check_trunc(other)
-        coeffs = dict(self.coeffs)
-        for e, p in other.coeffs.items():
-            q = coeffs.get(e)
-            s = -p if q is None else q - p
-            if s.is_zero():
-                coeffs.pop(e, None)
-            else:
-                coeffs[e] = s
-        return TruncSeries(self.trunc, coeffs)
+        return self + (-other)
 
     def __mul__(self, other):
         self._check_trunc(other)
@@ -362,11 +353,7 @@ class TruncSeries:
                     continue
                 prod = p1 * p2
                 q = out.get(e)
-                s = prod if q is None else q + prod
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
+                out[e] = prod if q is None else q + prod
         return TruncSeries(self.trunc, out)
 
     def scale(self, factor):
@@ -375,12 +362,7 @@ class TruncSeries:
             factor = ParamPoly.constant(factor)
         if factor.is_zero():
             return TruncSeries(self.trunc, {})
-        out = {}
-        for e, p in self.coeffs.items():
-            q = p * factor
-            if not q.is_zero():
-                out[e] = q
-        return TruncSeries(self.trunc, out)
+        return TruncSeries(self.trunc, {e: p * factor for e, p in self.coeffs.items()})
 
     def shift(self, k, trunc=None):
         """Multiply by t**k (k may be negative if no coefficient drops below 0).
@@ -412,12 +394,7 @@ class TruncSeries:
         return TruncSeries(new_trunc, {e: p for e, p in self.coeffs.items() if e < new_trunc})
 
     def subs(self, mapping):
-        out = {}
-        for e, p in self.coeffs.items():
-            q = p.subs(mapping)
-            if not q.is_zero():
-                out[e] = q
-        return TruncSeries(self.trunc, out)
+        return TruncSeries(self.trunc, {e: p.subs(mapping) for e, p in self.coeffs.items()})
 
     def format(self, rename=None, var="t"):
         if not self.coeffs:

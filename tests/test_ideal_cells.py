@@ -10,6 +10,7 @@ from hilbstrat import (
     GammaModule,
     NumericalSemigroup,
     ParamPoly,
+    build_cell,
     canonical_family,
     cell_dimension,
     cell_matrix,
@@ -28,10 +29,6 @@ def raw(family, letter):
     """The internal parameter name shown as the given display letter."""
     inv = {v: k for k, v in family.display_names.items()}
     return ParamPoly.variable(inv[letter])
-
-
-def minor_index(dd, delta, cols):
-    return list(combinations(range(dd), delta)).index(tuple(cols))
 
 
 def test_s33_family():
@@ -174,26 +171,83 @@ def test_genuine_elimination_37():
 def test_plucker_monomial_cell():
     m = GammaModule(E6, (0, 3, 4))
     f = canonical_family(E6, m)
-    pt = plucker_point(f, 3)
-    assert len(pt) == 20
-    hit = minor_index(6, 3, (3, 4, 5))
-    for k, p in enumerate(pt):
-        if k == hit:
-            assert p == ParamPoly.one()
-        else:
-            assert p.is_zero()
+    assert plucker_point(f, 3) == (ParamPoly.one(),)
+    assert build_cell(E6, m, 3).plucker == {(3, 4, 5): ParamPoly.one()}
 
 
 def test_plucker_degeneration_of_s22():
     """At a = 0 the one-dimensional cell lands on the monomial point of Δ_3."""
     m = GammaModule(E6, (0, 4))
-    f = canonical_family(E6, m)
-    pt = plucker_point(f, 2)
-    name = raw(f, "a").format()
-    vals = [p.evaluate({name: Fraction(0)}) for p in pt]
-    hit = minor_index(6, 3, (1, 4, 5))
-    assert vals[hit] == 1
-    assert all(v == 0 for k, v in enumerate(vals) if k != hit)
+    cell = build_cell(E6, m, 2)
+    name = raw(cell.family, "a").format()
+    vals = {cols: p.evaluate({name: Fraction(0)}) for cols, p in cell.plucker.items()}
+    assert {cols: v for cols, v in vals.items() if v} == {(1, 4, 5): 1}
+
+
+def _fraction_det(matrix):
+    """Determinant by Gaussian elimination over the rationals."""
+    m = [row[:] for row in matrix]
+    out = Fraction(1)
+    for c in range(len(m)):
+        piv = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            out = -out
+        out *= m[c][c]
+        for i in range(c + 1, len(m)):
+            f = m[i][c] / m[c][c]
+            if f:
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return out
+
+
+@pytest.mark.parametrize(
+    "gens,r",
+    [((3, 4), r) for r in range(1, 7)]
+    + [((3, 5), r) for r in range(1, 9)]
+    + [((4, 5), r) for r in range(1, 5)],
+    ids=lambda v: "r%d" % v if isinstance(v, int) else "x".join(map(str, v)),
+)
+def test_plucker_map_matches_dense_minors(cells_of, gens, r):
+    """Every δ×δ minor of the cell matrix at a seeded rational point, by
+    plain elimination: it is nonzero only at a key of ``cell.plucker``, and
+    each stored coordinate evaluates to it there."""
+    rng = random.Random("minors-%s-%d" % (gens, r))
+    for cell in cells_of(gens, r):
+        assert all(not p.is_zero() for p in cell.plucker.values())
+        point = {
+            p: Fraction(rng.randint(-1000, 1000), rng.randint(1, 97))
+            for p in cell.family.free_params
+        }
+        rows = [[e.evaluate(point) for e in row] for row in cell.rows]
+        for cols in combinations(range(len(rows[0])), len(rows)):
+            minor = _fraction_det([[row[c] for c in cols] for row in rows])
+            stored = cell.plucker.get(cols)
+            if stored is None:
+                assert minor == 0, (cell.module.gap_set, cols)
+            else:
+                assert stored.evaluate(point) == minor, (cell.module.gap_set, cols)
+
+
+@pytest.mark.parametrize(
+    "gens,r_max,total",
+    [((4, 7), 3, 14), ((3, 4), 6, 53), ((3, 5), 8, 151)],
+    ids=["4x7", "3x4", "3x5"],
+)
+def test_plucker_support_totals(cells_of, gens, r_max, total):
+    """Stored minors over all cells of the strata r = 1..r_max."""
+    stored = sum(len(c.plucker) for r in range(1, r_max + 1) for c in cells_of(gens, r))
+    assert stored == total
+
+
+def test_wide_cells_store_only_nonzero_minors(cells_of):
+    """δ = 10 has C(20, 10) = 184,756 minors; a cell keeps only its nonzero ones."""
+    for cell in cells_of((5, 6), 4):
+        assert cell.plucker
+        assert all(not p.is_zero() for p in cell.plucker.values())
+        assert cell.pivots in cell.plucker
 
 
 @pytest.mark.parametrize(
