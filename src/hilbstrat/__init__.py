@@ -18,7 +18,6 @@ from .closure_analysis import (
 )
 from .errors import HilbstratError
 from .gamma_modules import (
-    DeltaSet,
     GammaModule,
     delta_set,
     enumerate_colength,
@@ -50,7 +49,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CanonicalFamily",
     "ClosureVerdict",
-    "DeltaSet",
     "GammaModule",
     "HilbstratError",
     "NumericalSemigroup",

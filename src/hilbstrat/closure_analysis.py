@@ -10,9 +10,11 @@ a dense subset of C'.
 
 The limit along e depends only on the face of the source's Newton polytope
 on which e is minimal (its initial form), so each face is tried once, with
-the first exponent vector that reaches it.  At most ``budget`` (default
-50,000) vectors are tried per coordinate system; an unresolved search
-reports whether that budget or the window ran out first.
+the first exponent vector that reaches it.  At most ``VECTOR_BUDGET``
+(50,000) vectors are tried per coordinate system; an unresolved search
+reports whether that budget or the window ran out first.  Search, replay
+and limit checks all run on the source cell's one list of coordinate
+systems.
 
 Non-containment is decided by three closed obstructions: the Schubert
 incidence condition, dimension comparison, and the target's pivot minor
@@ -26,13 +28,17 @@ from itertools import combinations
 from operator import mul
 
 from .gamma_modules import delta_set
-from .ideal_cells import canonical_family, cell_matrix, minor_support, plucker_point
+from .ideal_cells import _param_index, canonical_family, cell_matrix, minor_support, plucker_point
 from .schubert import closure_leq, schubert_index
 from .symcalc import ParamPoly, limit_s_to_zero
 
 CONTAINED = "contained"
 NOT_CONTAINED = "not_contained"
 UNKNOWN = "unknown"
+
+DEFAULT_WINDOW = 5
+VECTOR_BUDGET = 50000  # exponent vectors tried per coordinate system
+MAX_SYSTEMS = 16  # coordinate systems per cell, the canonical one included
 
 
 class ClosureVerdict:
@@ -87,7 +93,8 @@ def build_cell(sg, module, r, index=0, label=None, margin=0):
     cell.delta = delta_set(module, r)
     cell.schubert = schubert_index(cell.delta)
     cell.rows, cell.pivots = cell_matrix(cell.family, r)
-    minors = zip(minor_support(cell.rows), plucker_point(cell.family, r))
+    support = minor_support(cell.rows)
+    minors = zip(support, plucker_point(cell.rows, cell.pivots, support))
     cell.plucker = {cols: p for cols, p in minors if not p.is_zero()}
     cell.dim = cell.family.dimension
     cell.entry_minors = _entry_minors(cell)
@@ -106,8 +113,7 @@ def _entry_minors(cell):
     module = cell.module
     out = {}
     for name in cell.family.free_params:
-        gi = int(name[1:3])
-        c = int(name[4:])
+        gi, c = _param_index(name)
         g = module.min_generators[gi]
         ri = cell.pivots.index(g - cell.r)
         col = c - cell.r
@@ -243,7 +249,7 @@ def _candidate_replacements(src):
     return cands
 
 
-def _coordinate_systems(src, max_systems=16):
+def _coordinate_systems(src):
     """Yield the canonical coordinates first, then adapted variants."""
     free = src.family.free_params
     systems = [[]]
@@ -254,9 +260,9 @@ def _coordinate_systems(src, max_systems=16):
             if len(set(t[0] for t in chosen)) != len(chosen):
                 continue
             systems.append(chosen)
-            if len(systems) >= max_systems:
+            if len(systems) >= MAX_SYSTEMS:
                 break
-        if len(systems) >= max_systems:
+        if len(systems) >= MAX_SYSTEMS:
             break
 
     for pairs in systems:
@@ -276,6 +282,13 @@ def _coordinate_systems(src, max_systems=16):
         sysm.plucker = plucker
         sysm.arrays, sysm.uniq_exps = _term_arrays(plucker, sysm.uvars)
         yield sysm
+
+
+def _systems(cell):
+    """The cell's coordinate systems, built on first use and then kept."""
+    if cell.systems_cache is None:
+        cell.systems_cache = list(_coordinate_systems(cell))
+    return cell.systems_cache
 
 
 def _term_arrays(plucker, uvars):
@@ -317,8 +330,9 @@ def _fixed_norm_vectors(k, window, total):
             yield (v,) + tail
 
 
-def _exponent_vectors(k, window, budget):
-    """All of [-window, window]^k ordered by L1 norm, then lexicographically."""
+def _exponent_vectors(k, window):
+    """The first ``VECTOR_BUDGET`` vectors of [-window, window]^k, ordered by
+    L1 norm, then lexicographically."""
     if k == 0:
         yield ()
         return
@@ -327,7 +341,7 @@ def _exponent_vectors(k, window, budget):
         for vec in _fixed_norm_vectors(k, window, total):
             yield vec
             emitted += 1
-            if emitted >= budget:
+            if emitted >= VECTOR_BUDGET:
                 return
 
 
@@ -434,8 +448,9 @@ def _undercuts(scan, evec, mp):
     return False
 
 
-def _search_system(src, dst, system, window, seed, sys_idx, budget, only_exponents=None):
-    k = len(system.coords)
+def _search_system(src, dst, system, sys_idx, candidates, seed):
+    """Certify dst in the closure of src along the first of the exponent
+    vectors ``candidates`` whose limit lands densely on dst, or None."""
     arrays = system.arrays
     uniq = system.uniq_exps
     pivot_terms = arrays.get(dst.pivots)
@@ -447,11 +462,6 @@ def _search_system(src, dst, system, window, seed, sys_idx, budget, only_exponen
     for cols, items in arrays.items():
         if cols not in dst.plucker and items:
             forced_refs.append(sorted(set(j for _, _, j in items)))
-
-    if only_exponents is not None:
-        candidates = [tuple(only_exponents)]
-    else:
-        candidates = _exponent_vectors(k, window, budget)
 
     scan = list(uniq)
     tried = set()
@@ -503,10 +513,7 @@ def _search_system(src, dst, system, window, seed, sys_idx, budget, only_exponen
     return None
 
 
-DEFAULT_WINDOW = 5
-
-
-def cell_closure_contains(src, dst, window=DEFAULT_WINDOW, seed=42, budget=50000):
+def cell_closure_contains(src, dst, window=DEFAULT_WINDOW, seed=42):
     """Decide whether the target cell lies in the closure of the source cell."""
     same = src.module.gap_set == dst.module.gap_set
     if not same and dst.dim >= src.dim:
@@ -518,54 +525,43 @@ def cell_closure_contains(src, dst, window=DEFAULT_WINDOW, seed=42, budget=50000
         # that Plücker coordinate vanishes on the whole source cell, hence
         # on its closure, but is the unit pivot minor on the target cell
         return ClosureVerdict(NOT_CONTAINED, "pivot_coordinate")
-    if src.systems_cache is None:
-        src.systems_cache = list(_coordinate_systems(src))
-    for sys_idx, system in enumerate(src.systems_cache):
-        verdict = _search_system(src, dst, system, window, seed, sys_idx, budget)
+    # every coordinate system has one coordinate per free parameter
+    k = len(src.family.free_params)
+    for sys_idx, system in enumerate(_systems(src)):
+        verdict = _search_system(src, dst, system, sys_idx, _exponent_vectors(k, window), seed)
         if verdict is not None:
             return verdict
-    # every coordinate system has one coordinate per free parameter
-    if (2 * window + 1) ** len(src.family.free_params) > budget:
+    if (2 * window + 1) ** k > VECTOR_BUDGET:
         return ClosureVerdict(UNKNOWN, "budget")
     return ClosureVerdict(UNKNOWN, "window")
 
 
 def replay_certificate(src, dst, certificate, seed=42):
     """Re-run the recorded degeneration; True iff it certifies again."""
-    want = certificate["system"]
-    for sys_idx, system in enumerate(_coordinate_systems(src)):
-        if sys_idx != want:
-            continue
-        verdict = _search_system(
-            src,
-            dst,
-            system,
-            window=max((abs(e) for e in certificate["exponents"]), default=0),
-            seed=seed,
-            sys_idx=sys_idx,
-            budget=1,
-            only_exponents=certificate["exponents"],
-        )
-        return verdict is not None and verdict.status == CONTAINED
-    return False
+    systems = _systems(src)
+    sys_idx = certificate["system"]
+    evec = tuple(certificate["exponents"])
+    if not 0 <= sys_idx < len(systems) or len(evec) != len(systems[sys_idx].coords):
+        return False
+    return _search_system(src, dst, systems[sys_idx], sys_idx, [evec], seed) is not None
 
 
 def degeneration_limit(src, system_index, exponents):
     """The projective limit of a recorded degeneration, as a Plücker map (for checks)."""
-    for sys_idx, system in enumerate(_coordinate_systems(src)):
-        if sys_idx != system_index:
-            continue
-        svar = ParamPoly.variable("s")
-        subs = {}
-        for coord, u, e in zip(system.coords, system.uvars, exponents):
-            subs[u] = ParamPoly.variable(u) * svar ** e
-        vec = limit_s_to_zero([p.subs(subs) for p in system.plucker.values()])
-        return {cols: p for cols, p in zip(system.plucker, vec) if not p.is_zero()}
-    raise ValueError("no coordinate system with index %d" % system_index)
+    systems = _systems(src)
+    if not 0 <= system_index < len(systems):
+        raise ValueError("no coordinate system with index %d" % system_index)
+    system = systems[system_index]
+    if len(exponents) != len(system.uvars):
+        raise ValueError("%d exponents for %d coordinates" % (len(exponents), len(system.uvars)))
+    svar = ParamPoly.variable("s")
+    subs = {u: ParamPoly.variable(u) * svar ** e for u, e in zip(system.uvars, exponents)}
+    vec = limit_s_to_zero([p.subs(subs) for p in system.plucker.values()])
+    return {cols: p for cols, p in zip(system.plucker, vec) if not p.is_zero()}
 
 
 class ComponentAnalysis:
-    __slots__ = ("components", "incomplete", "residual_unknowns", "unassigned", "singular_candidates")
+    __slots__ = ("components", "incomplete", "residual_unknowns", "singular_candidates")
 
 
 def components(cells, verdicts):
@@ -603,27 +599,21 @@ def components(cells, verdicts):
                 "pd_pattern": pd_pattern([cells[j] for j in members], cont, members),
             }
         )
-    assigned = set()
-    for c in comps:
-        assigned.update(c["members"])
     out = ComponentAnalysis.__new__(ComponentAnalysis)
     out.components = comps
     out.residual_unknowns = residual
-    out.unassigned = [i for i in range(n) if i not in assigned]
     out.incomplete = bool(residual)
     membership = {i: sum(i in c["members"] for c in comps) for i in range(n)}
     out.singular_candidates = [i for i in range(n) if membership[i] >= 2]
     return out
 
 
-def pd_pattern(member_cells, cont=None, indices=None):
+def pd_pattern(member_cells, cont, indices):
     """True iff the cells look like the affine stratification of P^d:
     dimensions are exactly 0..d once each and closures form a chain."""
     dims = sorted(c.dim for c in member_cells)
     if dims != list(range(len(member_cells))):
         return False
-    if cont is None or indices is None:
-        return True
     for pa, a in enumerate(indices):
         for pb, b in enumerate(indices):
             if member_cells[pa].dim > member_cells[pb].dim and not cont[a][b]:

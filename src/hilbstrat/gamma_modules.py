@@ -72,38 +72,9 @@ class GammaModule:
         return delta_set(self, self.colength if r is None else r)
 
 
-class DeltaSet:
-    """δ-element subset of [0, 2δ) whose union with [2δ, ∞) is Γ-closed."""
-
-    __slots__ = ("elements", "module", "r")
-
-    def __init__(self, elements, module, r):
-        self.elements = tuple(sorted(elements))
-        self.module = module
-        self.r = r
-
-    def __eq__(self, other):
-        if isinstance(other, DeltaSet):
-            return self.elements == other.elements
-        if isinstance(other, (tuple, list, set, frozenset)):
-            return self.elements == tuple(sorted(other))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __repr__(self):
-        return "DeltaSet{%s}" % ",".join(str(e) for e in self.elements)
-
-
 def delta_set(module, r):
-    """Δ = {s − r | s ∈ S, s − r < 2δ}, the shifted order set below 2δ."""
+    """Δ = {s − r | s ∈ S, s − r < 2δ}, the shifted order set below 2δ, as a
+    sorted tuple: δ elements of [0, 2δ) whose union with [2δ, ∞) is Γ-closed."""
     sg = module.ambient
     if module.colength != r:
         raise CardinalityMismatch(
@@ -127,7 +98,7 @@ def delta_set(module, r):
                 raise MalformedDelta(
                     "Δ %r not Γ-closed: %d + %d escapes" % (elements, e, a)
                 )
-    return DeltaSet(elements, module, r)
+    return elements
 
 
 def minimal_generators(module):

@@ -31,6 +31,11 @@ def _param_name(gen_index, exponent):
     return "q%02dx%03d" % (gen_index, exponent)
 
 
+def _param_index(name):
+    """(generator index, exponent) of a name made by ``_param_name``."""
+    return int(name[1:3]), int(name[4:])
+
+
 def default_truncation(module, margin=0):
     sg = module.ambient
     return module.conductor + sg.conductor + 2 * sg.delta + 1 + margin
@@ -103,8 +108,7 @@ class CanonicalFamily:
     def eliminated_display(self):
         out = []
         for name in sorted(self.eliminated):
-            i = int(name[1:3])
-            c = int(name[4:])
+            i, c = _param_index(name)
             out.append(
                 {
                     "generator": i,
@@ -310,17 +314,16 @@ def minor_support(rows):
     return sorted(tuple(c for c in range(m.bit_length()) if m >> c & 1) for m in tails(0, 0))
 
 
-def plucker_point(family, r):
-    """The δ×δ minors of the cell matrix on ``minor_support``, in
-    lexicographic column-set order; one can still cancel to zero.
+def plucker_point(rows, pivots, support):
+    """The δ×δ minors of the cell matrix ``rows`` (from ``cell_matrix``) on
+    the column sets ``support`` (from ``minor_support``), in that order; one
+    can still cancel to zero.
 
     No other row reaches a pivot column, so a row whose pivot is in the set
     must take it: each minor is ± a chart minor, of the rows without their
     pivot on the non-pivot columns.  The expansion along the first row is
     memoised on the columns left, so the minors share their sub-minors.
     """
-    rows, pivots = cell_matrix(family, r)
-
     @cache
     def minor(cols):
         # minor of the last popcount(cols) rows on the columns in the bitmask
@@ -335,7 +338,7 @@ def plucker_point(family, r):
                 total = total - term if (cols & (bit - 1)).bit_count() & 1 else total + term
         return total
 
-    return tuple(minor(sum(1 << c for c in cols)) for cols in minor_support(rows))
+    return tuple(minor(sum(1 << c for c in cols)) for cols in support)
 
 
 def reduce_against(rows, pivots, vector):

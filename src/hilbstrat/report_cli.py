@@ -39,8 +39,9 @@ class ReportConfig:
         self.seed = seed
 
 
-def canonical_delta_labels(sg):
-    """Δ-sets in order of first appearance over r = 1, 2, …, 2δ.
+def canonical_delta_labels(sg, r_max=None):
+    """Δ-sets in order of first appearance over r = 1, 2, …, 2δ, or only up
+    to r_max when given: a label depends only on the strata before it.
 
     Within one r the cells come in lexicographic gap-set order; scanning
     the strata in increasing r and numbering each new Δ-set on sight
@@ -50,9 +51,11 @@ def canonical_delta_labels(sg):
     labels = []
     seen = set()
     top = max(1, 2 * sg.delta)
+    if r_max is not None:
+        top = min(top, r_max)
     for r in range(1, top + 1):
         for module in enumerate_colength(sg, r):
-            d = tuple(module.delta_set(r))
+            d = module.delta_set(r)
             if d not in seen:
                 seen.add(d)
                 labels.append(d)
@@ -110,12 +113,12 @@ def stratify(sg, r, config=None, labels=None):
     if config is None:
         config = ReportConfig()
     if labels is None:
-        labels = canonical_delta_labels(sg)
+        labels = canonical_delta_labels(sg, r)
     label_of = {d: "Δ_%d" % (i + 1) for i, d in enumerate(labels)}
     cells = []
     for i, module in enumerate(enumerate_colength(sg, r)):
         cell = build_cell(sg, module, r, index=i, margin=config.trunc_margin)
-        cell.label = label_of.get(tuple(cell.delta), "Δ_?")
+        cell.label = label_of.get(cell.delta, "Δ_?")
         cells.append(cell)
     verdicts = {}
     for i, src in enumerate(cells):
@@ -135,12 +138,11 @@ def stratify(sg, r, config=None, labels=None):
 
 
 class StratReport:
-    __slots__ = ("semigroup", "sections", "config")
+    __slots__ = ("semigroup", "sections")
 
-    def __init__(self, semigroup, sections, config):
+    def __init__(self, semigroup, sections):
         self.semigroup = semigroup
         self.sections = sections
-        self.config = config
 
     def dimension_row(self):
         return tuple(s.dim for s in self.sections)
@@ -229,9 +231,9 @@ def analyze(sg, r_max=None, config=None, rs=None):
         if r_max < 1:
             raise ValueError("r_max must be at least 1, got %d" % r_max)
         rs = range(1, r_max + 1)
-    labels = canonical_delta_labels(sg)
+    labels = canonical_delta_labels(sg, max(rs, default=0))
     sections = [stratify(sg, r, config, labels) for r in rs]
-    return StratReport(sg, sections, config)
+    return StratReport(sg, sections)
 
 
 # -- brute-force oracle mode ------------------------------------------

@@ -40,7 +40,7 @@ def schubert_index(delta):
 
     With Δ written b_1 < ... < b_δ, the index is a_{δ-i+1} = b_i - i + 1.
     """
-    b = sorted(delta.elements if hasattr(delta, "elements") else delta)
+    b = sorted(delta)
     d = len(b)
     a = tuple(reversed([b[i] - i for i in range(d)]))
     for i in range(d - 1):

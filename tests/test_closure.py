@@ -68,6 +68,22 @@ def test_e6_r6_needs_adapted_coordinates(cells_of):
     assert replay_certificate(cells[4], cells[2], cert)
 
 
+def test_replay_rejects_malformed_certificates(cells_of):
+    """A replay checks the certificate's shape: an exponent list of the wrong
+    length or a system index out of range certifies nothing."""
+    cells = cells_of(E6, 6)
+    src, dst = cells[4], cells[2]
+    cert = cell_closure_contains(src, dst).certificate
+    assert cert["system"] == 1 and cert["exponents"] == [-1, -1, -3]
+    malformed = [{"exponents": [-1, -1, -3, 7]}, {"exponents": [-1, -1]}, {"system": -1}, {"system": 99}]
+    for bad in malformed:
+        assert not replay_certificate(src, dst, dict(cert, **bad)), bad
+    assert replay_certificate(src, dst, cert)
+    for system, exponents in ((1, (-1, -1, -3, 7)), (-1, (-1, -1, -3))):
+        with pytest.raises(ValueError):
+            degeneration_limit(src, system, exponents)
+
+
 def test_e6_r6_adapted_limit_respects_target_zeros(cells_of):
     cells = cells_of(E6, 6)
     src, dst = cells[4], cells[2]
@@ -132,10 +148,12 @@ def test_zero_window_is_honest(cells_of):
     assert v.certificate is None
 
 
-def test_unknown_names_the_exhausted_limit(cells_of):
+def test_unknown_names_the_exhausted_limit(cells_of, monkeypatch):
     """A search cut off by the vector budget says so; a full window says window."""
     src, dst = cells_of(E6, 2)[1], cells_of(E6, 2)[0]
-    cut = cell_closure_contains(src, dst, budget=1)
+    with monkeypatch.context() as m:
+        m.setattr(closure_analysis, "VECTOR_BUDGET", 1)
+        cut = cell_closure_contains(src, dst)
     assert cut.status == UNKNOWN
     assert cut.reason == "budget"
     narrow = cell_closure_contains(src, dst, window=0)

@@ -18,8 +18,10 @@ from hilbstrat import (
     is_good_subspace,
     plucker_point,
 )
+from hilbstrat import closure_analysis, ideal_cells
 from hilbstrat.closure_analysis import _rank
 from hilbstrat.errors import CardinalityMismatch, TruncationTooSmall
+from hilbstrat.ideal_cells import minor_support
 
 E6 = NumericalSemigroup((3, 4))
 E8 = NumericalSemigroup((3, 5))
@@ -171,8 +173,28 @@ def test_genuine_elimination_37():
 def test_plucker_monomial_cell():
     m = GammaModule(E6, (0, 3, 4))
     f = canonical_family(E6, m)
-    assert plucker_point(f, 3) == (ParamPoly.one(),)
+    rows, pivots = cell_matrix(f, 3)
+    assert plucker_point(rows, pivots, minor_support(rows)) == (ParamPoly.one(),)
     assert build_cell(E6, m, 3).plucker == {(3, 4, 5): ParamPoly.one()}
+
+
+def test_build_cell_makes_one_pass(monkeypatch):
+    """``build_cell`` computes the cell matrix and the minor support once
+    per cell, whichever module the second call would come from."""
+    calls = []
+    for name in ("cell_matrix", "minor_support"):
+        original = getattr(ideal_cells, name)
+
+        def spy(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(ideal_cells, name, spy)
+        monkeypatch.setattr(closure_analysis, name, spy)
+    mods = enumerate_colength(E8, 5)
+    for m in mods:
+        build_cell(E8, m, 5)
+    assert sorted(calls) == ["cell_matrix"] * len(mods) + ["minor_support"] * len(mods)
 
 
 def test_plucker_degeneration_of_s22():

@@ -40,6 +40,19 @@ def test_canonical_labels_first_appearance():
     assert labels8[5] == (0, 3, 5, 6)
 
 
+@pytest.mark.parametrize("sg", [E6, E8], ids=["3x4", "3x5"])
+def test_labels_up_to_the_reported_stratum(sg):
+    """Labels are numbered by first appearance, so scanning only the strata
+    a report covers gives every reported cell the label of the full scan."""
+    full_labels = canonical_delta_labels(sg)
+    full = analyze(sg).to_dict()["strata"]
+    assert canonical_delta_labels(sg, 1) == full_labels[:1]
+    for k in range(1, 2 * sg.delta):
+        labels = canonical_delta_labels(sg, k)
+        assert labels == full_labels[: len(labels)]
+        assert analyze(sg, r_max=k).to_dict()["strata"] == full[:k]
+
+
 def test_report_schema():
     rep = analyze(E6, r_max=2)
     d = rep.to_dict()
