@@ -22,12 +22,10 @@ from .gamma_modules import (
     delta_set,
     enumerate_colength,
     enumeration_bound,
-    minimal_generators,
 )
 from .ideal_cells import (
     CanonicalFamily,
     canonical_family,
-    cell_dimension,
     cell_matrix,
     is_good_subspace,
     plucker_point,
@@ -40,7 +38,7 @@ from .report_cli import (
     oracle_check,
     stratify,
 )
-from .schubert import SchubertIndex, closure_leq, schubert_index
+from .schubert import closure_leq, schubert_index
 from .semigroup_core import NumericalSemigroup
 from .symcalc import ParamPoly, TruncSeries
 
@@ -54,7 +52,6 @@ __all__ = [
     "NumericalSemigroup",
     "ParamPoly",
     "ReportConfig",
-    "SchubertIndex",
     "StratCell",
     "StratReport",
     "TruncSeries",
@@ -63,7 +60,6 @@ __all__ = [
     "canonical_delta_labels",
     "canonical_family",
     "cell_closure_contains",
-    "cell_dimension",
     "cell_matrix",
     "closure_leq",
     "components",
@@ -72,7 +68,6 @@ __all__ = [
     "enumerate_colength",
     "enumeration_bound",
     "is_good_subspace",
-    "minimal_generators",
     "oracle_check",
     "plucker_point",
     "replay_certificate",

@@ -14,7 +14,9 @@ the first exponent vector that reaches it.  At most ``VECTOR_BUDGET``
 (50,000) vectors are tried per coordinate system; an unresolved search
 reports whether that budget or the window ran out first.  Search, replay
 and limit checks all run on the source cell's one list of coordinate
-systems.
+systems.  A replay re-runs the search along the recorded system and
+exponent vector only, with the seed of the original run, and accepts the
+certificate only if it re-derives every recorded field.
 
 Non-containment is decided by three closed obstructions: the Schubert
 incidence condition, dimension comparison, and the target's pivot minor
@@ -24,7 +26,7 @@ nonzero minors only).
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from operator import mul
 
 from .gamma_modules import delta_set
@@ -83,10 +85,10 @@ class StratCell:
         return "StratCell(r=%d, S=%r)" % (self.r, self.module)
 
 
-def build_cell(sg, module, r, index=0, label=None, margin=0):
+def build_cell(sg, module, r, index=0, margin=0):
     cell = StratCell.__new__(StratCell)
     cell.index = index
-    cell.label = label
+    cell.label = None
     cell.r = r
     cell.module = module
     cell.family = canonical_family(sg, module, margin=margin)
@@ -249,23 +251,23 @@ def _candidate_replacements(src):
     return cands
 
 
-def _coordinate_systems(src):
-    """Yield the canonical coordinates first, then adapted variants."""
-    free = src.family.free_params
-    systems = [[]]
-    cands = _candidate_replacements(src)
-    for size in range(1, len(cands) + 1):
-        for subset in combinations(range(len(cands)), size):
-            chosen = [cands[i] for i in subset]
-            if len(set(t[0] for t in chosen)) != len(chosen):
-                continue
-            systems.append(chosen)
-            if len(systems) >= MAX_SYSTEMS:
-                break
-        if len(systems) >= MAX_SYSTEMS:
-            break
-
-    for pairs in systems:
+def _systems(cell):
+    """The cell's coordinate systems, canonical coordinates first and then
+    adapted variants; built on first use and then kept."""
+    if cell.systems_cache is not None:
+        return cell.systems_cache
+    free = cell.family.free_params
+    cands = _candidate_replacements(cell)
+    subsets = (
+        [cands[i] for i in subset]
+        for size in range(1, len(cands) + 1)
+        for subset in combinations(range(len(cands)), size)
+    )
+    # each parameter is replaced at most once
+    distinct = (c for c in subsets if len(set(t[0] for t in c)) == len(c))
+    choices = [[]] + list(islice(distinct, MAX_SYSTEMS - 1))
+    systems = []
+    for pairs in choices:
         mapping = _compose_replacements(pairs) if pairs else {}
         if mapping is None:
             continue
@@ -276,19 +278,14 @@ def _coordinate_systems(src):
         sysm.uvars = ["u%02d" % j for j in range(len(free))]
         to_u = {c: ParamPoly.variable(u) for c, u in zip(sysm.coords, sysm.uvars)}
         plucker = {}
-        for cols, p in src.plucker.items():
+        for cols, p in cell.plucker.items():
             q = p.subs(mapping) if mapping else p
             plucker[cols] = q.subs(to_u)
         sysm.plucker = plucker
         sysm.arrays, sysm.uniq_exps = _term_arrays(plucker, sysm.uvars)
-        yield sysm
-
-
-def _systems(cell):
-    """The cell's coordinate systems, built on first use and then kept."""
-    if cell.systems_cache is None:
-        cell.systems_cache = list(_coordinate_systems(cell))
-    return cell.systems_cache
+        systems.append(sysm)
+    cell.systems_cache = systems
+    return systems
 
 
 def _term_arrays(plucker, uvars):
@@ -537,13 +534,15 @@ def cell_closure_contains(src, dst, window=DEFAULT_WINDOW, seed=42):
 
 
 def replay_certificate(src, dst, certificate, seed=42):
-    """Re-run the recorded degeneration; True iff it certifies again."""
+    """Re-run the recorded degeneration with the seed of the original run;
+    True iff it certifies again and re-derives every recorded field."""
     systems = _systems(src)
     sys_idx = certificate["system"]
     evec = tuple(certificate["exponents"])
     if not 0 <= sys_idx < len(systems) or len(evec) != len(systems[sys_idx].coords):
         return False
-    return _search_system(src, dst, systems[sys_idx], sys_idx, [evec], seed) is not None
+    verdict = _search_system(src, dst, systems[sys_idx], sys_idx, [evec], seed)
+    return verdict is not None and verdict.certificate == certificate
 
 
 def degeneration_limit(src, system_index, exponents):

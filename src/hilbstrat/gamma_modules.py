@@ -68,9 +68,6 @@ class GammaModule:
     def members_below(self, bound):
         return [n for n in range(bound) if n in self]
 
-    def delta_set(self, r=None):
-        return delta_set(self, self.colength if r is None else r)
-
 
 def delta_set(module, r):
     """Δ = {s − r | s ∈ S, s − r < 2δ}, the shifted order set below 2δ, as a
@@ -99,11 +96,6 @@ def delta_set(module, r):
                     "Δ %r not Γ-closed: %d + %d escapes" % (elements, e, a)
                 )
     return elements
-
-
-def minimal_generators(module):
-    """Unique minimal generating set of S as a Γ-module."""
-    return module.min_generators
 
 
 def enumeration_bound(sg, r):

@@ -251,10 +251,6 @@ def canonical_family(sg, module, truncation=None, margin=0):
     return CanonicalFamily(module, truncation, normal_forms, free, eliminated)
 
 
-def cell_dimension(sg, module):
-    return canonical_family(sg, module).dimension
-
-
 def cell_matrix(family, r):
     """Reduced unit-pivot echelon basis of t^{-r}·I modulo t^{2δ}.
 

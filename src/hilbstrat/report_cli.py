@@ -21,7 +21,7 @@ from .closure_analysis import (
     components,
 )
 from .errors import HilbstratError
-from .gamma_modules import enumerate_colength
+from .gamma_modules import delta_set, enumerate_colength
 from .ideal_cells import canonical_family
 from .semigroup_core import NumericalSemigroup
 
@@ -55,7 +55,7 @@ def canonical_delta_labels(sg, r_max=None):
         top = min(top, r_max)
     for r in range(1, top + 1):
         for module in enumerate_colength(sg, r):
-            d = module.delta_set(r)
+            d = delta_set(module, r)
             if d not in seen:
                 seen.add(d)
                 labels.append(d)
@@ -77,7 +77,7 @@ class StratumSection:
                     "gaps": list(c.module.gap_set),
                     "min_gens": list(c.module.min_generators),
                     "delta_set": list(c.delta),
-                    "schubert": list(c.schubert.a),
+                    "schubert": list(c.schubert),
                     "dim": c.dim,
                     "generators": fam.format_generators(),
                     "eliminated": fam.eliminated_display(),
@@ -199,10 +199,10 @@ class StratReport:
             out.append("r = %d" % s.r)
             for c in s.cells:
                 out.append(
-                    "  %-4s  %s  dim %d  G(S) = {%s}"
+                    "  %-4s  W(%s)  dim %d  G(S) = {%s}"
                     % (
                         c.label,
-                        c.schubert.label(),
+                        ",".join(str(x) for x in c.schubert),
                         c.dim,
                         ", ".join(str(g) for g in c.module.gap_set),
                     )
@@ -441,10 +441,7 @@ def main(argv=None):
             report = analyze(sg, config=config, rs=[args.r])
         else:
             report = analyze(sg, r_max=args.max_r, config=config)
-    except ValueError as exc:
-        print("hilbstrat: %s" % exc, file=sys.stderr)
-        return 2
-    except HilbstratError as exc:
+    except (ValueError, HilbstratError) as exc:
         print("hilbstrat: %s" % exc, file=sys.stderr)
         return 2
 

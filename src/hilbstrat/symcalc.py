@@ -3,7 +3,9 @@
 Everything downstream works over the rationals.  Coefficients of ideal
 generators are polynomials in named parameters (Fraction coefficients),
 and curve-local computations happen in truncated power series in t whose
-coefficients are such polynomials.
+coefficients are such polynomials.  The series ops are add, neg, sub,
+scale (by a parameter polynomial), shift (multiply by t^k) and subs; the
+package multiplies series only by powers of t, which is a shift.
 """
 
 from fractions import Fraction
@@ -302,14 +304,6 @@ class TruncSeries:
 
     __hash__ = None
 
-    @classmethod
-    def monomial_t(cls, exp, trunc):
-        """The series t**exp."""
-        if exp < 0:
-            raise ShiftUnderflow("monomial exponent %d below zero" % exp)
-        coeffs = {exp: ParamPoly.one()} if exp < trunc else {}
-        return cls(trunc, coeffs)
-
     def coeff(self, exp):
         return self.coeffs.get(exp, ParamPoly.zero())
 
@@ -343,19 +337,6 @@ class TruncSeries:
     def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, other):
-        self._check_trunc(other)
-        out = {}
-        for e1, p1 in self.coeffs.items():
-            for e2, p2 in other.coeffs.items():
-                e = e1 + e2
-                if e >= self.trunc:
-                    continue
-                prod = p1 * p2
-                q = out.get(e)
-                out[e] = prod if q is None else q + prod
-        return TruncSeries(self.trunc, out)
-
     def scale(self, factor):
         """Multiply every coefficient by a ParamPoly (or number)."""
         if not isinstance(factor, ParamPoly):
@@ -385,13 +366,6 @@ class TruncSeries:
             if ne < trunc:
                 out[ne] = p
         return TruncSeries(trunc, out)
-
-    def truncate(self, new_trunc):
-        if new_trunc > self.trunc:
-            raise TruncationMismatch(
-                "cannot extend truncation from %d to %d" % (self.trunc, new_trunc)
-            )
-        return TruncSeries(new_trunc, {e: p for e, p in self.coeffs.items() if e < new_trunc})
 
     def subs(self, mapping):
         return TruncSeries(self.trunc, {e: p.subs(mapping) for e, p in self.coeffs.items()})

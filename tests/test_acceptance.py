@@ -135,7 +135,7 @@ def test_criterion_6_schubert_labels():
         seen = set()
         for r in range(1, 2 * sg.delta + 1):
             for m in enumerate_colength(sg, r):
-                seen.add(schubert_index(delta_set(m, r)).a)
+                seen.add(schubert_index(delta_set(m, r)))
         ok = ok and seen == want
     assert verdict(6, ok, "E6 and E8 W-label sets")
 

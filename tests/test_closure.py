@@ -1,5 +1,7 @@
 """Closure verdicts, degeneration certificates, component assembly."""
 
+import json
+
 import pytest
 
 from hilbstrat import (
@@ -69,16 +71,29 @@ def test_e6_r6_needs_adapted_coordinates(cells_of):
 
 
 def test_replay_rejects_malformed_certificates(cells_of):
-    """A replay checks the certificate's shape: an exponent list of the wrong
-    length or a system index out of range certifies nothing."""
+    """A replay re-derives the whole certificate: an exponent list of the
+    wrong length, a system index out of range or any other recorded field
+    changed certifies nothing."""
     cells = cells_of(E6, 6)
     src, dst = cells[4], cells[2]
     cert = cell_closure_contains(src, dst).certificate
     assert cert["system"] == 1 and cert["exponents"] == [-1, -1, -3]
-    malformed = [{"exponents": [-1, -1, -3, 7]}, {"exponents": [-1, -1]}, {"system": -1}, {"system": 99}]
+    malformed = [
+        {"exponents": [-1, -1, -3, 7]},
+        {"exponents": [-1, -1]},
+        {"system": -1},
+        {"system": 99},
+        {"witness": {u: "0" for u in cert["witness"]}},
+        {"target_pivots": [0, 1, 2]},
+        {"substitution": {}},
+        {"replacements": []},
+    ]
     for bad in malformed:
         assert not replay_certificate(src, dst, dict(cert, **bad)), bad
     assert replay_certificate(src, dst, cert)
+    assert replay_certificate(src, dst, json.loads(json.dumps(cert)))
+    # the witness depends on the seed, so a replay takes the run's seed
+    assert not replay_certificate(src, dst, cert, seed=1)
     for system, exponents in ((1, (-1, -1, -3, 7)), (-1, (-1, -1, -3))):
         with pytest.raises(ValueError):
             degeneration_limit(src, system, exponents)
@@ -194,7 +209,7 @@ def test_limit_depends_only_on_face(cells_of):
     cell's Newton polytope give the same limit point."""
     cells = cells_of(E8, 8)
     src, dst = cells[6], cells[2]
-    system = list(closure_analysis._coordinate_systems(src))[1]
+    system = closure_analysis._systems(src)[1]
     e1, e2 = (0, -1, 0, -3), (0, -1, 2, -3)
 
     def face(evec):

@@ -8,7 +8,6 @@ from hilbstrat import (
     delta_set,
     enumerate_colength,
     enumeration_bound,
-    minimal_generators,
 )
 from hilbstrat.errors import CardinalityMismatch, MalformedDelta
 
@@ -45,9 +44,9 @@ def test_colength_equals_gap_count():
 
 
 def test_minimal_generators_fixtures():
-    assert minimal_generators(GammaModule(E6, (0, 3, 4, 6))) == (7, 8, 9)
-    assert minimal_generators(GammaModule(E8, (0, 3, 5, 6, 9, 10, 12))) == (8, 15)
-    assert minimal_generators(GammaModule(E6, ())) == (0,)
+    assert GammaModule(E6, (0, 3, 4, 6)).min_generators == (7, 8, 9)
+    assert GammaModule(E8, (0, 3, 5, 6, 9, 10, 12)).min_generators == (8, 15)
+    assert GammaModule(E6, ()).min_generators == (0,)
 
 
 def test_e8_two_generator_modules():

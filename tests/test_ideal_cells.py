@@ -12,7 +12,6 @@ from hilbstrat import (
     ParamPoly,
     build_cell,
     canonical_family,
-    cell_dimension,
     cell_matrix,
     enumerate_colength,
     is_good_subspace,
@@ -113,14 +112,14 @@ def test_cell_dimension_is_jacobian_rank(sg, r):
 
 
 def test_cell_dimensions():
-    assert cell_dimension(E6, GammaModule(E6, (0,))) == 0
-    assert cell_dimension(E6, enumerate_colength(E6, 6)[-1]) == 3
-    assert cell_dimension(E6, GammaModule(E6, (0, 4, 8))) == 2
+    assert canonical_family(E6, GammaModule(E6, (0,))).dimension == 0
+    assert canonical_family(E6, enumerate_colength(E6, 6)[-1]).dimension == 3
+    assert canonical_family(E6, GammaModule(E6, (0, 4, 8))).dimension == 2
     # E8 module generated by 5 alone
     s55 = GammaModule(E8, (0, 3, 6, 9, 12))
     assert s55.min_generators == (5,)
-    assert cell_dimension(E8, s55) == 3
-    assert cell_dimension(E8, enumerate_colength(E8, 8)[-1]) == 4
+    assert canonical_family(E8, s55).dimension == 3
+    assert canonical_family(E8, enumerate_colength(E8, 8)[-1]).dimension == 4
 
 
 @pytest.mark.parametrize(
