@@ -9,21 +9,34 @@ full-rank Jacobian at a rational witness point proves the limits sweep out
 a dense subset of C'.
 
 The limit along e depends only on the face of the source's Newton polytope
-on which e is minimal (its initial form), so each face is tried once, with
-the first exponent vector that reaches it.  At most ``VECTOR_BUDGET``
-(50,000) vectors are tried per coordinate system; an unresolved search
-reports whether that budget or the window ran out first.  Search, replay
+(the convex hull of the exponents of its Plücker coordinates, in one
+coordinate system) on which e is minimal: its initial form.  Each
+coordinate system therefore carries its exact face lattice (``newton``),
+and a search first asks whether any face is viable for the target: the
+face meets the target's pivot exponents and no exponent of a coordinate
+that vanishes on the target, its limit matches the target, and the matched
+map is dominant.  Dominance is decided exactly, in three checks: a face of
+affine dimension below dim C' is not dominant (the limit is invariant under
+u -> lambda^e * u for every e constant on the face); a Jacobian of full
+rank at a rational point is; otherwise the maximal minors of the Jacobian
+are expanded as polynomials.  A system without a viable face is dismissed
+before any exponent vector is drawn; otherwise exponent vectors are drawn
+in (L1, lex) order, and the first one whose face is viable and yields a
+witness, seeded from the vector, names the certificate.  Each face is
+judged once per search.  At most ``VECTOR_BUDGET`` (50,000) vectors are
+drawn per coordinate system.  An unresolved search reports ``no_face``
+when no system has a viable face, so that no window could help, and
+otherwise whether the budget or the window ran out first.  Search, replay
 and limit checks all run on the source cell's one list of coordinate
 systems.  A replay re-runs the search along the recorded system and
 exponent vector only, with the seed of the original run, and accepts the
-certificate only if it re-derives every recorded field.
+certificate only if it is well formed and re-derives every recorded field.
 
 Non-containment is decided by three closed obstructions: the Schubert
 incidence condition, dimension comparison, and the target's pivot minor
 missing from the source's Plücker point (a map from column sets to the
 nonzero minors only).
 """
-
 import random
 from fractions import Fraction
 from itertools import combinations, islice
@@ -31,16 +44,19 @@ from operator import mul
 
 from .gamma_modules import delta_set
 from .ideal_cells import _param_index, canonical_family, cell_matrix, minor_support, plucker_point
+from .newton import face_lattice
 from .schubert import closure_leq, schubert_index
 from .symcalc import ParamPoly, limit_s_to_zero
 
 CONTAINED = "contained"
 NOT_CONTAINED = "not_contained"
 UNKNOWN = "unknown"
+NO_FACE = "no_face"  # unknown: no coordinate system has a viable face
 
 DEFAULT_WINDOW = 5
 VECTOR_BUDGET = 50000  # exponent vectors tried per coordinate system
 MAX_SYSTEMS = 16  # coordinate systems per cell, the canonical one included
+CERTIFICATE_KEYS = ("system", "replacements", "exponents", "substitution", "target_pivots", "witness")
 
 
 class ClosureVerdict:
@@ -138,7 +154,7 @@ class CoordSystem:
     replacement being invertible.
     """
 
-    __slots__ = ("replacements", "coords", "plucker", "uvars", "arrays", "uniq_exps")
+    __slots__ = ("replacements", "coords", "plucker", "uvars", "arrays", "uniq_exps", "faces")
 
     def describe(self, family):
         rename = family.display_names
@@ -283,6 +299,7 @@ def _systems(cell):
             plucker[cols] = q.subs(to_u)
         sysm.plucker = plucker
         sysm.arrays, sysm.uniq_exps = _term_arrays(plucker, sysm.uvars)
+        sysm.faces = face_lattice(sysm.uniq_exps)
         systems.append(sysm)
     cell.systems_cache = systems
     return systems
@@ -408,15 +425,20 @@ def _match_target(limit, dst):
     return n, q
 
 
-def _dominance_witness(n_map, q, dst, uvars, seed_str):
+def _jacobian(n_map, q, dst, uvars):
+    """Rows q^2 * d(n/q)/du, one per free parameter of the target: the
+    Jacobian of the matched map onto the target cell, up to a nonzero factor."""
+    grad = []
+    for nm in dst.family.free_params:
+        nk = n_map[nm]
+        grad.append([nk.derivative(u) * q - nk * q.derivative(u) for u in uvars])
+    return grad
+
+
+def _dominance_witness(grad, q, dst, uvars, seed_str):
     """Rational point where the induced map onto the target cell has full rank."""
     if dst.dim == 0:
         return {}
-    names = dst.family.free_params
-    grad = []
-    for nm in names:
-        nk = n_map[nm]
-        grad.append([nk.derivative(u) * q - nk * q.derivative(u) for u in uvars])
     rng = random.Random(seed_str)
     for _ in range(8):
         point = {u: Fraction(rng.choice((-1, 1)) * rng.randint(1, 40), rng.randint(1, 9)) for u in uvars}
@@ -429,6 +451,82 @@ def _dominance_witness(n_map, q, dst, uvars, seed_str):
         if _rank(mat) == dst.dim:
             return {u: str(point[u]) for u in uvars}
     return None
+
+
+def _has_nonzero_minor(grad):
+    """True iff some maximal minor of the polynomial matrix ``grad`` is a
+    nonzero polynomial, i.e. the rows are independent over the function field.
+
+    Minors of the lower rows are expanded along the row above, one level per
+    row, keyed by their column sets.
+    """
+    m = len(grad)
+    k = len(grad[0]) if grad else 0
+    level = {(): ParamPoly.one()}
+    for i in reversed(range(m)):
+        row = grad[i]
+        above = {}
+        for cols in combinations(range(k), m - i):
+            det = ParamPoly.zero()
+            for pos, c in enumerate(cols):
+                sub = level[cols[:pos] + cols[pos + 1 :]]
+                if sub.is_zero() or row[c].is_zero():
+                    continue
+                term = row[c] * sub
+                det = det - term if pos % 2 else det + term
+            above[cols] = det
+        level = above
+    return any(not p.is_zero() for p in level.values())
+
+
+def _face_test(dst, system):
+    """The viability test of ``system``'s Newton faces for the target, memoized.
+
+    It maps a face (a frozenset of indices into ``uniq_exps``) to the
+    Jacobian rows and pivot minor of the face's limit when the face is
+    viable, and to None otherwise.  A face is viable when it meets the
+    target's pivot exponents and no exponent of a coordinate that vanishes
+    on the target, its limit matches the target, and the matched map is
+    dominant.  Only a viable face can give a certificate: at every point the
+    Jacobian's rank is at most its generic rank, so the witness of a
+    non-dominant map always fails.
+    """
+    arrays, uniq = system.arrays, system.uniq_exps
+    pivot = {j for _, _, j in arrays.get(dst.pivots, ())}
+    forced = {j for cols, items in arrays.items() if cols not in dst.plucker for _, _, j in items}
+    judged = {}
+
+    def viable(face):
+        if face not in judged:
+            judged[face] = judge(face)
+        return judged[face]
+
+    def judge(face):
+        if face.isdisjoint(pivot) or not face.isdisjoint(forced):
+            return None
+        # dominance, check 1: the limit is invariant under u -> lambda^e * u
+        # for every e constant on the face, so the map's rank is at most
+        # dim aff(face)
+        base = uniq[min(face)]
+        if _rank([[a - b for a, b in zip(uniq[j], base)] for j in face]) < dst.dim:
+            return None
+        limit = {}
+        for cols, items in arrays.items():
+            terms = {key: c for key, c, j in items if j in face}
+            if terms:
+                limit[cols] = ParamPoly(terms)
+        matched = _match_target(limit, dst)
+        if matched is None:
+            return None
+        n_map, q = matched
+        grad = _jacobian(n_map, q, dst, system.uvars)
+        # check 2: full rank at a rational point; check 3: a nonzero
+        # maximal minor as a polynomial
+        if _dominance_witness(grad, q, dst, system.uvars, "dominance") is None and not _has_nonzero_minor(grad):
+            return None
+        return grad, q
+
+    return viable
 
 
 def _undercuts(scan, evec, mp):
@@ -447,50 +545,34 @@ def _undercuts(scan, evec, mp):
 
 def _search_system(src, dst, system, sys_idx, candidates, seed):
     """Certify dst in the closure of src along the first of the exponent
-    vectors ``candidates`` whose limit lands densely on dst, or None."""
-    arrays = system.arrays
-    uniq = system.uniq_exps
-    pivot_terms = arrays.get(dst.pivots)
-    if not pivot_terms:
-        return None
-    pivot_exps = [uniq[j] for _, _, j in pivot_terms]
-    # coordinates that vanish on the target must vanish in the limit
-    forced_refs = []
-    for cols, items in arrays.items():
-        if cols not in dst.plucker and items:
-            forced_refs.append(sorted(set(j for _, _, j in items)))
+    vectors ``candidates`` whose face is viable and yields a witness.
 
+    Gives up with reason ``no_face`` before drawing a vector when no face
+    of the system is viable, and with ``window`` when the vectors run out.
+    """
+    viable = _face_test(dst, system)
+    if not any(viable(face) for face in system.faces):
+        return ClosureVerdict(UNKNOWN, NO_FACE)
+    uniq = system.uniq_exps
+    pivot_exps = [uniq[j] for _, _, j in system.arrays[dst.pivots]]
     scan = list(uniq)
     tried = set()
     for evec in candidates:
         mp = min(sum(map(mul, evec, alpha)) for alpha in pivot_exps)
         if _undercuts(scan, evec, mp):
             continue
-        dots = [sum(map(mul, evec, alpha)) for alpha in uniq]
         # the limit, its match and the witness map depend only on the face
         # where evec is minimal, so a face that failed once fails again
-        face = tuple(j for j, d in enumerate(dots) if d == mp)
+        face = frozenset(j for j, alpha in enumerate(uniq) if sum(map(mul, evec, alpha)) == mp)
         if face in tried:
             continue
         tried.add(face)
-        bad = False
-        for refs in forced_refs:
-            if min(dots[j] for j in refs) == mp:
-                bad = True
-                break
-        if bad:
+        judged = viable(face)
+        if judged is None:
             continue
-        limit = {}
-        for cols, items in arrays.items():
-            terms = {key: c for key, c, j in items if dots[j] == mp}
-            if terms:
-                limit[cols] = ParamPoly(terms)
-        matched = _match_target(limit, dst)
-        if matched is None:
-            continue
-        n_map, q = matched
+        grad, q = judged
         seed_str = "%s:%d:%d:%d:%s" % (seed, src.index, dst.index, sys_idx, evec)
-        witness = _dominance_witness(n_map, q, dst, system.uvars, seed_str)
+        witness = _dominance_witness(grad, q, dst, system.uvars, seed_str)
         if witness is None:
             continue
         rename = src.family.display_names
@@ -507,7 +589,7 @@ def _search_system(src, dst, system, sys_idx, candidates, seed):
             "witness": witness,
         }
         return ClosureVerdict(CONTAINED, "degeneration", cert)
-    return None
+    return ClosureVerdict(UNKNOWN, "window")
 
 
 def cell_closure_contains(src, dst, window=DEFAULT_WINDOW, seed=42):
@@ -524,10 +606,15 @@ def cell_closure_contains(src, dst, window=DEFAULT_WINDOW, seed=42):
         return ClosureVerdict(NOT_CONTAINED, "pivot_coordinate")
     # every coordinate system has one coordinate per free parameter
     k = len(src.family.free_params)
+    hopeless = True
     for sys_idx, system in enumerate(_systems(src)):
         verdict = _search_system(src, dst, system, sys_idx, _exponent_vectors(k, window), seed)
-        if verdict is not None:
+        if verdict.status == CONTAINED:
             return verdict
+        hopeless = hopeless and verdict.reason == NO_FACE
+    if hopeless:
+        # no vector in any window can certify: this is not a search limit
+        return ClosureVerdict(UNKNOWN, NO_FACE)
     if (2 * window + 1) ** k > VECTOR_BUDGET:
         return ClosureVerdict(UNKNOWN, "budget")
     return ClosureVerdict(UNKNOWN, "window")
@@ -535,14 +622,24 @@ def cell_closure_contains(src, dst, window=DEFAULT_WINDOW, seed=42):
 
 def replay_certificate(src, dst, certificate, seed=42):
     """Re-run the recorded degeneration with the seed of the original run;
-    True iff it certifies again and re-derives every recorded field."""
-    systems = _systems(src)
+    True iff it certifies again and re-derives every recorded field.
+
+    A certificate read from outside may be malformed: anything but a dict
+    with the six fields, an ``int`` system index and a list of ``int``
+    exponents replays False.
+    """
+    if not isinstance(certificate, dict) or any(key not in certificate for key in CERTIFICATE_KEYS):
+        return False
     sys_idx = certificate["system"]
-    evec = tuple(certificate["exponents"])
+    exponents = certificate["exponents"]
+    if type(sys_idx) is not int or not isinstance(exponents, list) or any(type(e) is not int for e in exponents):
+        return False
+    systems = _systems(src)
+    evec = tuple(exponents)
     if not 0 <= sys_idx < len(systems) or len(evec) != len(systems[sys_idx].coords):
         return False
     verdict = _search_system(src, dst, systems[sys_idx], sys_idx, [evec], seed)
-    return verdict is not None and verdict.certificate == certificate
+    return verdict.status == CONTAINED and verdict.certificate == certificate
 
 
 def degeneration_limit(src, system_index, exponents):

@@ -1,0 +1,134 @@
+"""The face lattice of the convex hull of finitely many integer points.
+
+Everything is exact integer arithmetic.  The points are projected onto the
+pivot coordinates of their affine hull, which is injective there, so a hull
+of lower dimension needs no special case.  Beneath-beyond then keeps a
+triangulated boundary with primitive integer inward normals: those of the
+first simplex come from minors, and each later facet's from the two
+facets that meet at its horizon ridge.  Coplanar simplices are merged at
+the end by their common hyperplane.
+"""
+
+from math import gcd
+from operator import mul
+
+
+def _det(m):
+    """Determinant of a square integer matrix, by Bareiss's fraction-free elimination."""
+    m = [row[:] for row in m]
+    n = len(m)
+    sign, prev = 1, 1
+    for i in range(n):
+        if not m[i][i]:
+            swap = next((r for r in range(i + 1, n) if m[r][i]), None)
+            if swap is None:
+                return 0
+            m[i], m[swap] = m[swap], m[i]
+            sign = -sign
+        for r in range(i + 1, n):
+            for c in range(i + 1, n):
+                m[r][c] = (m[r][c] * m[i][i] - m[r][i] * m[i][c]) // prev
+        prev = m[i][i]
+    return sign * prev
+
+
+def _dot(u, v):
+    return sum(map(mul, u, v))
+
+
+def _primitive(normal, point):
+    """(normal / gcd, offset) of the hyperplane through ``point``."""
+    g = gcd(*normal)
+    normal = tuple(x // g for x in normal)
+    return normal, _dot(normal, point)
+
+
+def face_lattice(points):
+    """Point sets of every nonempty face of conv(points), as frozensets of
+    indices into ``points``, the whole set included.
+
+    A face's point set is every point on it, not only its vertices.  Proper
+    faces are the intersections of facets, so the facets' point sets are
+    closed under intersection.  Faces come largest first, ties broken by
+    their sorted indices.
+    """
+    n = len(points)
+    base = points[0]
+    # an echelon basis of the differences: each row is zero on the pivot
+    # columns of the rows before it, so reducing in order clears them all
+    echelon = []
+    simplex = [0]
+    for i, p in enumerate(points):
+        v = [a - b for a, b in zip(p, base)]
+        for c, row in echelon:
+            if v[c]:
+                v = [row[c] * x - v[c] * y for x, y in zip(v, row)]
+        lead = next((c for c, x in enumerate(v) if x), None)
+        if lead is not None:
+            g = gcd(*v)
+            echelon.append((lead, [x // g for x in v]))
+            simplex.append(i)
+    d = len(echelon)
+    pts = [tuple(p[c] for c, _ in echelon) for p in points]
+    facets = {}  # sorted vertex tuple -> (primitive inward normal, offset)
+    if d:
+        # (d + 1) times the centroid of the first simplex, strictly inside
+        inside = [sum(pts[i][c] for i in simplex) for c in range(d)]
+        for k in range(d + 1):
+            verts = tuple(simplex[:k] + simplex[k + 1 :])
+            q0 = pts[verts[0]]
+            rows = [[a - b for a, b in zip(pts[v], q0)] for v in verts[1:]]
+            normal, offset = _primitive([(-1) ** j * _det([r[:j] + r[j + 1 :] for r in rows]) for j in range(d)], q0)
+            if _dot(normal, inside) < (d + 1) * offset:
+                normal, offset = tuple(-x for x in normal), -offset
+            facets[verts] = normal, offset
+    # each ridge of the triangulated boundary lies on exactly two facets
+    ridges = {}
+    for verts in facets:
+        for k in range(d):
+            ridges.setdefault(verts[:k] + verts[k + 1 :], []).append(verts)
+    corners = set(simplex)
+    for i in range(n):
+        if i in corners:
+            continue
+        p = pts[i]
+        # visible means strictly beyond; a point on a facet's plane
+        # extends that facet by a coplanar simplex
+        visible = {}
+        for verts, (normal, offset) in facets.items():
+            gap = _dot(normal, p) - offset
+            if gap < 0:
+                visible[verts] = gap
+        if not visible:
+            continue
+        fresh = []
+        for verts, gap in visible.items():
+            for k in range(d):
+                ridge = verts[:k] + verts[k + 1 :]
+                other = next(f for f in ridges[ridge] if f != verts)
+                if other in visible:
+                    continue
+                # a horizon ridge: the plane through it and p is the
+                # combination of the two facet planes through it that
+                # vanishes at p, and it is inward because gap < 0 <= gap2
+                n2, b2 = facets[other]
+                gap2 = _dot(n2, p) - b2
+                normal = [gap2 * x - gap * y for x, y in zip(facets[verts][0], n2)]
+                fresh.append((tuple(sorted(ridge + (i,))), *_primitive(normal, p)))
+        for verts in visible:
+            del facets[verts]
+            for k in range(d):
+                ridges[verts[:k] + verts[k + 1 :]].remove(verts)
+        for verts, normal, offset in fresh:
+            facets[verts] = normal, offset
+            for k in range(d):
+                ridges.setdefault(verts[:k] + verts[k + 1 :], []).append(verts)
+    planes = set(facets.values())
+    facet_sets = {frozenset(i for i in range(n) if _dot(normal, pts[i]) == offset) for normal, offset in planes}
+    faces = set(facet_sets)
+    fresh = facet_sets
+    while fresh:
+        fresh = {f & g for f in fresh for g in facet_sets if not f.isdisjoint(g)} - faces
+        faces |= fresh
+    faces.add(frozenset(range(n)))
+    return sorted(faces, key=lambda f: (-len(f), sorted(f)))

@@ -87,9 +87,22 @@ def test_replay_rejects_malformed_certificates(cells_of):
         {"target_pivots": [0, 1, 2]},
         {"substitution": {}},
         {"replacements": []},
+        {"system": "1"},
+        {"system": True},
+        {"system": 1.0},
+        {"exponents": ["-1", "-1", "-3"]},
+        {"exponents": [-1.0, -1.0, -3.0]},
+        {"exponents": [-1, True, -3]},
+        {"exponents": (-1, -1, -3)},
+        {"exponents": "-1,-1,-3"},
     ]
     for bad in malformed:
         assert not replay_certificate(src, dst, dict(cert, **bad)), bad
+    # a certificate read from outside may lack fields or not be a mapping
+    for key in cert:
+        assert not replay_certificate(src, dst, {k: v for k, v in cert.items() if k != key}), key
+    for bad in ({}, None, [], "certificate", list(cert.items())):
+        assert not replay_certificate(src, dst, bad), bad
     assert replay_certificate(src, dst, cert)
     assert replay_certificate(src, dst, json.loads(json.dumps(cert)))
     # the witness depends on the seed, so a replay takes the run's seed
@@ -202,6 +215,62 @@ def test_each_face_is_matched_once(cells_of, monkeypatch):
     assert v.certificate["system"] == 7
     assert len(calls) > 1
     assert len(calls) == len(set(calls))
+
+
+def test_systems_without_a_viable_face_draw_no_vector(cells_of, monkeypatch):
+    """On the E8 r=8 top cell, systems 0-6 hold no face whose limit lands
+    densely on cells[4], so they are dismissed before any exponent vector
+    is drawn; system 7 certifies along the same vector as a full search."""
+    cells = cells_of(E8, 8)
+    drawn = {}
+    search = closure_analysis._search_system
+
+    def counting_search(src, dst, system, sys_idx, candidates, seed):
+        drawn[sys_idx] = 0
+
+        def counted():
+            for evec in candidates:
+                drawn[sys_idx] += 1
+                yield evec
+
+        return search(src, dst, system, sys_idx, counted(), seed)
+
+    monkeypatch.setattr(closure_analysis, "_search_system", counting_search)
+    v = cell_closure_contains(cells[6], cells[4])
+    assert v.status == CONTAINED
+    assert v.certificate["system"] == 7
+    assert v.certificate["exponents"] == [-1, -1, -2, -4]
+    assert drawn == {i: 0 for i in range(7)} | {7: drawn[7]}
+    assert drawn[7] > 0
+
+
+@pytest.mark.parametrize("gens,r_max", [(E6, 6), (E8, 8)], ids=["3x4", "3x5"])
+def test_certified_faces_are_viable(cells_of, gens, r_max):
+    """Soundness of skipping: the face of every certificate is in the
+    system's face lattice and passes the viability test."""
+    for r in range(1, r_max + 1):
+        cells = cells_of(gens, r)
+        for (i, j), v in _verdicts(cells).items():
+            if v.status != CONTAINED:
+                continue
+            cert = v.certificate
+            system = closure_analysis._systems(cells[i])[cert["system"]]
+            dots = [sum(e * a for e, a in zip(cert["exponents"], alpha)) for alpha in system.uniq_exps]
+            face = frozenset(k for k, d in enumerate(dots) if d == min(dots))
+            assert face in system.faces, (r, i, j)
+            assert closure_analysis._face_test(cells[j], system)(face) is not None, (r, i, j)
+
+
+@pytest.mark.parametrize("gens,r,i,j", [((4, 5), 7, 6, 2), ((3, 7), 6, 6, 5)])
+def test_no_viable_face_is_not_a_search_limit(cells_of, gens, r, i, j):
+    """When no coordinate system has a viable face, the unknown says so:
+    widening the window cannot help.  ⟨4,5⟩ r=7, 6 -> 2 is a known
+    non-containment."""
+    cells = cells_of(gens, r)
+    v = cell_closure_contains(cells[i], cells[j])
+    assert v.status == UNKNOWN
+    assert v.reason == "no_face"
+    assert v.certificate is None
 
 
 def test_limit_depends_only_on_face(cells_of):
