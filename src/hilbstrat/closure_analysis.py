@@ -40,6 +40,7 @@ nonzero minors only).
 import random
 from fractions import Fraction
 from itertools import combinations, islice
+from math import lcm
 from operator import mul
 
 from .gamma_modules import delta_set
@@ -209,7 +210,7 @@ def _primitive_part(p):
         if e > 0:
             content[nm] = -e
     if content:
-        p = p * ParamPoly({tuple(sorted(content.items())): Fraction(1)})
+        p = p * ParamPoly({tuple(sorted(content.items())): 1})
     lead = p.terms[min(p.terms)]
     if lead != 1:
         p = p * (Fraction(1) / lead)
@@ -360,24 +361,30 @@ def _exponent_vectors(k, window):
 
 
 def _rank(matrix):
-    m = [row[:] for row in matrix]
-    rank = 0
+    """Rank of a matrix of ints and Fractions, over the integers.
+
+    Each row is scaled by the lcm of its denominators; Bareiss's
+    fraction-free elimination (as in ``newton._det``) then keeps every entry
+    an integer: after k pivots an entry is a (k+1)-minor, and each division
+    by the previous pivot is exact.
+    """
+    m = []
+    for row in matrix:
+        den = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (den // x.denominator) for x in row])
+    rank, prev = 0, 1
     cols = len(m[0]) if m else 0
     for c in range(cols):
-        piv = None
-        for i in range(rank, len(m)):
-            if m[i][c] != 0:
-                piv = i
-                break
+        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
-        inv = Fraction(1) / m[rank][c]
-        m[rank] = [x * inv for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
+        top = m[rank]
+        p = top[c]
+        for i in range(rank + 1, len(m)):
+            f = m[i][c]
+            m[i] = [(x * p - f * y) // prev for x, y in zip(m[i], top)]
+        prev = p
         rank += 1
         if rank == len(m):
             break
@@ -555,7 +562,10 @@ def _search_system(src, dst, system, sys_idx, candidates, seed):
         return ClosureVerdict(UNKNOWN, NO_FACE)
     uniq = system.uniq_exps
     pivot_exps = [uniq[j] for _, _, j in system.arrays[dst.pivots]]
-    scan = list(uniq)
+    # a linear form is minimal over conv(uniq) at a vertex, so evec
+    # undercuts the pivot exponents iff some vertex does; the vertices are
+    # the singleton faces
+    scan = [uniq[j] for face in system.faces if len(face) == 1 for j in face]
     tried = set()
     for evec in candidates:
         mp = min(sum(map(mul, evec, alpha)) for alpha in pivot_exps)

@@ -415,6 +415,9 @@ def main(argv=None):
         help="diff the pipeline against the brute-force oracle instead of reporting",
     )
     args = parser.parse_args(argv)
+    if args.degen_window < 0:
+        print("hilbstrat: --degen-window must be at least 0, got %d" % args.degen_window, file=sys.stderr)
+        return 2
 
     try:
         sg = NumericalSemigroup(_parse_gens(args.gens))

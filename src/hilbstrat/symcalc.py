@@ -1,9 +1,11 @@
 """Exact symbolic arithmetic: parameter polynomials and truncated t-series.
 
 Everything downstream works over the rationals.  Coefficients of ideal
-generators are polynomials in named parameters (Fraction coefficients),
-and curve-local computations happen in truncated power series in t whose
-coefficients are such polynomials.  The series ops are add, neg, sub,
+generators are polynomials in named parameters with exact coefficients: an
+integral coefficient is an ``int``, and a ``Fraction`` appears only where a
+division yields a non-integer, so integer inputs keep the arithmetic
+fraction-free.  Curve-local computations happen in truncated power series
+in t whose coefficients are such polynomials.  The series ops are add, neg, sub,
 scale (by a parameter polynomial), shift (multiply by t^k) and subs; the
 package multiplies series only by powers of t, which is a shift.
 """
@@ -31,16 +33,24 @@ def _merge_keys(k1, k2):
     return tuple(sorted(d.items()))
 
 
-def _as_fraction(value):
-    if isinstance(value, Fraction):
-        return value
+def _scalar(value):
+    """An exact scalar in stored form: an ``int`` when integral, else a Fraction."""
     if isinstance(value, int):
-        return Fraction(value)
+        return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     raise TypeError("expected int or Fraction, got %r" % (value,))
 
 
 class ParamPoly:
     """Polynomial in named parameters with exact rational coefficients.
+
+    A coefficient is an ``int`` when integral and a ``Fraction`` otherwise.
+    Values enter in that form through ``constant``, multiplication by a
+    scalar and the inverse in a negative power, the only operations that
+    divide; sums and products of ``int`` coefficients stay ``int``.  Since
+    ``int`` and ``Fraction`` compare, hash and print alike on integers, the
+    form never changes an equality or a formatted polynomial.
 
     Negative exponents are allowed (they arise for the auxiliary
     degeneration variable), so strictly speaking this is a Laurent
@@ -60,16 +70,16 @@ class ParamPoly:
 
     @classmethod
     def one(cls):
-        return cls({(): Fraction(1)})
+        return cls({(): 1})
 
     @classmethod
     def constant(cls, value):
-        c = _as_fraction(value)
+        c = _scalar(value)
         return cls({(): c} if c else {})
 
     @classmethod
     def variable(cls, name):
-        return cls({((name, 1),): Fraction(1)})
+        return cls({((name, 1),): 1})
 
     # -- predicates and views ------------------------------------------
 
@@ -81,7 +91,7 @@ class ParamPoly:
 
     def constant_value(self):
         if not self.terms:
-            return Fraction(0)
+            return 0
         if len(self.terms) == 1 and () in self.terms:
             return self.terms[()]
         raise ValueError("polynomial is not constant: %s" % self.format())
@@ -117,7 +127,7 @@ class ParamPoly:
             other = ParamPoly.constant(other)
         terms = dict(self.terms)
         for key, c in other.terms.items():
-            nc = terms.get(key, Fraction(0)) + c
+            nc = terms.get(key, 0) + c
             if nc:
                 terms[key] = nc
             else:
@@ -139,15 +149,15 @@ class ParamPoly:
 
     def __mul__(self, other):
         if not isinstance(other, ParamPoly):
-            c = _as_fraction(other)
+            c = _scalar(other)
             if not c:
                 return ParamPoly.zero()
-            return ParamPoly({key: v * c for key, v in self.terms.items()})
+            return ParamPoly({key: _scalar(v * c) for key, v in self.terms.items()})
         out = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 key = _merge_keys(k1, k2)
-                nc = out.get(key, Fraction(0)) + c1 * c2
+                nc = out.get(key, 0) + c1 * c2
                 if nc:
                     out[key] = nc
                 else:
@@ -164,7 +174,7 @@ class ParamPoly:
             if len(self.terms) != 1:
                 raise ValueError("negative power of a non-monomial")
             ((key, c),) = self.terms.items()
-            inv = ParamPoly({tuple((nm, -e) for nm, e in key): Fraction(1) / c})
+            inv = ParamPoly({tuple((nm, -e) for nm, e in key): _scalar(Fraction(1) / c)})
             return inv ** (-n)
         result = ParamPoly.one()
         base = self
@@ -206,7 +216,7 @@ class ParamPoly:
                         rep = ParamPoly.constant(rep)
                     term = term * rep ** e
                 else:
-                    term = term * ParamPoly({((name, e),): Fraction(1)})
+                    term = term * ParamPoly({((name, e),): 1})
             out = out + term
         return out
 
@@ -216,7 +226,7 @@ class ParamPoly:
         for key, c in self.terms.items():
             val = c
             for name, e in key:
-                val = val * _as_fraction(assign[name]) ** e
+                val = val * Fraction(_scalar(assign[name])) ** e
             total += val
         return total
 
@@ -232,7 +242,7 @@ class ParamPoly:
             else:
                 d[name] = e - 1
             nkey = tuple(sorted(d.items()))
-            nc = out.get(nkey, Fraction(0)) + c * e
+            nc = out.get(nkey, 0) + c * e
             if nc:
                 out[nkey] = nc
             else:

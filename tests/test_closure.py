@@ -1,6 +1,8 @@
 """Closure verdicts, degeneration certificates, component assembly."""
 
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -383,3 +385,66 @@ def test_components_flag_unresolved_pairs(cells_of):
     ana = components(cells, verdicts)
     assert ana.incomplete
     assert ana.residual_unknowns == [(1, 0)]
+
+
+def _reference_rank(matrix):
+    """Gauss-Jordan elimination over the rationals: the reference for ``_rank``."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        m[rank] = [x / m[rank][c] for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def test_rank_matches_fraction_gauss_jordan():
+    """The fraction-free rank agrees with plain rational elimination on
+    integer, rational and mixed matrices, with zero and dependent rows, wide
+    and tall shapes, and leaves its input unchanged."""
+    rank = closure_analysis._rank
+    assert rank([]) == 0
+    assert rank([[], []]) == 0
+    rng = random.Random("rank")
+    for trial in range(600):
+        # the share of Fraction entries: integer, rational, mixed matrices
+        share = (0.0, 1.0, 0.5)[trial % 3]
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+
+        def entry():
+            n = rng.choice((0, 0, rng.randint(-9, 9)))
+            return Fraction(n, rng.randint(1, 6)) if rng.random() < share else n
+
+        m = [[entry() for _ in range(cols)] for _ in range(rows)]
+        if rows >= 3 and rng.random() < 0.5:
+            a, b, k = rng.sample(range(rows), 3)
+            fa, fb = Fraction(rng.randint(-4, 4), rng.randint(1, 3)), rng.randint(-4, 4)
+            m[k] = [fa * x + fb * y for x, y in zip(m[a], m[b])]
+        if rows >= 2 and rng.random() < 0.3:
+            m[rng.randrange(rows)] = [0] * cols
+        before = [row[:] for row in m]
+        assert rank(m) == _reference_rank(m), m
+        assert m == before
+    # a tall matrix of full column rank
+    assert rank([[1, 0], [0, Fraction(1, 3)], [2, 5], [7, 7]]) == 2
+
+
+@pytest.mark.parametrize("gens,r_max", [(E6, 6), (E8, 8)], ids=["3x4", "3x5"])
+def test_integral_coefficients_stay_int(cells_of, gens, r_max):
+    """Every coefficient the E6 and E8 cells build is integral, and each is
+    stored as an ``int``: in the family's normal forms, the cell's Plücker
+    point and every coordinate system's Plücker point."""
+    for r in range(1, r_max + 1):
+        for cell in cells_of(gens, r):
+            polys = [p for nf in cell.family.normal_forms.values() for p in nf.coeffs.values()]
+            polys += cell.plucker.values()
+            polys += [p for system in closure_analysis._systems(cell) for p in system.plucker.values()]
+            kinds = {type(c) for p in polys for c in p.terms.values()}
+            assert kinds == {int}, (r, cell.module.gap_set, kinds)

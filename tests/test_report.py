@@ -1,5 +1,6 @@
 """Stratification reports, canonical labels, oracle helpers, and the CLI."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from hilbstrat import (
     stratify,
 )
 from hilbstrat.report_cli import (
+    ReportConfig,
     enumerate_colength_reference,
     main,
     specialization_diff,
@@ -51,6 +53,21 @@ def test_labels_up_to_the_reported_stratum(sg):
         labels = canonical_delta_labels(sg, k)
         assert labels == full_labels[: len(labels)]
         assert analyze(sg, r_max=k).to_dict()["strata"] == full[:k]
+
+
+def test_e6_e8_output_is_pinned():
+    """sha256 of the E6 and E8 reports up to 2δ and of every closure verdict,
+    certificates included, at seed 42.  A change that moves either digest
+    changes the output and must say why."""
+    text = hashlib.sha256()
+    verdicts = []
+    for sg in (E6, E8):
+        report = analyze(sg, config=ReportConfig(seed=42))
+        text.update(report.to_json().encode())
+        verdicts += [(s.r, i, j, v.to_dict()) for s in report.sections for (i, j), v in sorted(s.verdicts.items())]
+    assert text.hexdigest() == "12ee0bede629d4b1589bd414505f0b536e7352e09c1435ca27cacefdf674fcbf"
+    digest = hashlib.sha256(json.dumps(verdicts, sort_keys=True).encode()).hexdigest()
+    assert digest == "71722f485332377f7382ca73fd184304847134c5fc9a50897b706598037dc7ed"
 
 
 def test_report_schema():
@@ -224,6 +241,14 @@ def test_cli_zero_window_reports_unknowns(capsys):
     assert rc == 3
     data = json.loads(out)
     assert data["strata"][0]["unknowns"] > 0
+
+
+def test_cli_rejects_negative_window(capsys):
+    rc = main(["--gens", "3,4", "--max-r", "3", "--degen-window", "-1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "--degen-window" in captured.err
 
 
 def test_cli_oracle_mode(capsys):

@@ -38,7 +38,10 @@ def test_poly_ring_axioms_randomized():
     def rand_poly():
         p = ParamPoly.zero()
         for _ in range(rng.randint(1, 4)):
-            term = ParamPoly.constant(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+            value = rng.randint(-6, 6)
+            if rng.random() < 0.5:
+                value = Fraction(value, rng.randint(1, 4))
+            term = ParamPoly.constant(value)
             for n in names:
                 term = term * ParamPoly.variable(n) ** rng.randint(0, 2)
             p = p + term
@@ -50,6 +53,35 @@ def test_poly_ring_axioms_randomized():
         assert (f + g) * h == f * h + g * h
         assert (f * g) * h == f * (g * h)
         assert f + (-f) == ParamPoly.zero()
+
+
+def test_integral_coefficients_are_ints():
+    two = ParamPoly.constant(Fraction(6, 3))
+    assert two.terms == {(): 2}
+    assert type(two.terms[()]) is int
+    half = A * Fraction(1, 2)
+    assert half.terms == {(("a", 1),): Fraction(1, 2)}
+    assert half * 2 == A
+    assert type((half * 2).terms[(("a", 1),)]) is int
+    inv = (ParamPoly.constant(2) * A) ** -1
+    assert inv.terms == {(("a", -1),): Fraction(1, 2)}
+    assert type(inv.terms[(("a", -1),)]) is Fraction
+    assert type(((ParamPoly.constant(-1) * A) ** -1).terms[(("a", -1),)]) is int
+    built = [ONE, A, A * B - A * A * 3, (A * A * B).derivative("a"), (A * A).subs({"a": B - ONE}), A + Fraction(4, 2)]
+    assert {type(c) for p in built for c in p.terms.values()} == {int}
+
+
+def test_format_is_unchanged_by_int_coefficients():
+    """Integral coefficients print the same as an int or as a Fraction."""
+    keys = ((), (("a", 1),), (("b", 1),), (("a", 1), ("b", 2)))
+    stored = (3, Fraction(-1, 2), -1, 4)
+    ints = ParamPoly(dict(zip(keys, stored)))
+    fracs = ParamPoly({k: Fraction(c) for k, c in zip(keys, stored)})
+    assert ints == fracs
+    assert ints.format() == fracs.format() == "3 - 1/2*a - b + 4*a*b^2"
+    s_ints = TruncSeries(9, {0: ParamPoly.constant(2), 3: ints, 5: -A, 7: ParamPoly.constant(Fraction(3, 2))})
+    s_fracs = TruncSeries(9, {0: ParamPoly({(): Fraction(2)}), 3: fracs, 5: -A, 7: ParamPoly.constant(Fraction(3, 2))})
+    assert s_ints.format() == s_fracs.format() == "2 + (3 - 1/2*a - b + 4*a*b^2)*t^3 - a*t^5 + 3/2*t^7"
 
 
 def test_poly_calculus_helpers():
