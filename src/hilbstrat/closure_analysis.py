@@ -20,17 +20,26 @@ affine dimension below dim C' is not dominant (the limit is invariant under
 u -> lambda^e * u for every e constant on the face); a Jacobian of full
 rank at a rational point is; otherwise the maximal minors of the Jacobian
 are expanded as polynomials.  A system without a viable face is dismissed
-before any exponent vector is drawn; otherwise exponent vectors are drawn
-in (L1, lex) order, and the first one whose face is viable and yields a
-witness, seeded from the vector, names the certificate.  Each face is
-judged once per search.  At most ``VECTOR_BUDGET`` (50,000) vectors are
-drawn per coordinate system.  An unresolved search reports ``no_face``
-when no system has a viable face, so that no window could help, and
-otherwise whether the budget or the window ran out first.  Search, replay
-and limit checks all run on the source cell's one list of coordinate
-systems.  A replay re-runs the search along the recorded system and
-exponent vector only, with the seed of the original run, and accepts the
-certificate only if it is well formed and re-derives every recorded field.
+before any exponent vector is enumerated.
+
+Otherwise the search walks the faces that pass the first checks (pivot,
+forced zeros, affine dimension), each through the integer points of its
+own normal space, level by level in L1 norm, and never enumerates the rest
+of the window.  It finds each face's first vector: the (L1, lex)-least
+vector of [-W, W]^k on which exactly that face is minimal.  Faces are tried
+once each, at their first vectors, in (L1, lex) order; the first whose face
+is viable and whose witness, seeded from the vector, succeeds names the
+certificate.  That is the vector a scan of the whole window in (L1, lex)
+order finds.  Only the first ``VECTOR_BUDGET`` (50,000) vectors of that
+order count; a vector's position in it is counted in closed form, so the
+work stays bounded for any window.  An unresolved search reports
+``no_face`` when no system has a viable face, so that no window could
+help, and otherwise whether the budget or the window ran out first.
+Search, replay and limit checks all run on the source cell's one list of
+coordinate systems.  A replay takes the face where the recorded vector is
+minimal and re-runs the judgement and witness there, with the seed of the
+original run; it accepts the certificate only if it is well formed and
+re-derives every recorded field.
 
 Non-containment is decided by three closed obstructions: the Schubert
 incidence condition, dimension comparison, and the target's pivot minor
@@ -40,7 +49,7 @@ nonzero minors only).
 import random
 from fractions import Fraction
 from itertools import combinations, islice
-from math import lcm
+from math import comb, gcd, lcm
 from operator import mul
 
 from .gamma_modules import delta_set
@@ -55,7 +64,7 @@ UNKNOWN = "unknown"
 NO_FACE = "no_face"  # unknown: no coordinate system has a viable face
 
 DEFAULT_WINDOW = 5
-VECTOR_BUDGET = 50000  # exponent vectors tried per coordinate system
+VECTOR_BUDGET = 50000  # leading vectors of the (L1, lex) order counted per coordinate system
 MAX_SYSTEMS = 16  # coordinate systems per cell, the canonical one included
 CERTIFICATE_KEYS = ("system", "replacements", "exponents", "substitution", "target_pivots", "witness")
 
@@ -345,19 +354,87 @@ def _fixed_norm_vectors(k, window, total):
             yield (v,) + tail
 
 
-def _exponent_vectors(k, window):
-    """The first ``VECTOR_BUDGET`` vectors of [-window, window]^k, ordered by
-    L1 norm, then lexicographically."""
-    if k == 0:
-        yield ()
-        return
-    emitted = 0
-    for total in range(0, k * window + 1):
-        for vec in _fixed_norm_vectors(k, window, total):
-            yield vec
-            emitted += 1
-            if emitted >= VECTOR_BUDGET:
-                return
+def _l1_ball(k, window, total):
+    """How many vectors of [-window, window]^k have L1 norm at most ``total``.
+
+    A vector with j nonzero entries is a choice of their places and signs and
+    of a j-tuple in [1, window] with sum at most total.  Without the upper
+    bound there are C(total, j) such tuples; inclusion-exclusion over the
+    entries that exceed the window adds the bound.
+    """
+    out = 0
+    for j in range(k + 1):
+        tuples = 0
+        for i in range(j + 1):
+            rest = total - i * window
+            if rest < j:
+                break
+            tuples += (-1) ** i * comb(j, i) * comb(rest, j)
+        out += comb(k, j) * 2**j * tuples
+    return out
+
+
+def _position(evec, window):
+    """The index of ``evec`` in the (L1, lex) order of [-window, window]^k."""
+    k = len(evec)
+    rest = sum(map(abs, evec))
+    pos = _l1_ball(k, window, rest - 1)
+    for i, x in enumerate(evec):
+        # vectors of the same norm that agree before i and are smaller at i
+        m = k - i - 1
+        for y in range(-min(window, rest), x):
+            pos += _l1_ball(m, window, rest - abs(y)) - _l1_ball(m, window, rest - abs(y) - 1)
+        rest -= abs(x)
+    return pos
+
+
+def _normal_space(points):
+    """The integer vectors e on which every one of ``points`` weighs the same.
+
+    The differences to the first point are reduced, over the integers as in
+    ``newton.face_lattice``, until each row is zero on the pivot columns of
+    the others.  Returns the free columns and, per pivot column p, the row's
+    entry d there and its entries on the free columns: e is in the space iff
+    d * e[p] + sum(c * e[q]) == 0 for every row.
+    """
+    base = points[0]
+    rows = []
+    for point in points[1:]:
+        v = [a - b for a, b in zip(point, base)]
+        for c, row in rows:
+            if v[c]:
+                v = [row[c] * x - v[c] * y for x, y in zip(v, row)]
+        lead = next((c for c, x in enumerate(v) if x), None)
+        if lead is None:
+            continue
+        for i, (c, row) in enumerate(rows):
+            if row[lead]:
+                row = [v[lead] * x - row[lead] * y for x, y in zip(row, v)]
+                g = gcd(*row)
+                rows[i] = (c, [x // g for x in row])
+        g = gcd(*v)
+        rows.append((lead, [x // g for x in v]))
+    pivots = {c for c, _ in rows}
+    free = [q for q in range(len(base)) if q not in pivots]
+    solved = [(c, row[c], [(q, row[q]) for q in free if row[q]]) for c, row in rows]
+    return free, solved
+
+
+def _normal_vectors(free, solved, window, total):
+    """The vectors of [-window, window]^k in a normal space (``_normal_space``)
+    whose free entries have L1 norm ``total``, by the lex order of those."""
+    k = len(free) + len(solved)
+    for part in _fixed_norm_vectors(len(free), window, total):
+        evec = [0] * k
+        for q, x in zip(free, part):
+            evec[q] = x
+        for p, d, coeffs in solved:
+            num = -sum(c * evec[q] for q, c in coeffs)
+            if num % d or abs(num) > window * abs(d):
+                break
+            evec[p] = num // d
+        else:
+            yield tuple(evec)
 
 
 def _rank(matrix):
@@ -486,6 +563,15 @@ def _has_nonzero_minor(grad):
     return any(not p.is_zero() for p in level.values())
 
 
+def _target_exponents(dst, system):
+    """Indices into ``system.uniq_exps``: the exponents of the target's pivot
+    coordinate, and those of the coordinates that vanish on the target."""
+    arrays = system.arrays
+    pivot = {j for _, _, j in arrays.get(dst.pivots, ())}
+    forced = {j for cols, items in arrays.items() if cols not in dst.plucker for _, _, j in items}
+    return pivot, forced
+
+
 def _face_test(dst, system):
     """The viability test of ``system``'s Newton faces for the target, memoized.
 
@@ -499,8 +585,7 @@ def _face_test(dst, system):
     non-dominant map always fails.
     """
     arrays, uniq = system.arrays, system.uniq_exps
-    pivot = {j for _, _, j in arrays.get(dst.pivots, ())}
-    forced = {j for cols, items in arrays.items() if cols not in dst.plucker for _, _, j in items}
+    pivot, forced = _target_exponents(dst, system)
     judged = {}
 
     def viable(face):
@@ -536,69 +621,90 @@ def _face_test(dst, system):
     return viable
 
 
-def _undercuts(scan, evec, mp):
-    """True iff some exponent in ``scan`` weighs less than mp under evec.
+def _certify(src, dst, system, sys_idx, judged, evec, seed):
+    """The certificate of the degeneration along ``evec``, whose face was
+    judged viable (``judged`` is its Jacobian rows and pivot minor), or None
+    when the witness seeded from the vector fails."""
+    grad, q = judged
+    seed_str = "%s:%d:%d:%d:%s" % (seed, src.index, dst.index, sys_idx, evec)
+    witness = _dominance_witness(grad, q, dst, system.uvars, seed_str)
+    if witness is None:
+        return None
+    rename = src.family.display_names
+    subst = {}
+    for coord, u, e in zip(system.coords, system.uvars, evec):
+        shown = rename.get(coord, coord)
+        subst[shown] = "%s*s^%d" % (u, e) if e else u
+    return {
+        "system": sys_idx,
+        "replacements": system.describe(src.family),
+        "exponents": list(evec),
+        "substitution": subst,
+        "target_pivots": list(dst.pivots),
+        "witness": witness,
+    }
 
-    The first such exponent moves to the front of ``scan``: neighbouring
-    vectors tend to be rejected by the same term.
-    """
-    for pos, alpha in enumerate(scan):
-        if sum(map(mul, evec, alpha)) < mp:
-            if pos:
-                scan.insert(0, scan.pop(pos))
-            return True
-    return False
 
+def _search_system(src, dst, system, sys_idx, window, seed):
+    """Certify dst in the closure of src along the (L1, lex)-least vector of
+    [-window, window]^k whose face is viable and whose witness, seeded from
+    the vector, succeeds; each face is tried once, at its first vector.
 
-def _search_system(src, dst, system, sys_idx, candidates, seed):
-    """Certify dst in the closure of src along the first of the exponent
-    vectors ``candidates`` whose face is viable and yields a witness.
+    Only the candidate faces are walked: those that meet the pivot
+    exponents, avoid the forced zeros and have affine dimension at least
+    dst.dim.  Each walks the integer points of its normal space, free
+    entries of L1 norm T at level T = 0, 1, ...; a full vector's norm is at
+    least its free entries', so once level T is walked every vector of norm
+    T in the face's open normal cone is known.  At each level the faces
+    whose first vector has norm T are tried in the lex order of those
+    vectors.  Only the first ``VECTOR_BUDGET`` vectors of the (L1, lex)
+    order count.
 
-    Gives up with reason ``no_face`` before drawing a vector when no face
+    Gives up with reason ``no_face`` before walking any face when no face
     of the system is viable, and with ``window`` when the vectors run out.
     """
     viable = _face_test(dst, system)
     if not any(viable(face) for face in system.faces):
         return ClosureVerdict(UNKNOWN, NO_FACE)
     uniq = system.uniq_exps
-    pivot_exps = [uniq[j] for _, _, j in system.arrays[dst.pivots]]
-    # a linear form is minimal over conv(uniq) at a vertex, so evec
-    # undercuts the pivot exponents iff some vertex does; the vertices are
-    # the singleton faces
-    scan = [uniq[j] for face in system.faces if len(face) == 1 for j in face]
-    tried = set()
-    for evec in candidates:
-        mp = min(sum(map(mul, evec, alpha)) for alpha in pivot_exps)
-        if _undercuts(scan, evec, mp):
+    k = len(system.uvars)
+    pivot, forced = _target_exponents(dst, system)
+    # a linear form constant on a face is minimal there, and nowhere else,
+    # iff every vertex off the face weighs more
+    vertices = [j for face in system.faces if len(face) == 1 for j in face]
+    live = {}  # candidate face -> its normal space, a point on it, the vertices off it
+    for face in system.faces:
+        if face.isdisjoint(pivot) or not face.isdisjoint(forced):
             continue
-        # the limit, its match and the witness map depend only on the face
-        # where evec is minimal, so a face that failed once fails again
-        face = frozenset(j for j, alpha in enumerate(uniq) if sum(map(mul, evec, alpha)) == mp)
-        if face in tried:
-            continue
-        tried.add(face)
-        judged = viable(face)
-        if judged is None:
-            continue
-        grad, q = judged
-        seed_str = "%s:%d:%d:%d:%s" % (seed, src.index, dst.index, sys_idx, evec)
-        witness = _dominance_witness(grad, q, dst, system.uvars, seed_str)
-        if witness is None:
-            continue
-        rename = src.family.display_names
-        subst = {}
-        for coord, u, e in zip(system.coords, system.uvars, evec):
-            shown = rename.get(coord, coord)
-            subst[shown] = "%s*s^%d" % (u, e) if e else u
-        cert = {
-            "system": sys_idx,
-            "replacements": system.describe(src.family),
-            "exponents": list(evec),
-            "substitution": subst,
-            "target_pivots": list(dst.pivots),
-            "witness": witness,
-        }
-        return ClosureVerdict(CONTAINED, "degeneration", cert)
+        free, solved = _normal_space([uniq[j] for j in sorted(face)])
+        # dominance, check 1, as in _face_test
+        if len(solved) >= dst.dim:
+            live[face] = (free, solved, uniq[min(face)], [uniq[j] for j in vertices if j not in face])
+    pending = {}  # face -> the least (norm, vector) of its open cone walked so far
+    level = 0
+    while live and level <= k * window and _l1_ball(k, window, level - 1) < VECTOR_BUDGET:
+        for face, (free, solved, base, outside) in live.items():
+            for evec in _normal_vectors(free, solved, window, level):
+                height = sum(map(mul, evec, base))
+                if all(sum(map(mul, evec, alpha)) > height for alpha in outside):
+                    found = (sum(map(abs, evec)), evec)
+                    if face not in pending or found < pending[face]:
+                        pending[face] = found
+        due = sorted((evec, face) for face, (norm, evec) in pending.items() if norm == level)
+        for evec, face in due:
+            if _position(evec, window) >= VECTOR_BUDGET:
+                return ClosureVerdict(UNKNOWN, "window")
+            del live[face], pending[face]
+            judged = viable(face)
+            if judged is None:
+                continue
+            cert = _certify(src, dst, system, sys_idx, judged, evec, seed)
+            if cert is not None:
+                return ClosureVerdict(CONTAINED, "degeneration", cert)
+        level += 1
+        # a face is spent once nothing of it is pending and its free columns,
+        # walk[0], hold no entries of norm ``level``
+        live = {face: walk for face, walk in live.items() if face in pending or level <= len(walk[0]) * window}
     return ClosureVerdict(UNKNOWN, "window")
 
 
@@ -614,18 +720,17 @@ def cell_closure_contains(src, dst, window=DEFAULT_WINDOW, seed=42):
         # that Plücker coordinate vanishes on the whole source cell, hence
         # on its closure, but is the unit pivot minor on the target cell
         return ClosureVerdict(NOT_CONTAINED, "pivot_coordinate")
-    # every coordinate system has one coordinate per free parameter
-    k = len(src.family.free_params)
     hopeless = True
     for sys_idx, system in enumerate(_systems(src)):
-        verdict = _search_system(src, dst, system, sys_idx, _exponent_vectors(k, window), seed)
+        verdict = _search_system(src, dst, system, sys_idx, window, seed)
         if verdict.status == CONTAINED:
             return verdict
         hopeless = hopeless and verdict.reason == NO_FACE
     if hopeless:
         # no vector in any window can certify: this is not a search limit
         return ClosureVerdict(UNKNOWN, NO_FACE)
-    if (2 * window + 1) ** k > VECTOR_BUDGET:
+    # every coordinate system has one coordinate per free parameter
+    if (2 * window + 1) ** len(src.family.free_params) > VECTOR_BUDGET:
         return ClosureVerdict(UNKNOWN, "budget")
     return ClosureVerdict(UNKNOWN, "window")
 
@@ -634,9 +739,11 @@ def replay_certificate(src, dst, certificate, seed=42):
     """Re-run the recorded degeneration with the seed of the original run;
     True iff it certifies again and re-derives every recorded field.
 
-    A certificate read from outside may be malformed: anything but a dict
-    with the six fields, an ``int`` system index and a list of ``int``
-    exponents replays False.
+    The recorded vector's face is where it is minimal over ``uniq_exps``;
+    the face must be viable and the witness seeded from the vector must
+    succeed.  A certificate read from outside may be malformed: anything
+    but a dict with the six fields, an ``int`` system index and a list of
+    ``int`` exponents replays False.
     """
     if not isinstance(certificate, dict) or any(key not in certificate for key in CERTIFICATE_KEYS):
         return False
@@ -648,8 +755,11 @@ def replay_certificate(src, dst, certificate, seed=42):
     evec = tuple(exponents)
     if not 0 <= sys_idx < len(systems) or len(evec) != len(systems[sys_idx].coords):
         return False
-    verdict = _search_system(src, dst, systems[sys_idx], sys_idx, [evec], seed)
-    return verdict.status == CONTAINED and verdict.certificate == certificate
+    system = systems[sys_idx]
+    dots = [sum(map(mul, evec, alpha)) for alpha in system.uniq_exps]
+    face = frozenset(j for j, d in enumerate(dots) if d == min(dots))
+    judged = _face_test(dst, system)(face)
+    return judged is not None and _certify(src, dst, system, sys_idx, judged, evec, seed) == certificate
 
 
 def degeneration_limit(src, system_index, exponents):

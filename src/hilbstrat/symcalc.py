@@ -11,6 +11,7 @@ package multiplies series only by powers of t, which is a shift.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import IdenticallyZeroVector, ShiftUnderflow, TruncationMismatch
 
@@ -221,14 +222,39 @@ class ParamPoly:
         return out
 
     def evaluate(self, assign):
-        """Evaluate to a Fraction; every variable must get a value."""
-        total = Fraction(0)
-        for key, c in self.terms.items():
-            val = c
+        """Evaluate to a Fraction; every variable must get a value.
+
+        The terms are summed as integers over one common denominator: the
+        lcm of the coefficients' denominators, times each variable's
+        denominator to its highest power in the polynomial and its
+        numerator to its most negative power.
+        """
+        high, low = {}, {}
+        for key in self.terms:
             for name, e in key:
-                val = val * Fraction(_scalar(assign[name])) ** e
-            total += val
-        return total
+                if e > 0:
+                    high[name] = max(high.get(name, 0), e)
+                else:
+                    low[name] = max(low.get(name, 0), -e)
+        common = lcm(*(c.denominator for c in self.terms.values()))
+        den = common
+        # x = n/d to the power e, times the variable's share n^lo * d^hi of
+        # the denominator, is n^(lo+e) * d^(hi-e)
+        powers = []
+        for name in sorted(high.keys() | low.keys()):
+            x = _scalar(assign[name])
+            n, d = x.numerator, x.denominator
+            hi, lo = high.get(name, 0), low.get(name, 0)
+            den *= n**lo * d**hi
+            powers.append((name, {e: n ** (lo + e) * d ** (hi - e) for e in range(-lo, hi + 1)}))
+        total = 0
+        for key, c in self.terms.items():
+            num = c.numerator * (common // c.denominator)
+            exps = dict(key)
+            for name, table in powers:
+                num *= table[exps.get(name, 0)]
+            total += num
+        return Fraction(total, den)
 
     def derivative(self, name):
         out = {}

@@ -2,7 +2,10 @@
 
 import json
 import random
+import time
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -222,22 +225,25 @@ def test_each_face_is_matched_once(cells_of, monkeypatch):
 def test_systems_without_a_viable_face_draw_no_vector(cells_of, monkeypatch):
     """On the E8 r=8 top cell, systems 0-6 hold no face whose limit lands
     densely on cells[4], so they are dismissed before any exponent vector
-    is drawn; system 7 certifies along the same vector as a full search."""
+    is enumerated; system 7 certifies along the same vector as a full search."""
     cells = cells_of(E8, 8)
     drawn = {}
+    current = []
     search = closure_analysis._search_system
+    walk = closure_analysis._normal_vectors
 
-    def counting_search(src, dst, system, sys_idx, candidates, seed):
+    def counting_search(src, dst, system, sys_idx, *args):
         drawn[sys_idx] = 0
+        current[:] = [sys_idx]
+        return search(src, dst, system, sys_idx, *args)
 
-        def counted():
-            for evec in candidates:
-                drawn[sys_idx] += 1
-                yield evec
-
-        return search(src, dst, system, sys_idx, counted(), seed)
+    def counting_walk(*args):
+        for evec in walk(*args):
+            drawn[current[0]] += 1
+            yield evec
 
     monkeypatch.setattr(closure_analysis, "_search_system", counting_search)
+    monkeypatch.setattr(closure_analysis, "_normal_vectors", counting_walk)
     v = cell_closure_contains(cells[6], cells[4])
     assert v.status == CONTAINED
     assert v.certificate["system"] == 7
@@ -273,6 +279,124 @@ def test_no_viable_face_is_not_a_search_limit(cells_of, gens, r, i, j):
     assert v.status == UNKNOWN
     assert v.reason == "no_face"
     assert v.certificate is None
+
+
+def _l1_lex(k, window):
+    """Every vector of [-window, window]^k in (L1, lex) order."""
+    return sorted(product(range(-window, window + 1), repeat=k), key=lambda v: (sum(map(abs, v)), v))
+
+
+@pytest.mark.parametrize("window", [0, 1, 2, 5])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5])
+def test_position_is_the_index_in_l1_lex_order(k, window):
+    """The counted position of a vector equals its index in a plain sort of
+    the window; every vector is checked where the window is small, a seeded
+    sample of 3,000 where it is not."""
+    order = _l1_lex(k, window)
+    indices = range(len(order))
+    if len(order) > 3000:
+        indices = random.Random(k * 100 + window).sample(indices, 3000)
+    for i in indices:
+        assert closure_analysis._position(order[i], window) == i, order[i]
+    norms = [sum(map(abs, v)) for v in order]
+    for total in range(-1, k * window + 2):
+        assert closure_analysis._l1_ball(k, window, total) == bisect_right(norms, total)
+
+
+def test_normal_vectors_are_the_window_points_of_the_normal_space(cells_of):
+    """For every face of every coordinate system of the E8 r=8 top cell, the
+    walk over all levels yields each vector of [-1, 1]^k on which the face's
+    points all weigh the same, once, and never at a level above its norm."""
+    window = 1
+    for system in closure_analysis._systems(cells_of(E8, 8)[6]):
+        k = len(system.uvars)
+        box = list(product(range(-window, window + 1), repeat=k))
+        for face in system.faces:
+            points = [system.uniq_exps[j] for j in sorted(face)]
+            free, solved = closure_analysis._normal_space(points)
+            walked = []
+            for level in range(k * window + 1):
+                for evec in closure_analysis._normal_vectors(free, solved, window, level):
+                    assert sum(map(abs, evec)) >= level
+                    walked.append(evec)
+            flat = [e for e in box if len({sum(x * a for x, a in zip(e, p)) for p in points}) == 1]
+            assert sorted(walked) == flat, face
+
+
+def _vector_loop_certificate(src, dst, vectors, seed=42):
+    """The search the face walk replaced, kept as the reference: draw the
+    first ``VECTOR_BUDGET`` of ``vectors`` (the window in (L1, lex) order),
+    take each vector's face over all exponents, and try each face once, at
+    its first vector.  A system without a viable face is skipped, as before."""
+    for sys_idx, system in enumerate(closure_analysis._systems(src)):
+        viable = closure_analysis._face_test(dst, system)
+        if not any(viable(face) for face in system.faces):
+            continue
+        tried = set()
+        for evec in vectors[: closure_analysis.VECTOR_BUDGET]:
+            dots = [sum(e * a for e, a in zip(evec, alpha)) for alpha in system.uniq_exps]
+            face = frozenset(j for j, d in enumerate(dots) if d == min(dots))
+            if face in tried:
+                continue
+            tried.add(face)
+            judged = viable(face)
+            if judged is not None:
+                cert = closure_analysis._certify(src, dst, system, sys_idx, judged, evec, seed)
+                if cert is not None:
+                    return cert
+    return None
+
+
+@pytest.mark.parametrize("gens,r_max", [(E6, 6), (E8, 8)], ids=["3x4", "3x5"])
+def test_face_walk_certifies_like_the_vector_loop(cells_of, gens, r_max):
+    """Every E6 and E8 certificate up to 2δ is the one the old vector loop gives."""
+    orders = {}
+    for r in range(1, r_max + 1):
+        cells = cells_of(gens, r)
+        for (i, j), v in _verdicts(cells).items():
+            if v.status == CONTAINED and v.reason == "degeneration":
+                k = len(cells[i].family.free_params)
+                if k not in orders:
+                    orders[k] = _l1_lex(k, 5)
+                assert v.certificate == _vector_loop_certificate(cells[i], cells[j], orders[k]), (r, i, j)
+
+
+def test_faces_due_at_one_level_are_tried_in_lex_order(cells_of):
+    """⟨4,5⟩ r=7, 7 -> 4: in system 0 the faces of (-1, -1, -3, 0) and
+    (-1, -1, -2, 1) both come due at norm 5 and both certify; the lex-least
+    vector wins, as in the vector loop."""
+    cells = cells_of((4, 5), 7)
+    v = cell_closure_contains(cells[7], cells[4])
+    assert v.certificate["system"] == 0
+    assert v.certificate["exponents"] == [-1, -1, -3, 0]
+    assert v.certificate == _vector_loop_certificate(cells[7], cells[4], _l1_lex(4, 5))
+
+
+def test_budget_counts_positions_in_l1_lex_order(cells_of, monkeypatch):
+    """E8 r=8, 6 -> 4 certifies along (-1, -1, -2, -4) exactly when that
+    vector's position in the (L1, lex) order is inside the budget."""
+    cells = cells_of(E8, 8)
+    evec = (-1, -1, -2, -4)
+    position = closure_analysis._position(evec, 5)
+    assert position == _l1_lex(4, 5).index(evec)
+    monkeypatch.setattr(closure_analysis, "VECTOR_BUDGET", position + 1)
+    v = cell_closure_contains(cells[6], cells[4])
+    assert v.status == CONTAINED
+    assert v.certificate["exponents"] == list(evec)
+    monkeypatch.setattr(closure_analysis, "VECTOR_BUDGET", position)
+    v = cell_closure_contains(cells[6], cells[4])
+    assert v.status == UNKNOWN
+    assert v.reason == "budget"
+
+
+def test_huge_window_stays_bounded(cells_of):
+    """The walk stops at the budget, so a window of 10^9 costs no more than
+    its first 50,000 vectors."""
+    src, dst = cells_of(E6, 2)[1], cells_of(E6, 2)[0]
+    start = time.perf_counter()
+    wide = cell_closure_contains(src, dst, window=10**9)
+    assert time.perf_counter() - start < 1
+    assert wide.to_dict() == cell_closure_contains(src, dst).to_dict()
 
 
 def test_limit_depends_only_on_face(cells_of):

@@ -55,6 +55,52 @@ def test_poly_ring_axioms_randomized():
         assert f + (-f) == ParamPoly.zero()
 
 
+def _evaluate_per_term(p, assign):
+    """The per-term evaluation that ``ParamPoly.evaluate`` replaced, kept as
+    the reference: one Fraction per variable occurrence."""
+    total = Fraction(0)
+    for key, c in p.terms.items():
+        val = c
+        for name, e in key:
+            val = val * Fraction(assign[name]) ** e
+        total += val
+    return total
+
+
+def test_evaluate_matches_per_term_reference():
+    """Seeded Laurent polynomials with int and Fraction coefficients, at int
+    and Fraction points, zeros included: the same Fraction as the per-term
+    reference, or the same ZeroDivisionError."""
+    rng = random.Random(23)
+    names = ("a", "b", "c")
+    raised = 0
+    for _ in range(400):
+        p = ParamPoly.zero()
+        for _ in range(rng.randint(0, 5)):
+            value = rng.randint(-6, 6)
+            if rng.random() < 0.5:
+                value = Fraction(value, rng.randint(1, 5))
+            term = ParamPoly.constant(value)
+            for n in names:
+                term = term * ParamPoly.variable(n) ** rng.randint(-2, 3)
+            p = p + term
+        assign = {}
+        for n in names:
+            x = rng.randint(-4, 4)
+            assign[n] = x if rng.random() < 0.3 else Fraction(x, rng.randint(1, 6))
+        try:
+            want = _evaluate_per_term(p, assign)
+        except ZeroDivisionError:
+            raised += 1
+            with pytest.raises(ZeroDivisionError):
+                p.evaluate(assign)
+            continue
+        got = p.evaluate(assign)
+        assert type(got) is Fraction
+        assert got == want
+    assert 0 < raised < 200
+
+
 def test_integral_coefficients_are_ints():
     two = ParamPoly.constant(Fraction(6, 3))
     assert two.terms == {(): 2}
