@@ -2,44 +2,43 @@
 
 Containment of a cell C' in the closure of C is certified by a
 one-parameter degeneration: each coordinate of C is sent to mu_j * s^{e_j}
-for an integer exponent vector e with |e_j| <= W (the window), the
-projective limit s -> 0 of the Plücker vector is computed exactly, and the
-limit is matched against the symbolic Plücker point of C'.  A match plus a
-full-rank Jacobian at a rational witness point proves the limits sweep out
-a dense subset of C'.
+for an integer exponent vector e, the projective limit s -> 0 of the
+Plücker vector is computed exactly, and the limit is matched against the
+symbolic Plücker point of C'.  A match plus a full-rank Jacobian at a
+rational witness point proves the limits sweep out a dense subset of C'.
 
 The limit along e depends only on the face of the source's Newton polytope
 (the convex hull of the exponents of its Plücker coordinates, in one
 coordinate system) on which e is minimal: its initial form.  Each
-coordinate system therefore carries its exact face lattice (``newton``),
-and a search first asks whether any face is viable for the target: the
-face meets the target's pivot exponents and no exponent of a coordinate
-that vanishes on the target, its limit matches the target, and the matched
-map is dominant.  Dominance is decided exactly, in three checks: a face of
-affine dimension below dim C' is not dominant (the limit is invariant under
-u -> lambda^e * u for every e constant on the face); a Jacobian of full
-rank at a rational point is; otherwise the maximal minors of the Jacobian
-are expanded as polynomials.  A system without a viable face is dismissed
-before any exponent vector is enumerated.
+coordinate system therefore carries its exact face lattice (``newton``).
+A face is a candidate for the target when it meets the target's pivot
+exponents, meets no exponent of a coordinate that vanishes on the target,
+and has affine dimension at least dim C' (the limit is invariant under
+u -> lambda^e * u for every e constant on the face, so a smaller face is
+not dominant).  A candidate is viable when its limit matches the target
+and the matched map is dominant: a Jacobian of full rank at a rational
+point is, and otherwise the maximal minors of the Jacobian are expanded as
+polynomials.  A system without a viable candidate is dismissed before any
+exponent vector is enumerated.
 
-Otherwise the search walks the faces that pass the first checks (pivot,
-forced zeros, affine dimension), each through the integer points of its
-own normal space, level by level in L1 norm, and never enumerates the rest
-of the window.  It finds each face's first vector: the (L1, lex)-least
-vector of [-W, W]^k on which exactly that face is minimal.  Faces are tried
-once each, at their first vectors, in (L1, lex) order; the first whose face
-is viable and whose witness, seeded from the vector, succeeds names the
-certificate.  That is the vector a scan of the whole window in (L1, lex)
-order finds.  Only the first ``VECTOR_BUDGET`` (50,000) vectors of that
-order count; a vector's position in it is counted in closed form, so the
-work stays bounded for any window.  An unresolved search reports
-``no_face`` when no system has a viable face, so that no window could
-help, and otherwise whether the budget or the window ran out first.
+Otherwise the search walks the candidates, each through the integer points
+of its own normal space, level by level in L1 norm.  It finds each face's
+first vector: the (L1, lex)-least vector on which exactly that face is
+minimal.  Every face of a polytope has a nonempty open normal cone, so the
+search ends once every candidate has been tried at its first vector.
+Faces are tried in the (L1, lex) order of their first vectors; the first
+whose face is viable and whose witness, seeded from the vector, succeeds
+names the certificate.  That is the vector a scan of all integer vectors
+in (L1, lex) order finds.  An optional window W caps |e_j| of the vectors
+walked.  An unresolved search reports ``no_face`` when no system has a
+viable face, ``window`` when the cap left a viable face untried, and
+``witness`` when every viable face was tried and its witness failed.
+
 Search, replay and limit checks all run on the source cell's one list of
 coordinate systems.  A replay takes the face where the recorded vector is
-minimal and re-runs the judgement and witness there, with the seed of the
-original run; it accepts the certificate only if it is well formed and
-re-derives every recorded field.
+minimal, which must be a candidate, and re-runs the judgement and witness
+there, with the seed of the original run; it accepts the certificate only
+if it is well formed and re-derives every recorded field.
 
 Non-containment is decided by three closed obstructions: the Schubert
 incidence condition, dimension comparison, and the target's pivot minor
@@ -49,7 +48,7 @@ nonzero minors only).
 import random
 from fractions import Fraction
 from itertools import combinations, islice
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from operator import mul
 
 from .gamma_modules import delta_set
@@ -63,8 +62,7 @@ NOT_CONTAINED = "not_contained"
 UNKNOWN = "unknown"
 NO_FACE = "no_face"  # unknown: no coordinate system has a viable face
 
-DEFAULT_WINDOW = 5
-VECTOR_BUDGET = 50000  # leading vectors of the (L1, lex) order counted per coordinate system
+DEFAULT_WINDOW = None  # no cap on |e_j|
 MAX_SYSTEMS = 16  # coordinate systems per cell, the canonical one included
 CERTIFICATE_KEYS = ("system", "replacements", "exponents", "substitution", "target_pivots", "witness")
 
@@ -339,53 +337,20 @@ def _term_arrays(plucker, uvars):
 
 
 def _fixed_norm_vectors(k, window, total):
+    """The vectors of Z^k of L1 norm ``total``, in lex order; under a window,
+    only those with every |entry| at most ``window``."""
     if k == 0:
         if total == 0:
             yield ()
         return
-    if total > k * window:
-        return
-    bound = min(window, total)
+    bound = total
+    if window is not None:
+        if total > k * window:
+            return
+        bound = min(window, total)
     for v in range(-bound, bound + 1):
-        rest = total - abs(v)
-        if rest > (k - 1) * window:
-            continue
-        for tail in _fixed_norm_vectors(k - 1, window, rest):
+        for tail in _fixed_norm_vectors(k - 1, window, total - abs(v)):
             yield (v,) + tail
-
-
-def _l1_ball(k, window, total):
-    """How many vectors of [-window, window]^k have L1 norm at most ``total``.
-
-    A vector with j nonzero entries is a choice of their places and signs and
-    of a j-tuple in [1, window] with sum at most total.  Without the upper
-    bound there are C(total, j) such tuples; inclusion-exclusion over the
-    entries that exceed the window adds the bound.
-    """
-    out = 0
-    for j in range(k + 1):
-        tuples = 0
-        for i in range(j + 1):
-            rest = total - i * window
-            if rest < j:
-                break
-            tuples += (-1) ** i * comb(j, i) * comb(rest, j)
-        out += comb(k, j) * 2**j * tuples
-    return out
-
-
-def _position(evec, window):
-    """The index of ``evec`` in the (L1, lex) order of [-window, window]^k."""
-    k = len(evec)
-    rest = sum(map(abs, evec))
-    pos = _l1_ball(k, window, rest - 1)
-    for i, x in enumerate(evec):
-        # vectors of the same norm that agree before i and are smaller at i
-        m = k - i - 1
-        for y in range(-min(window, rest), x):
-            pos += _l1_ball(m, window, rest - abs(y)) - _l1_ball(m, window, rest - abs(y) - 1)
-        rest -= abs(x)
-    return pos
 
 
 def _normal_space(points):
@@ -421,8 +386,9 @@ def _normal_space(points):
 
 
 def _normal_vectors(free, solved, window, total):
-    """The vectors of [-window, window]^k in a normal space (``_normal_space``)
-    whose free entries have L1 norm ``total``, by the lex order of those."""
+    """The integer vectors of a normal space (``_normal_space``) whose free
+    entries have L1 norm ``total``, by the lex order of those; under a
+    window, only those in [-window, window]^k."""
     k = len(free) + len(solved)
     for part in _fixed_norm_vectors(len(free), window, total):
         evec = [0] * k
@@ -430,7 +396,7 @@ def _normal_vectors(free, solved, window, total):
             evec[q] = x
         for p, d, coeffs in solved:
             num = -sum(c * evec[q] for q, c in coeffs)
-            if num % d or abs(num) > window * abs(d):
+            if num % d or (window is not None and abs(num) > window * abs(d)):
                 break
             evec[p] = num // d
         else:
@@ -563,29 +529,41 @@ def _has_nonzero_minor(grad):
     return any(not p.is_zero() for p in level.values())
 
 
-def _target_exponents(dst, system):
-    """Indices into ``system.uniq_exps``: the exponents of the target's pivot
-    coordinate, and those of the coordinates that vanish on the target."""
-    arrays = system.arrays
-    pivot = {j for _, _, j in arrays.get(dst.pivots, ())}
-    forced = {j for cols, items in arrays.items() if cols not in dst.plucker for _, _, j in items}
-    return pivot, forced
+def _candidate_faces(dst, system):
+    """The faces of ``system`` that may be viable for the target, each mapped
+    to its normal space (``_normal_space``).
 
-
-def _face_test(dst, system):
-    """The viability test of ``system``'s Newton faces for the target, memoized.
-
-    It maps a face (a frozenset of indices into ``uniq_exps``) to the
-    Jacobian rows and pivot minor of the face's limit when the face is
-    viable, and to None otherwise.  A face is viable when it meets the
-    target's pivot exponents and no exponent of a coordinate that vanishes
-    on the target, its limit matches the target, and the matched map is
-    dominant.  Only a viable face can give a certificate: at every point the
-    Jacobian's rank is at most its generic rank, so the witness of a
-    non-dominant map always fails.
+    A candidate meets the exponents of the target's pivot coordinate and no
+    exponent of a coordinate that vanishes on the target.  It also passes
+    dominance, check 1: the limit is invariant under u -> lambda^e * u for
+    every e constant on the face, so the matched map's rank is at most the
+    face's affine dimension, the number of solved columns of its normal
+    space.
     """
     arrays, uniq = system.arrays, system.uniq_exps
-    pivot, forced = _target_exponents(dst, system)
+    pivot = {j for _, _, j in arrays.get(dst.pivots, ())}
+    forced = {j for cols, items in arrays.items() if cols not in dst.plucker for _, _, j in items}
+    out = {}
+    for face in system.faces:
+        if face.isdisjoint(pivot) or not face.isdisjoint(forced):
+            continue
+        free, solved = _normal_space([uniq[j] for j in sorted(face)])
+        if len(solved) >= dst.dim:
+            out[face] = (free, solved)
+    return out
+
+
+def _judge_faces(dst, system):
+    """The viability test of ``system``'s candidate faces for the target, memoized.
+
+    It maps a candidate face (``_candidate_faces``) to the Jacobian rows and
+    pivot minor of the face's limit when the face is viable, and to None
+    otherwise.  A candidate is viable when its limit matches the target and
+    the matched map is dominant.  Only a viable face can give a certificate:
+    at every point the Jacobian's rank is at most its generic rank, so the
+    witness of a non-dominant map always fails.
+    """
+    arrays = system.arrays
     judged = {}
 
     def viable(face):
@@ -594,14 +572,6 @@ def _face_test(dst, system):
         return judged[face]
 
     def judge(face):
-        if face.isdisjoint(pivot) or not face.isdisjoint(forced):
-            return None
-        # dominance, check 1: the limit is invariant under u -> lambda^e * u
-        # for every e constant on the face, so the map's rank is at most
-        # dim aff(face)
-        base = uniq[min(face)]
-        if _rank([[a - b for a, b in zip(uniq[j], base)] for j in face]) < dst.dim:
-            return None
         limit = {}
         for cols, items in arrays.items():
             terms = {key: c for key, c, j in items if j in face}
@@ -612,8 +582,8 @@ def _face_test(dst, system):
             return None
         n_map, q = matched
         grad = _jacobian(n_map, q, dst, system.uvars)
-        # check 2: full rank at a rational point; check 3: a nonzero
-        # maximal minor as a polynomial
+        # dominance, check 2: full rank at a rational point; check 3: a
+        # nonzero maximal minor as a polynomial
         if _dominance_witness(grad, q, dst, system.uvars, "dominance") is None and not _has_nonzero_minor(grad):
             return None
         return grad, q
@@ -646,43 +616,41 @@ def _certify(src, dst, system, sys_idx, judged, evec, seed):
 
 
 def _search_system(src, dst, system, sys_idx, window, seed):
-    """Certify dst in the closure of src along the (L1, lex)-least vector of
-    [-window, window]^k whose face is viable and whose witness, seeded from
-    the vector, succeeds; each face is tried once, at its first vector.
+    """Certify dst in the closure of src along the (L1, lex)-least vector,
+    with every |e_j| at most ``window`` when that is given, whose face is
+    viable and whose witness, seeded from the vector, succeeds; each face is
+    tried once, at its first vector.
 
-    Only the candidate faces are walked: those that meet the pivot
-    exponents, avoid the forced zeros and have affine dimension at least
-    dst.dim.  Each walks the integer points of its normal space, free
-    entries of L1 norm T at level T = 0, 1, ...; a full vector's norm is at
-    least its free entries', so once level T is walked every vector of norm
-    T in the face's open normal cone is known.  At each level the faces
-    whose first vector has norm T are tried in the lex order of those
-    vectors.  Only the first ``VECTOR_BUDGET`` vectors of the (L1, lex)
-    order count.
+    Only the candidate faces (``_candidate_faces``) are walked.  Each walks
+    the integer points of its normal space, free entries of L1 norm T at
+    level T = 0, 1, ...; a full vector's norm is at least its free
+    entries', so once level T is walked every vector of norm T in the
+    face's open normal cone is known.  At each level the faces whose first
+    vector has norm T are tried in the lex order of those vectors.  Every
+    face's open normal cone holds an integer vector, so without a window
+    each walk ends at its face's first vector, and the search ends once
+    every candidate has been tried.
 
-    Gives up with reason ``no_face`` before walking any face when no face
-    of the system is viable, and with ``window`` when the vectors run out.
+    Gives up with reason ``no_face`` before walking any face when no
+    candidate is viable, with ``window`` when the cap left a viable face
+    untried, and with ``witness`` when every viable face's witness failed.
     """
-    viable = _face_test(dst, system)
-    if not any(viable(face) for face in system.faces):
+    candidates = _candidate_faces(dst, system)
+    viable = _judge_faces(dst, system)
+    if not any(viable(face) for face in candidates):
         return ClosureVerdict(UNKNOWN, NO_FACE)
     uniq = system.uniq_exps
-    k = len(system.uvars)
-    pivot, forced = _target_exponents(dst, system)
     # a linear form constant on a face is minimal there, and nowhere else,
     # iff every vertex off the face weighs more
     vertices = [j for face in system.faces if len(face) == 1 for j in face]
-    live = {}  # candidate face -> its normal space, a point on it, the vertices off it
-    for face in system.faces:
-        if face.isdisjoint(pivot) or not face.isdisjoint(forced):
-            continue
-        free, solved = _normal_space([uniq[j] for j in sorted(face)])
-        # dominance, check 1, as in _face_test
-        if len(solved) >= dst.dim:
-            live[face] = (free, solved, uniq[min(face)], [uniq[j] for j in vertices if j not in face])
+    live = {  # candidate face -> its normal space, a point on it, the vertices off it
+        face: (free, solved, uniq[min(face)], [uniq[j] for j in vertices if j not in face])
+        for face, (free, solved) in candidates.items()
+    }
     pending = {}  # face -> the least (norm, vector) of its open cone walked so far
+    untried = set(candidates)
     level = 0
-    while live and level <= k * window and _l1_ball(k, window, level - 1) < VECTOR_BUDGET:
+    while live:
         for face, (free, solved, base, outside) in live.items():
             for evec in _normal_vectors(free, solved, window, level):
                 height = sum(map(mul, evec, base))
@@ -692,9 +660,8 @@ def _search_system(src, dst, system, sys_idx, window, seed):
                         pending[face] = found
         due = sorted((evec, face) for face, (norm, evec) in pending.items() if norm == level)
         for evec, face in due:
-            if _position(evec, window) >= VECTOR_BUDGET:
-                return ClosureVerdict(UNKNOWN, "window")
             del live[face], pending[face]
+            untried.remove(face)
             judged = viable(face)
             if judged is None:
                 continue
@@ -702,14 +669,23 @@ def _search_system(src, dst, system, sys_idx, window, seed):
             if cert is not None:
                 return ClosureVerdict(CONTAINED, "degeneration", cert)
         level += 1
-        # a face is spent once nothing of it is pending and its free columns,
-        # walk[0], hold no entries of norm ``level``
-        live = {face: walk for face, walk in live.items() if face in pending or level <= len(walk[0]) * window}
-    return ClosureVerdict(UNKNOWN, "window")
+        # under a window, a face is spent once nothing of it is pending and its
+        # free columns, walk[0], hold no entries of norm ``level``; without
+        # one, its walk ends only at its first vector
+        live = {
+            face: walk
+            for face, walk in live.items()
+            if face in pending or window is None or level <= len(walk[0]) * window
+        }
+    # a face is left untried only when the window cut its walk
+    if any(viable(face) for face in untried):
+        return ClosureVerdict(UNKNOWN, "window")
+    return ClosureVerdict(UNKNOWN, "witness")
 
 
 def cell_closure_contains(src, dst, window=DEFAULT_WINDOW, seed=42):
-    """Decide whether the target cell lies in the closure of the source cell."""
+    """Decide whether the target cell lies in the closure of the source cell;
+    ``window``, when given, caps |e_j| of the exponent vectors tried."""
     same = src.module.gap_set == dst.module.gap_set
     if not same and dst.dim >= src.dim:
         # closures of distinct cells add only strictly smaller strata
@@ -720,19 +696,16 @@ def cell_closure_contains(src, dst, window=DEFAULT_WINDOW, seed=42):
         # that Plücker coordinate vanishes on the whole source cell, hence
         # on its closure, but is the unit pivot minor on the target cell
         return ClosureVerdict(NOT_CONTAINED, "pivot_coordinate")
-    hopeless = True
+    reasons = set()
     for sys_idx, system in enumerate(_systems(src)):
         verdict = _search_system(src, dst, system, sys_idx, window, seed)
         if verdict.status == CONTAINED:
             return verdict
-        hopeless = hopeless and verdict.reason == NO_FACE
-    if hopeless:
-        # no vector in any window can certify: this is not a search limit
+        reasons.add(verdict.reason)
+    if reasons == {NO_FACE}:
+        # no vector of any system can certify: this is not a search limit
         return ClosureVerdict(UNKNOWN, NO_FACE)
-    # every coordinate system has one coordinate per free parameter
-    if (2 * window + 1) ** len(src.family.free_params) > VECTOR_BUDGET:
-        return ClosureVerdict(UNKNOWN, "budget")
-    return ClosureVerdict(UNKNOWN, "window")
+    return ClosureVerdict(UNKNOWN, "window" if "window" in reasons else "witness")
 
 
 def replay_certificate(src, dst, certificate, seed=42):
@@ -740,10 +713,10 @@ def replay_certificate(src, dst, certificate, seed=42):
     True iff it certifies again and re-derives every recorded field.
 
     The recorded vector's face is where it is minimal over ``uniq_exps``;
-    the face must be viable and the witness seeded from the vector must
-    succeed.  A certificate read from outside may be malformed: anything
-    but a dict with the six fields, an ``int`` system index and a list of
-    ``int`` exponents replays False.
+    the face must be a viable candidate and the witness seeded from the
+    vector must succeed.  A certificate read from outside may be malformed:
+    anything but a dict with the six fields, an ``int`` system index and a
+    list of ``int`` exponents replays False.
     """
     if not isinstance(certificate, dict) or any(key not in certificate for key in CERTIFICATE_KEYS):
         return False
@@ -758,7 +731,9 @@ def replay_certificate(src, dst, certificate, seed=42):
     system = systems[sys_idx]
     dots = [sum(map(mul, evec, alpha)) for alpha in system.uniq_exps]
     face = frozenset(j for j, d in enumerate(dots) if d == min(dots))
-    judged = _face_test(dst, system)(face)
+    if face not in _candidate_faces(dst, system):
+        return False
+    judged = _judge_faces(dst, system)(face)
     return judged is not None and _certify(src, dst, system, sys_idx, judged, evec, seed) == certificate
 
 

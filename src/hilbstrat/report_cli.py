@@ -407,7 +407,9 @@ def main(argv=None):
     which.add_argument("--r", type=int, default=None, help="analyze a single stratum")
     parser.add_argument("--format", choices=("table", "json"), default="table")
     parser.add_argument("--trunc-margin", type=int, default=0)
-    parser.add_argument("--degen-window", type=int, default=DEFAULT_WINDOW)
+    parser.add_argument(
+        "--degen-window", type=int, default=DEFAULT_WINDOW, help="cap |e_j| of the degeneration exponents (default: no cap)"
+    )
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument(
         "--oracle-check",
@@ -415,7 +417,7 @@ def main(argv=None):
         help="diff the pipeline against the brute-force oracle instead of reporting",
     )
     args = parser.parse_args(argv)
-    if args.degen_window < 0:
+    if args.degen_window is not None and args.degen_window < 0:
         print("hilbstrat: --degen-window must be at least 0, got %d" % args.degen_window, file=sys.stderr)
         return 2
 

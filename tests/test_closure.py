@@ -3,7 +3,6 @@
 import json
 import random
 import time
-from bisect import bisect_right
 from fractions import Fraction
 from itertools import product
 
@@ -17,6 +16,7 @@ from hilbstrat import (
     components,
     degeneration_limit,
     replay_certificate,
+    stratify,
 )
 from hilbstrat import closure_analysis
 from hilbstrat.closure_analysis import CONTAINED, NOT_CONTAINED, UNKNOWN, ClosureVerdict
@@ -182,16 +182,20 @@ def test_zero_window_is_honest(cells_of):
 
 
 def test_unknown_names_the_exhausted_limit(cells_of, monkeypatch):
-    """A search cut off by the vector budget says so; a full window says window."""
+    """A search whose cap leaves a viable face untried says window; one that
+    tried every viable face and saw each witness fail says witness, even when
+    the cap left faces that are not viable untried (⟨4,5⟩ r=7, 7 -> 6 under
+    a cap of 1)."""
     src, dst = cells_of(E6, 2)[1], cells_of(E6, 2)[0]
-    with monkeypatch.context() as m:
-        m.setattr(closure_analysis, "VECTOR_BUDGET", 1)
-        cut = cell_closure_contains(src, dst)
-    assert cut.status == UNKNOWN
-    assert cut.reason == "budget"
     narrow = cell_closure_contains(src, dst, window=0)
     assert narrow.status == UNKNOWN
     assert narrow.reason == "window"
+    monkeypatch.setattr(closure_analysis, "_certify", lambda *args: None)
+    cells = cells_of((4, 5), 7)
+    for pair, window in (((src, dst), None), ((src, dst), 1), ((cells[7], cells[6]), 1)):
+        failed = cell_closure_contains(*pair, window=window)
+        assert failed.status == UNKNOWN
+        assert failed.reason == "witness"
 
 
 def test_each_face_is_matched_once(cells_of, monkeypatch):
@@ -266,7 +270,8 @@ def test_certified_faces_are_viable(cells_of, gens, r_max):
             dots = [sum(e * a for e, a in zip(cert["exponents"], alpha)) for alpha in system.uniq_exps]
             face = frozenset(k for k, d in enumerate(dots) if d == min(dots))
             assert face in system.faces, (r, i, j)
-            assert closure_analysis._face_test(cells[j], system)(face) is not None, (r, i, j)
+            assert face in closure_analysis._candidate_faces(cells[j], system), (r, i, j)
+            assert closure_analysis._judge_faces(cells[j], system)(face) is not None, (r, i, j)
 
 
 @pytest.mark.parametrize("gens,r,i,j", [((4, 5), 7, 6, 2), ((3, 7), 6, 6, 5)])
@@ -284,23 +289,6 @@ def test_no_viable_face_is_not_a_search_limit(cells_of, gens, r, i, j):
 def _l1_lex(k, window):
     """Every vector of [-window, window]^k in (L1, lex) order."""
     return sorted(product(range(-window, window + 1), repeat=k), key=lambda v: (sum(map(abs, v)), v))
-
-
-@pytest.mark.parametrize("window", [0, 1, 2, 5])
-@pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5])
-def test_position_is_the_index_in_l1_lex_order(k, window):
-    """The counted position of a vector equals its index in a plain sort of
-    the window; every vector is checked where the window is small, a seeded
-    sample of 3,000 where it is not."""
-    order = _l1_lex(k, window)
-    indices = range(len(order))
-    if len(order) > 3000:
-        indices = random.Random(k * 100 + window).sample(indices, 3000)
-    for i in indices:
-        assert closure_analysis._position(order[i], window) == i, order[i]
-    norms = [sum(map(abs, v)) for v in order]
-    for total in range(-1, k * window + 2):
-        assert closure_analysis._l1_ball(k, window, total) == bisect_right(norms, total)
 
 
 def test_normal_vectors_are_the_window_points_of_the_normal_space(cells_of):
@@ -324,22 +312,23 @@ def test_normal_vectors_are_the_window_points_of_the_normal_space(cells_of):
 
 
 def _vector_loop_certificate(src, dst, vectors, seed=42):
-    """The search the face walk replaced, kept as the reference: draw the
-    first ``VECTOR_BUDGET`` of ``vectors`` (the window in (L1, lex) order),
-    take each vector's face over all exponents, and try each face once, at
-    its first vector.  A system without a viable face is skipped, as before."""
+    """The search the face walk replaced, kept as the reference: draw
+    ``vectors`` (a window in (L1, lex) order), take each vector's face over
+    all exponents, and try each face once, at its first vector.  A system
+    without a viable candidate face is skipped, as before."""
     for sys_idx, system in enumerate(closure_analysis._systems(src)):
-        viable = closure_analysis._face_test(dst, system)
-        if not any(viable(face) for face in system.faces):
+        candidates = closure_analysis._candidate_faces(dst, system)
+        viable = closure_analysis._judge_faces(dst, system)
+        if not any(viable(face) for face in candidates):
             continue
         tried = set()
-        for evec in vectors[: closure_analysis.VECTOR_BUDGET]:
+        for evec in vectors:
             dots = [sum(e * a for e, a in zip(evec, alpha)) for alpha in system.uniq_exps]
             face = frozenset(j for j, d in enumerate(dots) if d == min(dots))
             if face in tried:
                 continue
             tried.add(face)
-            judged = viable(face)
+            judged = viable(face) if face in candidates else None
             if judged is not None:
                 cert = closure_analysis._certify(src, dst, system, sys_idx, judged, evec, seed)
                 if cert is not None:
@@ -372,31 +361,31 @@ def test_faces_due_at_one_level_are_tried_in_lex_order(cells_of):
     assert v.certificate == _vector_loop_certificate(cells[7], cells[4], _l1_lex(4, 5))
 
 
-def test_budget_counts_positions_in_l1_lex_order(cells_of, monkeypatch):
-    """E8 r=8, 6 -> 4 certifies along (-1, -1, -2, -4) exactly when that
-    vector's position in the (L1, lex) order is inside the budget."""
-    cells = cells_of(E8, 8)
-    evec = (-1, -1, -2, -4)
-    position = closure_analysis._position(evec, 5)
-    assert position == _l1_lex(4, 5).index(evec)
-    monkeypatch.setattr(closure_analysis, "VECTOR_BUDGET", position + 1)
-    v = cell_closure_contains(cells[6], cells[4])
-    assert v.status == CONTAINED
-    assert v.certificate["exponents"] == list(evec)
-    monkeypatch.setattr(closure_analysis, "VECTOR_BUDGET", position)
-    v = cell_closure_contains(cells[6], cells[4])
-    assert v.status == UNKNOWN
-    assert v.reason == "budget"
-
-
 def test_huge_window_stays_bounded(cells_of):
-    """The walk stops at the budget, so a window of 10^9 costs no more than
-    its first 50,000 vectors."""
+    """Each face's walk ends at its first vector, so a cap of 10^9 costs no
+    more than no cap at all, and gives the same verdict."""
     src, dst = cells_of(E6, 2)[1], cells_of(E6, 2)[0]
     start = time.perf_counter()
     wide = cell_closure_contains(src, dst, window=10**9)
+    uncapped = cell_closure_contains(src, dst, window=None)
     assert time.perf_counter() - start < 1
-    assert wide.to_dict() == cell_closure_contains(src, dst).to_dict()
+    assert wide.status == CONTAINED
+    assert wide.to_dict() == uncapped.to_dict() == cell_closure_contains(src, dst).to_dict()
+
+
+@pytest.mark.parametrize("gens,r,i,j", [((4, 5), 5, 5, 1), ((3, 7), 7, 6, 3), ((3, 7), 7, 7, 3), ((3, 7), 7, 7, 4)])
+def test_containments_beyond_window_five(cells_of, gens, r, i, j):
+    """These containments need an exponent of absolute value above 5: they
+    are certified without a cap, their certificates replay, and a cap of 5
+    leaves them unknown with reason window."""
+    cells = cells_of(gens, r)
+    v = cell_closure_contains(cells[i], cells[j])
+    assert v.status == CONTAINED
+    assert max(map(abs, v.certificate["exponents"])) > 5
+    assert replay_certificate(cells[i], cells[j], v.certificate)
+    capped = cell_closure_contains(cells[i], cells[j], window=5)
+    assert capped.status == UNKNOWN
+    assert capped.reason == "window"
 
 
 def test_limit_depends_only_on_face(cells_of):
@@ -420,6 +409,21 @@ def test_limit_depends_only_on_face(cells_of):
     assert not lim1[dst.pivots].is_zero()
     # the search certifies with the first vector on the face
     assert cell_closure_contains(src, dst).certificate["exponents"] == list(e1)
+
+
+@pytest.mark.parametrize(
+    "gens", [(2, 3), (2, 5), (2, 7), (3, 4), (2, 9), (3, 5)], ids=lambda g: "%dx%d" % g
+)
+def test_one_component_at_twice_delta(gens):
+    """For a planar branch M_r is the local compactified Jacobian from r = 2δ
+    on (Pfister–Steenbrink, JPAA 77, 1992), which is irreducible
+    (Altman–Iarrobino–Kleiman 1977; Rego 1980): one component, no unknown,
+    and its top is the stratum's only cell of dimension δ."""
+    sg = NumericalSemigroup(gens)
+    section = stratify(sg, 2 * sg.delta)
+    assert section.unknowns == 0
+    (component,) = section.analysis.components
+    assert [i for i, c in enumerate(section.cells) if c.dim == sg.delta] == [component["top"]]
 
 
 def test_containment_respects_schubert_order(cells_of):
