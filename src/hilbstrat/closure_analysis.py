@@ -29,10 +29,9 @@ search ends once every candidate has been tried at its first vector.
 Faces are tried in the (L1, lex) order of their first vectors; the first
 whose face is viable and whose witness, seeded from the vector, succeeds
 names the certificate.  That is the vector a scan of all integer vectors
-in (L1, lex) order finds.  An optional window W caps |e_j| of the vectors
-walked.  An unresolved search reports ``no_face`` when no system has a
-viable face, ``window`` when the cap left a viable face untried, and
-``witness`` when every viable face was tried and its witness failed.
+in (L1, lex) order finds.  An unresolved search reports ``no_face`` when
+no coordinate system tried has a viable face, and ``witness`` when every
+viable face was tried and its witness failed.
 
 Search, replay and limit checks all run on the source cell's one list of
 coordinate systems.  A replay takes the face where the recorded vector is
@@ -60,9 +59,8 @@ from .symcalc import ParamPoly, limit_s_to_zero
 CONTAINED = "contained"
 NOT_CONTAINED = "not_contained"
 UNKNOWN = "unknown"
-NO_FACE = "no_face"  # unknown: no coordinate system has a viable face
+NO_FACE = "no_face"  # unknown: no coordinate system tried has a viable face
 
-DEFAULT_WINDOW = None  # no cap on |e_j|
 MAX_SYSTEMS = 16  # coordinate systems per cell, the canonical one included
 CERTIFICATE_KEYS = ("system", "replacements", "exponents", "substitution", "target_pivots", "witness")
 
@@ -336,20 +334,14 @@ def _term_arrays(plucker, uvars):
     return arrays, uniq
 
 
-def _fixed_norm_vectors(k, window, total):
-    """The vectors of Z^k of L1 norm ``total``, in lex order; under a window,
-    only those with every |entry| at most ``window``."""
+def _fixed_norm_vectors(k, total):
+    """The vectors of Z^k of L1 norm ``total``, in lex order."""
     if k == 0:
         if total == 0:
             yield ()
         return
-    bound = total
-    if window is not None:
-        if total > k * window:
-            return
-        bound = min(window, total)
-    for v in range(-bound, bound + 1):
-        for tail in _fixed_norm_vectors(k - 1, window, total - abs(v)):
+    for v in range(-total, total + 1):
+        for tail in _fixed_norm_vectors(k - 1, total - abs(v)):
             yield (v,) + tail
 
 
@@ -385,18 +377,17 @@ def _normal_space(points):
     return free, solved
 
 
-def _normal_vectors(free, solved, window, total):
+def _normal_vectors(free, solved, total):
     """The integer vectors of a normal space (``_normal_space``) whose free
-    entries have L1 norm ``total``, by the lex order of those; under a
-    window, only those in [-window, window]^k."""
+    entries have L1 norm ``total``, by the lex order of those."""
     k = len(free) + len(solved)
-    for part in _fixed_norm_vectors(len(free), window, total):
+    for part in _fixed_norm_vectors(len(free), total):
         evec = [0] * k
         for q, x in zip(free, part):
             evec[q] = x
         for p, d, coeffs in solved:
             num = -sum(c * evec[q] for q, c in coeffs)
-            if num % d or (window is not None and abs(num) > window * abs(d)):
+            if num % d:
                 break
             evec[p] = num // d
         else:
@@ -615,11 +606,10 @@ def _certify(src, dst, system, sys_idx, judged, evec, seed):
     }
 
 
-def _search_system(src, dst, system, sys_idx, window, seed):
-    """Certify dst in the closure of src along the (L1, lex)-least vector,
-    with every |e_j| at most ``window`` when that is given, whose face is
-    viable and whose witness, seeded from the vector, succeeds; each face is
-    tried once, at its first vector.
+def _search_system(src, dst, system, sys_idx, seed):
+    """Certify dst in the closure of src along the (L1, lex)-least vector
+    whose face is viable and whose witness, seeded from the vector,
+    succeeds; each face is tried once, at its first vector.
 
     Only the candidate faces (``_candidate_faces``) are walked.  Each walks
     the integer points of its normal space, free entries of L1 norm T at
@@ -627,13 +617,13 @@ def _search_system(src, dst, system, sys_idx, window, seed):
     entries', so once level T is walked every vector of norm T in the
     face's open normal cone is known.  At each level the faces whose first
     vector has norm T are tried in the lex order of those vectors.  Every
-    face's open normal cone holds an integer vector, so without a window
-    each walk ends at its face's first vector, and the search ends once
-    every candidate has been tried.
+    face's open normal cone holds an integer vector, so each walk ends at
+    its face's first vector, and the search ends once every candidate has
+    been tried.
 
     Gives up with reason ``no_face`` before walking any face when no
-    candidate is viable, with ``window`` when the cap left a viable face
-    untried, and with ``witness`` when every viable face's witness failed.
+    candidate is viable, and with ``witness`` when every viable face's
+    witness failed.
     """
     candidates = _candidate_faces(dst, system)
     viable = _judge_faces(dst, system)
@@ -648,11 +638,10 @@ def _search_system(src, dst, system, sys_idx, window, seed):
         for face, (free, solved) in candidates.items()
     }
     pending = {}  # face -> the least (norm, vector) of its open cone walked so far
-    untried = set(candidates)
     level = 0
     while live:
         for face, (free, solved, base, outside) in live.items():
-            for evec in _normal_vectors(free, solved, window, level):
+            for evec in _normal_vectors(free, solved, level):
                 height = sum(map(mul, evec, base))
                 if all(sum(map(mul, evec, alpha)) > height for alpha in outside):
                     found = (sum(map(abs, evec)), evec)
@@ -661,7 +650,6 @@ def _search_system(src, dst, system, sys_idx, window, seed):
         due = sorted((evec, face) for face, (norm, evec) in pending.items() if norm == level)
         for evec, face in due:
             del live[face], pending[face]
-            untried.remove(face)
             judged = viable(face)
             if judged is None:
                 continue
@@ -669,23 +657,16 @@ def _search_system(src, dst, system, sys_idx, window, seed):
             if cert is not None:
                 return ClosureVerdict(CONTAINED, "degeneration", cert)
         level += 1
-        # under a window, a face is spent once nothing of it is pending and its
-        # free columns, walk[0], hold no entries of norm ``level``; without
-        # one, its walk ends only at its first vector
-        live = {
-            face: walk
-            for face, walk in live.items()
-            if face in pending or window is None or level <= len(walk[0]) * window
-        }
-    # a face is left untried only when the window cut its walk
-    if any(viable(face) for face in untried):
-        return ClosureVerdict(UNKNOWN, "window")
     return ClosureVerdict(UNKNOWN, "witness")
 
 
-def cell_closure_contains(src, dst, window=DEFAULT_WINDOW, seed=42):
-    """Decide whether the target cell lies in the closure of the source cell;
-    ``window``, when given, caps |e_j| of the exponent vectors tried."""
+def cell_closure_contains(src, dst, seed=42):
+    """Decide whether the target cell lies in the closure of the source cell.
+
+    The systems of ``_systems(src)`` are searched in order
+    (``_search_system``); an unknown is ``no_face`` when no system has a
+    viable face, and ``witness`` otherwise.
+    """
     same = src.module.gap_set == dst.module.gap_set
     if not same and dst.dim >= src.dim:
         # closures of distinct cells add only strictly smaller strata
@@ -698,14 +679,14 @@ def cell_closure_contains(src, dst, window=DEFAULT_WINDOW, seed=42):
         return ClosureVerdict(NOT_CONTAINED, "pivot_coordinate")
     reasons = set()
     for sys_idx, system in enumerate(_systems(src)):
-        verdict = _search_system(src, dst, system, sys_idx, window, seed)
+        verdict = _search_system(src, dst, system, sys_idx, seed)
         if verdict.status == CONTAINED:
             return verdict
         reasons.add(verdict.reason)
     if reasons == {NO_FACE}:
-        # no vector of any system can certify: this is not a search limit
+        # no exponent vector of any system tried can certify
         return ClosureVerdict(UNKNOWN, NO_FACE)
-    return ClosureVerdict(UNKNOWN, "window" if "window" in reasons else "witness")
+    return ClosureVerdict(UNKNOWN, "witness")
 
 
 def replay_certificate(src, dst, certificate, seed=42):

@@ -13,13 +13,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .closure_analysis import (
-    DEFAULT_WINDOW,
-    UNKNOWN,
-    build_cell,
-    cell_closure_contains,
-    components,
-)
+from .closure_analysis import UNKNOWN, build_cell, cell_closure_contains, components
 from .errors import HilbstratError
 from .gamma_modules import delta_set, enumerate_colength
 from .ideal_cells import canonical_family
@@ -29,13 +23,14 @@ SCHEMA_VERSION = 1
 
 
 class ReportConfig:
-    """Knobs shared by every stratum computation."""
+    """Settings shared by every stratum computation: the truncation margin of
+    the canonical families and the seed of the dominance witnesses.  The
+    closure search itself takes no setting."""
 
-    __slots__ = ("trunc_margin", "degen_window", "seed")
+    __slots__ = ("trunc_margin", "seed")
 
-    def __init__(self, trunc_margin=0, degen_window=DEFAULT_WINDOW, seed=42):
+    def __init__(self, trunc_margin=0, seed=42):
         self.trunc_margin = trunc_margin
-        self.degen_window = degen_window
         self.seed = seed
 
 
@@ -124,9 +119,7 @@ def stratify(sg, r, config=None, labels=None):
     for i, src in enumerate(cells):
         for j, dst in enumerate(cells):
             if i != j:
-                verdicts[(i, j)] = cell_closure_contains(
-                    src, dst, window=config.degen_window, seed=config.seed
-                )
+                verdicts[(i, j)] = cell_closure_contains(src, dst, seed=config.seed)
     section = StratumSection.__new__(StratumSection)
     section.r = r
     section.cells = cells
@@ -407,9 +400,6 @@ def main(argv=None):
     which.add_argument("--r", type=int, default=None, help="analyze a single stratum")
     parser.add_argument("--format", choices=("table", "json"), default="table")
     parser.add_argument("--trunc-margin", type=int, default=0)
-    parser.add_argument(
-        "--degen-window", type=int, default=DEFAULT_WINDOW, help="cap |e_j| of the degeneration exponents (default: no cap)"
-    )
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument(
         "--oracle-check",
@@ -417,9 +407,6 @@ def main(argv=None):
         help="diff the pipeline against the brute-force oracle instead of reporting",
     )
     args = parser.parse_args(argv)
-    if args.degen_window is not None and args.degen_window < 0:
-        print("hilbstrat: --degen-window must be at least 0, got %d" % args.degen_window, file=sys.stderr)
-        return 2
 
     try:
         sg = NumericalSemigroup(_parse_gens(args.gens))
@@ -436,11 +423,7 @@ def main(argv=None):
             return 1
         return 0
 
-    config = ReportConfig(
-        trunc_margin=args.trunc_margin,
-        degen_window=args.degen_window,
-        seed=args.seed,
-    )
+    config = ReportConfig(trunc_margin=args.trunc_margin, seed=args.seed)
     try:
         if args.r is not None:
             report = analyze(sg, config=config, rs=[args.r])

@@ -235,20 +235,22 @@ def test_cli_rejects_malformed_gens(capsys):
     assert "invalid" in captured.err
 
 
-def test_cli_zero_window_reports_unknowns(capsys):
-    rc = main(["--gens", "3,4", "--r", "2", "--degen-window", "0", "--format", "json"])
+def test_cli_unknowns_exit_3(capsys):
+    """⟨4,5⟩ r=7 has one unknown: the non-containment 6 -> 2 (``no_face``)."""
+    rc = main(["--gens", "4,5", "--r", "7", "--format", "json"])
     out = capsys.readouterr().out
     assert rc == 3
     data = json.loads(out)
-    assert data["strata"][0]["unknowns"] > 0
+    assert data["strata"][0]["unknowns"] == 1
 
 
-def test_cli_rejects_negative_window(capsys):
-    rc = main(["--gens", "3,4", "--max-r", "3", "--degen-window", "-1"])
+@pytest.mark.parametrize("flag", ["--r", "--max-r"])
+def test_cli_rejects_r_below_one(capsys, flag):
+    rc = main(["--gens", "3,4", flag, "0"])
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.out == ""
-    assert "--degen-window" in captured.err
+    assert "at least 1" in captured.err
 
 
 def test_cli_oracle_mode(capsys):

@@ -54,12 +54,17 @@ def test_catalan_cells_at_twice_delta(gens):
     assert dims == sorted(delta - a for a in areas)
 
 
-@pytest.mark.parametrize("gens", [(3, 4), (3, 5)], ids=["E6", "E8"])
-def test_strata_stabilize_beyond_twice_delta(gens):
-    """ℳ_r ≅ ℳ_{2δ} for r ≥ 2δ (Pfister–Steenbrink, J. Pure Appl. Algebra
-    1992): the cells of ℳ_r have the Δ-sets and dimensions of ℳ_{2δ}."""
+@pytest.mark.parametrize(
+    "gens,count",
+    [((3, 4), 5), ((3, 5), 7), ((3, 4, 5), 4), ((3, 5, 7), 6), ((4, 5, 6), 9), ((4, 5, 7), 10)],
+    ids=["E6", "E8", "3x4x5", "3x5x7", "4x5x6", "4x5x7"],
+)
+def test_strata_stabilize_beyond_twice_delta(gens, count):
+    """ℳ_r ≅ ℳ_c for r ≥ c, the conductor (Pfister–Steenbrink, J. Pure Appl.
+    Algebra 1992): the cells of ℳ_r have the Δ-sets and dimensions of ℳ_c,
+    and there are ``count`` of them.  For E6 and E8, c = 2δ."""
     sg = NumericalSemigroup(gens)
-    dd = 2 * sg.delta
+    c = sg.conductor
 
     def cells(r):
         return sorted(
@@ -67,6 +72,7 @@ def test_strata_stabilize_beyond_twice_delta(gens):
             for mod in enumerate_colength(sg, r)
         )
 
-    base = cells(dd)
-    for r in range(dd + 1, dd + 4):
+    base = cells(c)
+    assert len(base) == count
+    for r in range(c + 1, c + 4):
         assert cells(r) == base, r
