@@ -16,10 +16,9 @@ exponents, meets no exponent of a coordinate that vanishes on the target,
 and has affine dimension at least dim C' (the limit is invariant under
 u -> lambda^e * u for every e constant on the face, so a smaller face is
 not dominant).  A candidate is viable when its limit matches the target
-and the matched map is dominant: a Jacobian of full rank at a rational
-point is, and otherwise the maximal minors of the Jacobian are expanded as
-polynomials.  A system without a viable candidate is dismissed before any
-exponent vector is enumerated.
+and the matched map is dominant, which is one exact test: some maximal
+minor of its Jacobian is a nonzero polynomial.  A system without a viable
+candidate is dismissed before any exponent vector is enumerated.
 
 Otherwise the search walks the candidates, each through the integer points
 of its own normal space, level by level in L1 norm.  It finds each face's
@@ -46,6 +45,7 @@ nonzero minors only).
 """
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, islice
 from math import gcd, lcm
 from operator import mul
@@ -498,26 +498,29 @@ def _has_nonzero_minor(grad):
     """True iff some maximal minor of the polynomial matrix ``grad`` is a
     nonzero polynomial, i.e. the rows are independent over the function field.
 
-    Minors of the lower rows are expanded along the row above, one level per
-    row, keyed by their column sets.
+    The minors are tried in the lex order of their column sets, up to the
+    first nonzero one.  Each is expanded along its first row, memoised on
+    the columns left (as in ``ideal_cells.plucker_point``), so the minors
+    share their sub-minors and only those the tried minors reach are built.
     """
     m = len(grad)
     k = len(grad[0]) if grad else 0
-    level = {(): ParamPoly.one()}
-    for i in reversed(range(m)):
-        row = grad[i]
-        above = {}
-        for cols in combinations(range(k), m - i):
-            det = ParamPoly.zero()
-            for pos, c in enumerate(cols):
-                sub = level[cols[:pos] + cols[pos + 1 :]]
-                if sub.is_zero() or row[c].is_zero():
-                    continue
-                term = row[c] * sub
-                det = det - term if pos % 2 else det + term
-            above[cols] = det
-        level = above
-    return any(not p.is_zero() for p in level.values())
+
+    @cache
+    def minor(cols):
+        # minor of the last popcount(cols) rows on the columns in the bitmask
+        if not cols:
+            return ParamPoly.one()
+        row = grad[m - cols.bit_count()]
+        total = ParamPoly.zero()
+        for c in range(k):
+            bit = 1 << c
+            if cols & bit and not row[c].is_zero():
+                term = row[c] * minor(cols ^ bit)
+                total = total - term if (cols & (bit - 1)).bit_count() & 1 else total + term
+        return total
+
+    return any(not minor(sum(1 << c for c in cols)).is_zero() for cols in combinations(range(k), m))
 
 
 def _candidate_faces(dst, system):
@@ -573,9 +576,9 @@ def _judge_faces(dst, system):
             return None
         n_map, q = matched
         grad = _jacobian(n_map, q, dst, system.uvars)
-        # dominance, check 2: full rank at a rational point; check 3: a
-        # nonzero maximal minor as a polynomial
-        if _dominance_witness(grad, q, dst, system.uvars, "dominance") is None and not _has_nonzero_minor(grad):
+        # dominance, check 2, the exact one: some maximal minor is a
+        # nonzero polynomial
+        if not _has_nonzero_minor(grad):
             return None
         return grad, q
 

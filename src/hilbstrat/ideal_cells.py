@@ -124,7 +124,7 @@ def _build_seeds(module, truncation, eliminated):
     for i, g in enumerate(module.min_generators):
         coeffs = {g: ParamPoly.one()}
         for c in module.gap_set:
-            if g < c < truncation:
+            if c > g:
                 name = _param_name(i, c)
                 p = eliminated.get(name)
                 if p is None:
@@ -135,18 +135,20 @@ def _build_seeds(module, truncation, eliminated):
     return seeds
 
 
-def _primaries(module, seeds, truncation):
-    """Monic element of each order s ∈ S ∩ [0, N), taken from the first
-    minimal generator that reaches s."""
+def _primaries(module, seeds):
+    """Monic element of each order s ∈ S below the module's conductor,
+    truncated there and taken from the first minimal generator that
+    reaches s."""
     gens = module.min_generators
+    cut = module.conductor
     prim = {}
     owners = {}
-    for s in range(truncation):
+    for s in range(cut):
         if s not in module:
             continue
         for i, g in enumerate(gens):
             if (s - g) in module.ambient:
-                prim[s] = seeds[i].shift(s - g, trunc=truncation)
+                prim[s] = seeds[i].shift(s - g, trunc=cut)
                 owners[s] = i
                 break
         else:  # pragma: no cover - every s ∈ S is g_i + γ for some i
@@ -154,20 +156,26 @@ def _primaries(module, seeds, truncation):
     return prim, owners
 
 
-def _scan_relations(module, seeds, primaries, owners, truncation):
+def _scan_relations(module, seeds, primaries, owners):
     """Reduce every leading-term-cancelling pair; collect forced relations.
 
     Returns a list of (forbidden_order, ParamPoly) for combinations whose
     reduced generic order falls in Γ∖S.  An empty list means the current
     parameter set is consistent.
+
+    Every order of a series lies in Γ, and Γ and S agree at and above the
+    module's conductor, so no relation appears there.  The pairs at orders
+    s below the conductor are reduced modulo t^conductor: reducing a term
+    only changes the terms above it, so the orders below are exact.
     """
     gens = module.min_generators
+    cut = module.conductor
     found = []
     for s in sorted(primaries):
         for j, g in enumerate(gens):
             if j == owners[s] or (s - g) not in module.ambient:
                 continue
-            d = primaries[s] - seeds[j].shift(s - g, trunc=truncation)
+            d = primaries[s] - seeds[j].shift(s - g, trunc=cut)
             while not d.is_zero():
                 o = d.generic_order()
                 if o in module:
@@ -203,22 +211,28 @@ def canonical_family(sg, module, truncation=None, margin=0):
     under the Γ-action, cancels leading terms pairwise, and eliminates any
     coefficient whose survival would put a forbidden order into the ideal.
     Repeats to a fixpoint; remaining parameters are free coordinates.
+
+    Every gap lies below the module's conductor, and every order of Γ at or
+    above it is in S.  So the computation runs modulo t^conductor, and the
+    normal form of each order s at or above the conductor is the bare t^s;
+    ``truncation`` (or ``margin``) only sets the truncation the family's
+    series carry.
     """
     if module.ambient is not sg and module.ambient.gens != sg.gens:
         raise CardinalityMismatch("module does not live over the given semigroup")
     if truncation is None:
         truncation = default_truncation(module, margin)
-    if module.gap_set and module.gap_set[-1] >= truncation:
+    cut = module.conductor
+    if cut > truncation:
         raise TruncationTooSmall(
-            "truncation %d does not cover forbidden order %d"
-            % (truncation, module.gap_set[-1])
+            "truncation %d does not cover forbidden order %d" % (truncation, cut - 1)
         )
 
     eliminated = {}
     while True:
         seeds = _build_seeds(module, truncation, eliminated)
-        primaries, owners = _primaries(module, seeds, truncation)
-        relations = _scan_relations(module, seeds, primaries, owners, truncation)
+        primaries, owners = _primaries(module, seeds)
+        relations = _scan_relations(module, seeds, primaries, owners)
         if not relations:
             break
         relations.sort(key=lambda item: item[0])
@@ -231,11 +245,11 @@ def canonical_family(sg, module, truncation=None, margin=0):
         _param_name(i, c)
         for i, g in enumerate(module.min_generators)
         for c in module.gap_set
-        if g < c < truncation
+        if c > g
     ]
     free = [p for p in params if p not in eliminated]
 
-    normal_forms = {}
+    reduced = {}
     for s in sorted(primaries, reverse=True):
         d = primaries[s]
         while True:
@@ -243,10 +257,15 @@ def canonical_family(sg, module, truncation=None, margin=0):
             if not inside:
                 break
             e = min(inside)
-            d = d - normal_forms[e].scale(d.coeff(e))
+            d = d - reduced[e].scale(d.coeff(e))
         if d.coeff(s) != ParamPoly.one():
             raise PivotLoss("normal form at order %d lost its unit leading term" % s)
-        normal_forms[s] = d
+        reduced[s] = d
+    one = ParamPoly.one()
+    normal_forms = {
+        s: TruncSeries(truncation, reduced[s].coeffs if s < cut else {s: one})
+        for s in module.members_below(truncation)
+    }
 
     return CanonicalFamily(module, truncation, normal_forms, free, eliminated)
 

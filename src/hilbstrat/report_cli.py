@@ -407,6 +407,9 @@ def main(argv=None):
         help="diff the pipeline against the brute-force oracle instead of reporting",
     )
     args = parser.parse_args(argv)
+    if args.trunc_margin < 0:
+        print("hilbstrat: --trunc-margin must be at least 0, got %d" % args.trunc_margin, file=sys.stderr)
+        return 2
 
     try:
         sg = NumericalSemigroup(_parse_gens(args.gens))

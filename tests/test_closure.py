@@ -553,6 +553,21 @@ def test_rank_matches_fraction_gauss_jordan():
     assert rank([[1, 0], [0, Fraction(1, 3)], [2, 5], [7, 7]]) == 2
 
 
+def test_nonzero_minor_is_independence_over_the_function_field():
+    """A maximal minor is a nonzero polynomial iff the rows are independent
+    over the function field; the minors after a zero one are tried too."""
+    has = closure_analysis._has_nonzero_minor
+    u0, u1 = ParamPoly.variable("u00"), ParamPoly.variable("u01")
+    one, zero = ParamPoly.one(), ParamPoly.zero()
+    first = [u0, u1, one]
+    assert not has([first, [u0 * x for x in first]])  # row 2 = u0 * row 1
+    assert has([[zero, u0]])  # the first minor, on column 0, is zero
+    assert has([[one, one, zero], [u0, u0, one]])  # likewise on columns 0, 1
+    assert has([[u0, one], [one, u1]])
+    assert not has([[u0], [u1]])  # more rows than columns
+    assert has([])  # no rows: the empty minor is 1
+
+
 @pytest.mark.parametrize("gens,r_max", [(E6, 6), (E8, 8)], ids=["3x4", "3x5"])
 def test_integral_coefficients_stay_int(cells_of, gens, r_max):
     """Every coefficient the E6 and E8 cells build is integral, and each is

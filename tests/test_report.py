@@ -253,6 +253,17 @@ def test_cli_rejects_r_below_one(capsys, flag):
     assert "at least 1" in captured.err
 
 
+@pytest.mark.parametrize("margin", ["-1", "-5", "-30"])
+def test_cli_rejects_negative_trunc_margin(capsys, margin):
+    """A margin only widens the truncation; a negative one is refused
+    before any stratum is computed."""
+    rc = main(["--gens", "3,4", "--trunc-margin", margin])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "--trunc-margin must be at least 0" in captured.err
+
+
 def test_cli_oracle_mode(capsys):
     rc = main(["--gens", "2,3", "--oracle-check"])
     out = capsys.readouterr().out
