@@ -298,11 +298,12 @@ def _systems(cell):
         replaced = {param: wname for param, _, wname in pairs}
         sysm.coords = [replaced.get(p, p) for p in free]
         sysm.uvars = ["u%02d" % j for j in range(len(free))]
-        to_u = {c: ParamPoly.variable(u) for c, u in zip(sysm.coords, sysm.uvars)}
+        # renaming is injective, so it maps terms one to one, in order
+        to_u = dict(zip(sysm.coords, sysm.uvars))
         plucker = {}
         for cols, p in cell.plucker.items():
             q = p.subs(mapping) if mapping else p
-            plucker[cols] = q.subs(to_u)
+            plucker[cols] = ParamPoly({tuple(sorted((to_u[nm], e) for nm, e in key)): c for key, c in q.terms.items()})
         sysm.plucker = plucker
         sysm.arrays, sysm.uniq_exps = _term_arrays(plucker, sysm.uvars)
         sysm.faces = face_lattice(sysm.uniq_exps)

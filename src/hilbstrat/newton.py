@@ -5,8 +5,10 @@ pivot coordinates of their affine hull, which is injective there, so a hull
 of lower dimension needs no special case.  Beneath-beyond then keeps a
 triangulated boundary with primitive integer inward normals: those of the
 first simplex come from minors, and each later facet's from the two
-facets that meet at its horizon ridge.  Coplanar simplices are merged at
-the end by their common hyperplane.
+facets that meet at its horizon ridge.  Points are inserted farthest first,
+as in Quickhull (Barber, Dobkin and Huhdanpaa, ACM TOMS 22, 1996), which
+changes the triangulation but not the faces.  Coplanar simplices are merged
+at the end by their common hyperplane.
 """
 
 from math import gcd
@@ -43,6 +45,16 @@ def _primitive(normal, point):
     return normal, _dot(normal, point)
 
 
+def _indices(mask):
+    """The positions of the set bits of ``mask``, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def face_lattice(points):
     """Point sets of every nonempty face of conv(points), as frozensets of
     indices into ``points``, the whole set included.
@@ -51,6 +63,15 @@ def face_lattice(points):
     faces are the intersections of facets, so the facets' point sets are
     closed under intersection.  Faces come largest first, ties broken by
     their sorted indices.
+
+    Each facet keeps an outside set, the points strictly beyond it that no
+    earlier facet claimed, and the next point inserted is the one farthest
+    beyond its facet (the lex-least projected one on a tie).  Flooding
+    across ridges from that facet finds the visible ones, and their points
+    go only to the new facets: a point beneath all of these lies in the cone
+    from the new point over the old hull, and, beyond a visible facet as the
+    new point is, in the new hull.  The final boundary triangulates the hull
+    whatever the order, so its planes, and hence the faces, are the hull's.
     """
     n = len(points)
     base = points[0]
@@ -71,6 +92,9 @@ def face_lattice(points):
     d = len(echelon)
     pts = [tuple(p[c] for c, _ in echelon) for p in points]
     facets = {}  # sorted vertex tuple -> (primitive inward normal, offset)
+    ridges = {}  # each ridge of the triangulated boundary lies on exactly two facets
+    outside = {}  # facet -> (dot, point, index) of each point it claimed, if any
+    fresh = []  # facets to add, with their planes
     if d:
         # (d + 1) times the centroid of the first simplex, strictly inside
         inside = [sum(pts[i][c] for i in simplex) for c in range(d)]
@@ -81,54 +105,61 @@ def face_lattice(points):
             normal, offset = _primitive([(-1) ** j * _det([r[:j] + r[j + 1 :] for r in rows]) for j in range(d)], q0)
             if _dot(normal, inside) < (d + 1) * offset:
                 normal, offset = tuple(-x for x in normal), -offset
-            facets[verts] = normal, offset
-    # each ridge of the triangulated boundary lies on exactly two facets
-    ridges = {}
-    for verts in facets:
-        for k in range(d):
-            ridges.setdefault(verts[:k] + verts[k + 1 :], []).append(verts)
-    corners = set(simplex)
-    for i in range(n):
-        if i in corners:
-            continue
-        p = pts[i]
+            fresh.append((verts, (normal, offset)))
+    orphans = [i for i in range(n) if i not in simplex]
+    while True:
+        for verts, plane in fresh:
+            facets[verts] = plane
+            for k in range(d):
+                ridges.setdefault(verts[:k] + verts[k + 1 :], []).append(verts)
+        # each orphan goes to the first new facet it is strictly beyond
+        for j in orphans:
+            for verts, (normal, offset) in fresh:
+                dot = _dot(normal, pts[j])
+                if dot < offset:
+                    outside.setdefault(verts, []).append((dot, pts[j], j))
+                    break
+        if not outside:
+            break
+        start = next(reversed(outside))
+        dot, p, i = min(outside[start])
         # visible means strictly beyond; a point on a facet's plane
         # extends that facet by a coplanar simplex
-        visible = {}
-        for verts, (normal, offset) in facets.items():
-            gap = _dot(normal, p) - offset
-            if gap < 0:
-                visible[verts] = gap
-        if not visible:
-            continue
+        gaps = {start: dot - facets[start][1]}
+        stack = [start]
         fresh = []
-        for verts, gap in visible.items():
+        while stack:
+            verts = stack.pop()
+            gap = gaps[verts]
             for k in range(d):
                 ridge = verts[:k] + verts[k + 1 :]
-                other = next(f for f in ridges[ridge] if f != verts)
-                if other in visible:
+                one, two = ridges[ridge]
+                other = two if one == verts else one
+                if other not in gaps:
+                    gaps[other] = _dot(facets[other][0], p) - facets[other][1]
+                    if gaps[other] < 0:
+                        stack.append(other)
+                gap2 = gaps[other]
+                if gap2 < 0:
                     continue
                 # a horizon ridge: the plane through it and p is the
                 # combination of the two facet planes through it that
                 # vanishes at p, and it is inward because gap < 0 <= gap2
-                n2, b2 = facets[other]
-                gap2 = _dot(n2, p) - b2
+                n2 = facets[other][0]
                 normal = [gap2 * x - gap * y for x, y in zip(facets[verts][0], n2)]
-                fresh.append((tuple(sorted(ridge + (i,))), *_primitive(normal, p)))
-        for verts in visible:
+                fresh.append((tuple(sorted(ridge + (i,))), _primitive(normal, p)))
+        orphans = []
+        for verts in [f for f, gap in gaps.items() if gap < 0]:
             del facets[verts]
+            orphans.extend(j for _, _, j in outside.pop(verts, ()) if j != i)
             for k in range(d):
                 ridges[verts[:k] + verts[k + 1 :]].remove(verts)
-        for verts, normal, offset in fresh:
-            facets[verts] = normal, offset
-            for k in range(d):
-                ridges.setdefault(verts[:k] + verts[k + 1 :], []).append(verts)
     planes = set(facets.values())
-    facet_sets = {frozenset(i for i in range(n) if _dot(normal, pts[i]) == offset) for normal, offset in planes}
-    faces = set(facet_sets)
-    fresh = facet_sets
+    masks = {sum(1 << i for i, q in enumerate(pts) if _dot(normal, q) == offset) for normal, offset in planes}
+    faces = set(masks)
+    fresh = masks
     while fresh:
-        fresh = {f & g for f in fresh for g in facet_sets if not f.isdisjoint(g)} - faces
+        fresh = {f & g for f in fresh for g in masks if f & g} - faces
         faces |= fresh
-    faces.add(frozenset(range(n)))
-    return sorted(faces, key=lambda f: (-len(f), sorted(f)))
+    faces.add((1 << n) - 1)
+    return [frozenset(f) for f in sorted(map(_indices, faces), key=lambda f: (-len(f), f))]

@@ -34,6 +34,16 @@ def _merge_keys(k1, k2):
     return tuple(sorted(d.items()))
 
 
+def _add_into(terms, other):
+    """Add the terms ``other`` into the dict ``terms``, in place."""
+    for key, c in other.items():
+        nc = terms.get(key, 0) + c
+        if nc:
+            terms[key] = nc
+        else:
+            terms.pop(key, None)
+
+
 def _scalar(value):
     """An exact scalar in stored form: an ``int`` when integral, else a Fraction."""
     if isinstance(value, int):
@@ -127,12 +137,7 @@ class ParamPoly:
         if not isinstance(other, ParamPoly):
             other = ParamPoly.constant(other)
         terms = dict(self.terms)
-        for key, c in other.terms.items():
-            nc = terms.get(key, 0) + c
-            if nc:
-                terms[key] = nc
-            else:
-                terms.pop(key, None)
+        _add_into(terms, other.terms)
         return ParamPoly(terms)
 
     __radd__ = __add__
@@ -182,8 +187,9 @@ class ParamPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __eq__(self, other):
@@ -207,7 +213,7 @@ class ParamPoly:
         exponent requires the replacement to be invertible (a constant or
         a single-term polynomial).
         """
-        out = ParamPoly.zero()
+        out = {}
         for key, c in self.terms.items():
             term = ParamPoly.constant(c)
             for name, e in key:
@@ -218,8 +224,8 @@ class ParamPoly:
                     term = term * rep ** e
                 else:
                     term = term * ParamPoly({((name, e),): 1})
-            out = out + term
-        return out
+            _add_into(out, term.terms)
+        return ParamPoly(out)
 
     def evaluate(self, assign):
         """Evaluate to a Fraction; every variable must get a value.

@@ -158,6 +158,24 @@ def test_e8_r8_top_cell_containments(cells_of):
         assert replay_certificate(cells[6], cells[j], v.certificate)
 
 
+@pytest.mark.parametrize("gens,r_max", [(E6, 6), (E8, 8)], ids=["3x4", "3x5"])
+def test_systems_rename_like_substitution(cells_of, gens, r_max):
+    """Renaming each coordinate to its u-variable gives the polynomial that
+    substituting u-variables gave, term for term and in the same order."""
+    for r in range(1, r_max + 1):
+        for cell in cells_of(gens, r):
+            systems = closure_analysis._systems(cell)
+            if cell is cells_of(E8, 8)[6]:  # the top cell of E8 r=8
+                assert len(systems) == 8
+            for system in systems:
+                mapping = closure_analysis._compose_replacements(system.replacements) if system.replacements else {}
+                to_u = {c: ParamPoly.variable(u) for c, u in zip(system.coords, system.uvars)}
+                assert list(system.plucker) == list(cell.plucker)
+                for cols, p in cell.plucker.items():
+                    want = p.subs(mapping).subs(to_u)
+                    assert list(system.plucker[cols].terms.items()) == list(want.terms.items())
+
+
 def test_schubert_reject():
     sg = NumericalSemigroup((4, 5))
     from hilbstrat import build_cell, enumerate_colength

@@ -1,12 +1,15 @@
-"""Face lattices of integer point sets, checked against known polytopes and
-against the faces that exponent vectors actually select."""
+"""Face lattices of integer point sets, checked against known polytopes,
+against the input-order beneath-beyond they replaced and against the faces
+that exponent vectors actually select."""
 
+import random
 from itertools import product
+from math import gcd
 
 import pytest
 
 from hilbstrat import closure_analysis
-from hilbstrat.newton import face_lattice
+from hilbstrat.newton import _det, _dot, _primitive, face_lattice
 
 
 def test_unit_cube_has_27_faces():
@@ -78,3 +81,147 @@ def test_every_window_face_is_in_the_lattice(cells_of, gens, r):
             faces = set(system.faces)
             assert len(faces) == len(system.faces)
             assert _argmin_faces(system.uniq_exps, 5) <= faces
+
+
+def _reference_face_lattice(points):
+    """``newton.face_lattice`` as it was with points inserted in input order,
+    kept verbatim as the reference."""
+    n = len(points)
+    base = points[0]
+    # an echelon basis of the differences: each row is zero on the pivot
+    # columns of the rows before it, so reducing in order clears them all
+    echelon = []
+    simplex = [0]
+    for i, p in enumerate(points):
+        v = [a - b for a, b in zip(p, base)]
+        for c, row in echelon:
+            if v[c]:
+                v = [row[c] * x - v[c] * y for x, y in zip(v, row)]
+        lead = next((c for c, x in enumerate(v) if x), None)
+        if lead is not None:
+            g = gcd(*v)
+            echelon.append((lead, [x // g for x in v]))
+            simplex.append(i)
+    d = len(echelon)
+    pts = [tuple(p[c] for c, _ in echelon) for p in points]
+    facets = {}  # sorted vertex tuple -> (primitive inward normal, offset)
+    if d:
+        # (d + 1) times the centroid of the first simplex, strictly inside
+        inside = [sum(pts[i][c] for i in simplex) for c in range(d)]
+        for k in range(d + 1):
+            verts = tuple(simplex[:k] + simplex[k + 1 :])
+            q0 = pts[verts[0]]
+            rows = [[a - b for a, b in zip(pts[v], q0)] for v in verts[1:]]
+            normal, offset = _primitive([(-1) ** j * _det([r[:j] + r[j + 1 :] for r in rows]) for j in range(d)], q0)
+            if _dot(normal, inside) < (d + 1) * offset:
+                normal, offset = tuple(-x for x in normal), -offset
+            facets[verts] = normal, offset
+    # each ridge of the triangulated boundary lies on exactly two facets
+    ridges = {}
+    for verts in facets:
+        for k in range(d):
+            ridges.setdefault(verts[:k] + verts[k + 1 :], []).append(verts)
+    corners = set(simplex)
+    for i in range(n):
+        if i in corners:
+            continue
+        p = pts[i]
+        # visible means strictly beyond; a point on a facet's plane
+        # extends that facet by a coplanar simplex
+        visible = {}
+        for verts, (normal, offset) in facets.items():
+            gap = _dot(normal, p) - offset
+            if gap < 0:
+                visible[verts] = gap
+        if not visible:
+            continue
+        fresh = []
+        for verts, gap in visible.items():
+            for k in range(d):
+                ridge = verts[:k] + verts[k + 1 :]
+                other = next(f for f in ridges[ridge] if f != verts)
+                if other in visible:
+                    continue
+                # a horizon ridge: the plane through it and p is the
+                # combination of the two facet planes through it that
+                # vanishes at p, and it is inward because gap < 0 <= gap2
+                n2, b2 = facets[other]
+                gap2 = _dot(n2, p) - b2
+                normal = [gap2 * x - gap * y for x, y in zip(facets[verts][0], n2)]
+                fresh.append((tuple(sorted(ridge + (i,))), *_primitive(normal, p)))
+        for verts in visible:
+            del facets[verts]
+            for k in range(d):
+                ridges[verts[:k] + verts[k + 1 :]].remove(verts)
+        for verts, normal, offset in fresh:
+            facets[verts] = normal, offset
+            for k in range(d):
+                ridges.setdefault(verts[:k] + verts[k + 1 :], []).append(verts)
+    planes = set(facets.values())
+    facet_sets = {frozenset(i for i in range(n) if _dot(normal, pts[i]) == offset) for normal, offset in planes}
+    faces = set(facet_sets)
+    fresh = facet_sets
+    while fresh:
+        fresh = {f & g for f in fresh for g in facet_sets if not f.isdisjoint(g)} - faces
+        faces |= fresh
+    faces.add(frozenset(range(n)))
+    return sorted(faces, key=lambda f: (-len(f), sorted(f)))
+
+
+def _seeded_point_sets(seed, count):
+    """Distinct integer points in dimensions 1-5, shuffled: boxes, grids,
+    and points on a line, a plane or a random lower-dimensional lattice."""
+    rng = random.Random(seed)
+    kinds = ("box", "grid", "line", "plane", "lattice")
+    for t in range(count):
+        d = rng.randint(1, 5)
+        kind = kinds[t % len(kinds)]
+        if kind == "box":
+            w = rng.choice((1, 2, 3))
+            # fewer in higher dimensions, where nearly every random point
+            # is a vertex and the reference slows down
+            points = {tuple(rng.randint(-w, w) for _ in range(d)) for _ in range(rng.randint(1, 40 - 5 * d))}
+        elif kind == "grid":
+            side = range(3 if d <= 3 else 2)
+            points = set(rng.sample(list(product(side, repeat=d)), rng.randint(1, min(30, len(side) ** d))))
+        else:
+            k = {"line": 1, "plane": 2, "lattice": rng.randint(0, d)}[kind]
+            basis = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(k)]
+            origin = [rng.randint(-3, 3) for _ in range(d)]
+            points = set()
+            for _ in range(rng.randint(1, 25)):
+                c = [rng.randint(-2, 2) for _ in range(k)]
+                points.add(tuple(o + sum(ci * b[j] for ci, b in zip(c, basis)) for j, o in enumerate(origin)))
+        points = sorted(points)
+        rng.shuffle(points)
+        yield points
+
+
+def test_face_lattice_matches_reference_on_seeded_points():
+    for points in _seeded_point_sets(31, 400):
+        assert face_lattice(points) == _reference_face_lattice(points), points
+
+
+@pytest.mark.parametrize(
+    "gens,r_max",
+    [((3, 4), 6), ((3, 5), 8), ((4, 5), 7)],
+    ids=["3x4", "3x5", "4x5"],
+)
+def test_face_lattice_matches_reference_on_systems(cells_of, gens, r_max):
+    for r in range(1, r_max + 1):
+        for cell in cells_of(gens, r):
+            for system in closure_analysis._systems(cell):
+                assert system.faces == _reference_face_lattice(system.uniq_exps)
+
+
+def test_face_lattice_ignores_point_order():
+    """The faces depend only on the point set, which lets the insertion
+    order be chosen: the lattice of a permuted point list, mapped back, is
+    the same list."""
+    rng = random.Random(37)
+    for points in _seeded_point_sets(41, 300):
+        order = list(range(len(points)))
+        rng.shuffle(order)
+        permuted = face_lattice([points[i] for i in order])
+        back = [frozenset(order[i] for i in face) for face in permuted]
+        assert sorted(back, key=lambda f: (-len(f), sorted(f))) == face_lattice(points)

@@ -101,6 +101,71 @@ def test_evaluate_matches_per_term_reference():
     assert 0 < raised < 200
 
 
+def _subs_by_sums(p, mapping):
+    """The accumulation that ``ParamPoly.subs`` replaced, kept as the
+    reference: one ``+`` per term, each copying the sum so far."""
+    out = ParamPoly.zero()
+    for key, c in p.terms.items():
+        term = ParamPoly.constant(c)
+        for name, e in key:
+            if name in mapping:
+                rep = mapping[name]
+                if not isinstance(rep, ParamPoly):
+                    rep = ParamPoly.constant(rep)
+                term = term * rep ** e
+            else:
+                term = term * ParamPoly({((name, e),): 1})
+        out = out + term
+    return out
+
+
+def test_subs_matches_accumulation_by_sums():
+    """Seeded Laurent polynomials under substitutions whose terms cancel:
+    the same terms in the same order, with the same coefficient types."""
+    rng = random.Random(29)
+    names = ("a", "b", "c")
+
+    def rand_poly(low):
+        p = ParamPoly.zero()
+        for _ in range(rng.randint(0, 6)):
+            value = rng.randint(-4, 4)
+            if rng.random() < 0.3:
+                value = Fraction(value, rng.randint(1, 4))
+            term = ParamPoly.constant(value)
+            for n in names:
+                term = term * ParamPoly.variable(n) ** rng.randint(low, 2)
+            p = p + term
+        return p
+
+    cancelled = 0
+    for _ in range(300):
+        p = rand_poly(-2)
+        mapping = {}
+        for n in rng.sample(names, rng.randint(1, 3)):
+            kind = rng.random()
+            if kind < 0.2:
+                mapping[n] = rng.choice((0, 1, -2, Fraction(1, 3)))
+            elif kind < 0.5:
+                # a monomial, so negative powers stay legal
+                monomial = ParamPoly.variable(rng.choice(names)) ** rng.choice((-1, 1, 2))
+                mapping[n] = monomial * rng.choice((1, -1, 2))
+            else:
+                mapping[n] = A - B if rng.random() < 0.5 else rand_poly(0)
+        try:
+            want = _subs_by_sums(p, mapping)
+        except (ValueError, ZeroDivisionError) as exc:
+            with pytest.raises(type(exc)):
+                p.subs(mapping)
+            continue
+        got = p.subs(mapping)
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert [type(c) for c in got.terms.values()] == [type(c) for c in want.terms.values()]
+        # some terms of the substituted terms cancel in the sum
+        cancelled += len(got.terms) < sum(len(ParamPoly({k: c}).subs(mapping).terms) for k, c in p.terms.items())
+    assert cancelled > 10
+    assert (A * B - B * B + A).subs({"a": B}).terms == {(("b", 1),): 1}
+
+
 def test_integral_coefficients_are_ints():
     two = ParamPoly.constant(Fraction(6, 3))
     assert two.terms == {(): 2}
