@@ -12,6 +12,7 @@ from .closure_analysis import (
     StratCell,
     build_cell,
     cell_closure_contains,
+    closure_verdicts,
     components,
     degeneration_limit,
     replay_certificate,
@@ -62,6 +63,7 @@ __all__ = [
     "cell_closure_contains",
     "cell_matrix",
     "closure_leq",
+    "closure_verdicts",
     "components",
     "degeneration_limit",
     "delta_set",

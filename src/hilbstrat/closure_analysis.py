@@ -38,6 +38,16 @@ minimal, which must be a candidate, and re-runs the judgement and witness
 there, with the seed of the original run; it accepts the certificate only
 if it is well formed and re-derives every recorded field.
 
+A stratum's pairs are decided in one pass (``closure_verdicts``) that
+searches only what transitivity leaves open: when (i, k) and (k, j) are
+already contained, (i, j) is recorded as contained with reason ``chain``
+and the certificate {"via": k, "gaps": gap set of cell k, "links": the
+certificates of (i, k) and (k, j)}.  Its replay needs no outside context:
+it rebuilds cell k from the gap set, which must be Γ-closed, of colength r
+and neither the source's nor the target's, and replays both links through
+it.  An ``unknown`` therefore remains only where no chain of certified
+containments settles the pair.
+
 Non-containment is decided by three closed obstructions: the Schubert
 incidence condition, dimension comparison, and the target's pivot minor
 missing from the source's Plücker point (a map from column sets to the
@@ -50,7 +60,8 @@ from itertools import combinations, islice
 from math import gcd, lcm
 from operator import mul
 
-from .gamma_modules import delta_set
+from .errors import HilbstratError
+from .gamma_modules import GammaModule, delta_set
 from .ideal_cells import _param_index, canonical_family, cell_matrix, minor_support, plucker_point
 from .newton import face_lattice
 from .schubert import closure_leq, schubert_index
@@ -60,9 +71,11 @@ CONTAINED = "contained"
 NOT_CONTAINED = "not_contained"
 UNKNOWN = "unknown"
 NO_FACE = "no_face"  # unknown: no coordinate system tried has a viable face
+CHAIN = "chain"  # contained: two certified containments through a third cell
 
 MAX_SYSTEMS = 16  # coordinate systems per cell, the canonical one included
 CERTIFICATE_KEYS = ("system", "replacements", "exponents", "substitution", "target_pivots", "witness")
+CHAIN_KEYS = frozenset(("via", "gaps", "links"))
 
 
 class ClosureVerdict:
@@ -693,16 +706,80 @@ def cell_closure_contains(src, dst, seed=42):
     return ClosureVerdict(UNKNOWN, "witness")
 
 
+def closure_verdicts(cells, seed=42):
+    """The verdict on every ordered pair of a stratum's cells (``cells[i]``
+    has index i), keyed (i, j) in sorted order.
+
+    Sources are visited by increasing (dim, index), and for each source the
+    targets by decreasing (dim, index).  Distinct cells drop strictly in
+    dimension along closure, so when (i, j) comes up every pair (i, k) and
+    (k, j) that could link it is already decided.  If both are contained
+    for some k, the least such k gives the verdict ``chain``, whose
+    certificate records k, its gap set and the two links' certificates;
+    otherwise (i, j) is searched (``cell_closure_contains``).  One pass thus
+    settles every pair that a chain of certified containments implies.
+    """
+    n = len(cells)
+    order = sorted(range(n), key=lambda i: (cells[i].dim, i))
+    verdicts = {}
+    contained = set()
+    for i in order:
+        for j in reversed(order):
+            if i == j:
+                continue
+            k = next((k for k in range(n) if (i, k) in contained and (k, j) in contained), None)
+            if k is None:
+                verdict = cell_closure_contains(cells[i], cells[j], seed=seed)
+            else:
+                links = [verdicts[i, k].certificate, verdicts[k, j].certificate]
+                cert = {"via": k, "gaps": list(cells[k].module.gap_set), "links": links}
+                verdict = ClosureVerdict(CONTAINED, CHAIN, cert)
+            verdicts[i, j] = verdict
+            if verdict.status == CONTAINED:
+                contained.add((i, j))
+    return dict(sorted(verdicts.items()))
+
+
+def _replay_chain(src, dst, certificate, seed):
+    """Replay a ``chain`` certificate: rebuild the intermediate cell from its
+    recorded gap set (sorted, as recorded), with the recorded index, and
+    replay both links through it.  The cell is built at truncation margin 0:
+    no order at or above a module's conductor enters its family, so the
+    margin of the original run does not change the cell."""
+    via, gaps, links = certificate["via"], certificate["gaps"], certificate["links"]
+    if type(via) is not int or not isinstance(gaps, list) or any(type(g) is not int for g in gaps):
+        return False
+    if not isinstance(links, list) or len(links) != 2:
+        return False
+    sg = src.module.ambient
+    try:
+        module = GammaModule(sg, gaps)
+        if list(module.gap_set) != gaps or module.colength != src.r:
+            return False
+        if module.gap_set in (src.module.gap_set, dst.module.gap_set):
+            return False
+        mid = build_cell(sg, module, src.r, index=via)
+    except HilbstratError:
+        return False
+    return replay_certificate(src, mid, links[0], seed) and replay_certificate(mid, dst, links[1], seed)
+
+
 def replay_certificate(src, dst, certificate, seed=42):
     """Re-run the recorded degeneration with the seed of the original run;
     True iff it certifies again and re-derives every recorded field.
 
     The recorded vector's face is where it is minimal over ``uniq_exps``;
     the face must be a viable candidate and the witness seeded from the
-    vector must succeed.  A certificate read from outside may be malformed:
-    anything but a dict with the six fields, an ``int`` system index and a
-    list of ``int`` exponents replays False.
+    vector must succeed.  A ``chain`` certificate (exactly the keys
+    ``via``, ``gaps`` and ``links``) replays when its gap set is that of a
+    third cell of the stratum, of colength r, and both links replay through
+    that cell (``_replay_chain``).  A certificate read from outside may be
+    malformed: anything but a dict with the six fields, an ``int`` system
+    index and a list of ``int`` exponents, or a well-formed chain, replays
+    False.
     """
+    if isinstance(certificate, dict) and certificate.keys() == CHAIN_KEYS:
+        return _replay_chain(src, dst, certificate, seed)
     if not isinstance(certificate, dict) or any(key not in certificate for key in CERTIFICATE_KEYS):
         return False
     sys_idx = certificate["system"]

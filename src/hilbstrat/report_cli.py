@@ -13,7 +13,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .closure_analysis import UNKNOWN, build_cell, cell_closure_contains, components
+from .closure_analysis import UNKNOWN, build_cell, closure_verdicts, components
 from .errors import HilbstratError
 from .gamma_modules import delta_set, enumerate_colength
 from .ideal_cells import canonical_family
@@ -115,11 +115,7 @@ def stratify(sg, r, config=None, labels=None):
         cell = build_cell(sg, module, r, index=i, margin=config.trunc_margin)
         cell.label = label_of.get(cell.delta, "Δ_?")
         cells.append(cell)
-    verdicts = {}
-    for i, src in enumerate(cells):
-        for j, dst in enumerate(cells):
-            if i != j:
-                verdicts[(i, j)] = cell_closure_contains(src, dst, seed=config.seed)
+    verdicts = closure_verdicts(cells, seed=config.seed)
     section = StratumSection.__new__(StratumSection)
     section.r = r
     section.cells = cells

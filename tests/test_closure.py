@@ -8,10 +8,13 @@ from itertools import product
 import pytest
 
 from hilbstrat import (
+    GammaModule,
+    HilbstratError,
     NumericalSemigroup,
     ParamPoly,
     cell_closure_contains,
     closure_leq,
+    closure_verdicts,
     components,
     degeneration_limit,
     replay_certificate,
@@ -520,6 +523,101 @@ def test_components_flag_unresolved_pairs(cells_of):
     ana = components(cells, verdicts)
     assert ana.incomplete
     assert ana.residual_unknowns == [(1, 0)]
+
+
+CHAIN_STRATA = [(E6, r) for r in range(1, 7)] + [(E8, r) for r in range(1, 9)] + [((4, 5), 8)]
+_CHAIN_VERDICTS = {}
+
+
+def _chain_verdicts(cells_of, gens, r):
+    """``closure_verdicts`` of a stratum, the verdict map ``stratify`` returns."""
+    if (gens, r) not in _CHAIN_VERDICTS:
+        _CHAIN_VERDICTS[gens, r] = closure_verdicts(cells_of(gens, r))
+    return _CHAIN_VERDICTS[gens, r]
+
+
+def _strata_id(case):
+    return "x".join(map(str, case[0])) + "-r%d" % case[1]
+
+
+@pytest.mark.parametrize("gens,r", CHAIN_STRATA, ids=map(_strata_id, CHAIN_STRATA))
+def test_chain_certificates_replay(cells_of, gens, r):
+    """Every ``chain`` verdict links two contained pairs through its least
+    possible cell, and its certificate replays with no outside context."""
+    cells = cells_of(gens, r)
+    verdicts = _chain_verdicts(cells_of, gens, r)
+    assert list(verdicts) == sorted((i, j) for i in range(len(cells)) for j in range(len(cells)) if i != j)
+    for (i, j), v in verdicts.items():
+        if v.reason != "chain":
+            continue
+        k = v.certificate["via"]
+        links = [verdicts[i, k].certificate, verdicts[k, j].certificate]
+        assert v.certificate == {"via": k, "gaps": list(cells[k].module.gap_set), "links": links}
+        linked = [m for m in range(len(cells)) if m not in (i, j) and verdicts[i, m].status == verdicts[m, j].status == CONTAINED]
+        assert k == linked[0]
+        # a certificate read back from JSON is the same, and replays
+        read_back = json.loads(json.dumps(v.certificate))
+        assert read_back == v.certificate
+        assert replay_certificate(cells[i], cells[j], read_back)
+
+
+def test_tampered_chain_certificates_replay_false(cells_of):
+    """A chain certificate replays only as recorded: each tampered variant,
+    in its links, its intermediate gap set, its index or its keys, fails."""
+    cells = cells_of(E8, 8)
+    verdicts = _chain_verdicts(cells_of, E8, 8)
+    (i, j), cert = next(
+        (pair, v.certificate)
+        for pair, v in verdicts.items()
+        if v.reason == "chain" and all("system" in link for link in v.certificate["links"])
+    )
+    src, dst = cells[i], cells[j]
+    first, second = cert["links"]
+    gaps = cert["gaps"]
+    gamma = src.module.ambient
+    # drop the gap 0, which every nonempty gap set holds, and add the least
+    # non-gap: the colength is kept but the set is not Γ-closed
+    unclosed = sorted(gaps[1:] + [next(n for n in range(1, 99) if n in gamma and n not in gaps)])
+    tampered = [
+        {"links": [second, first]},
+        {"gaps": list(src.module.gap_set)},
+        {"gaps": list(dst.module.gap_set)},
+        {"gaps": unclosed},
+        {"gaps": gaps[:-1]},  # Γ-closed, of colength r - 1
+        {"gaps": gaps[::-1]},
+        {"via": str(cert["via"])},
+        {"links": [first]},
+        {"links": [first, dict(second, exponents=[second["exponents"][0] + 1] + second["exponents"][1:])]},
+    ]
+    assert replay_certificate(src, dst, cert)
+    for bad in tampered:
+        assert not replay_certificate(src, dst, dict(cert, **bad)), bad
+    assert not replay_certificate(src, dst, dict(cert, extra=0))
+    with pytest.raises(HilbstratError):
+        GammaModule(gamma, unclosed)
+
+
+@pytest.mark.parametrize("gens,r,i,j", [((4, 5), 7, 6, 2), ((3, 7), 8, 8, 4)])
+def test_chains_leave_known_non_containments_unknown(gens, r, i, j):
+    v = stratify(NumericalSemigroup(gens), r).verdicts[i, j]
+    assert v.status == UNKNOWN
+    assert v.reason == "no_face"
+
+
+@pytest.mark.parametrize("gens,r", CHAIN_STRATA, ids=map(_strata_id, CHAIN_STRATA))
+def test_chains_settle_the_transitive_closure(cells_of, gens, r):
+    """The contained pairs are exactly the transitive closure of the searched
+    containments, and the components are those of the exhaustive search."""
+    cells = cells_of(gens, r)
+    verdicts = _chain_verdicts(cells_of, gens, r)
+    closure = {pair for pair, v in verdicts.items() if v.reason == "degeneration"}
+    while True:
+        more = {(i, j) for i, k in closure for m, j in closure if k == m and i != j} - closure
+        if not more:
+            break
+        closure |= more
+    assert {pair for pair, v in verdicts.items() if v.status == CONTAINED} == closure
+    assert components(cells, verdicts).components == components(cells, _verdicts(cells)).components
 
 
 def _reference_rank(matrix):

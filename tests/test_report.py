@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from hilbstrat import (
     analyze,
     canonical_delta_labels,
     canonical_family,
+    cell_closure_contains,
     enumerate_colength,
     oracle_check,
     stratify,
@@ -57,17 +59,32 @@ def test_labels_up_to_the_reported_stratum(sg):
 
 def test_e6_e8_output_is_pinned():
     """sha256 of the E6 and E8 reports up to 2δ and of every closure verdict,
-    certificates included, at seed 42.  A change that moves either digest
-    changes the output and must say why."""
+    certificates included, at seed 42.  A change that moves a digest
+    changes the output and must say why.
+
+    The second digest is over the searched verdict of every pair: a
+    ``chain`` verdict is replaced by the search it stands in for.  The
+    third is over the verdicts as ``stratify`` returns them."""
     text = hashlib.sha256()
-    verdicts = []
+    searched = []
+    returned = []
+    reasons = Counter()
     for sg in (E6, E8):
         report = analyze(sg, config=ReportConfig(seed=42))
         text.update(report.to_json().encode())
-        verdicts += [(s.r, i, j, v.to_dict()) for s in report.sections for (i, j), v in sorted(s.verdicts.items())]
+        for s in report.sections:
+            for (i, j), v in sorted(s.verdicts.items()):
+                reasons[v.reason] += 1
+                returned.append((s.r, i, j, v.to_dict()))
+                if v.reason == "chain":
+                    v = cell_closure_contains(s.cells[i], s.cells[j], seed=42)
+                searched.append((s.r, i, j, v.to_dict()))
     assert text.hexdigest() == "12ee0bede629d4b1589bd414505f0b536e7352e09c1435ca27cacefdf674fcbf"
-    digest = hashlib.sha256(json.dumps(verdicts, sort_keys=True).encode()).hexdigest()
+    digest = hashlib.sha256(json.dumps(searched, sort_keys=True).encode()).hexdigest()
     assert digest == "71722f485332377f7382ca73fd184304847134c5fc9a50897b706598037dc7ed"
+    digest = hashlib.sha256(json.dumps(returned, sort_keys=True).encode()).hexdigest()
+    assert digest == "2d6e61cb522070fc39243d43d479b20218a914fad4ef72841cff8d6b407fd2b2"
+    assert reasons["degeneration"] == 48 and reasons["chain"] == 37
 
 
 def test_report_schema():
