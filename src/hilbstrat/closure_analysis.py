@@ -10,15 +10,20 @@ rational witness point proves the limits sweep out a dense subset of C'.
 The limit along e depends only on the face of the source's Newton polytope
 (the convex hull of the exponents of its Plücker coordinates, in one
 coordinate system) on which e is minimal: its initial form.  Each
-coordinate system therefore carries its exact face lattice (``newton``).
-A face is a candidate for the target when it meets the target's pivot
-exponents, meets no exponent of a coordinate that vanishes on the target,
-and has affine dimension at least dim C' (the limit is invariant under
-u -> lambda^e * u for every e constant on the face, so a smaller face is
-not dominant).  A candidate is viable when its limit matches the target
-and the matched map is dominant, which is one exact test: some maximal
-minor of its Jacobian is a nonzero polynomial.  A system without a viable
-candidate is dismissed before any exponent vector is enumerated.
+coordinate system carries the polytope's dimension, facets (``newton``) and
+vertices; there is no face lattice.  A face is a candidate for the target
+when it meets the exponents of every coordinate of the target's support
+(the limit at a coordinate is the sum of the terms on the face, and a
+dominant map hits points where every such coordinate is nonzero), meets no
+exponent of a coordinate that vanishes on the target, and has affine
+dimension at least dim C' (the limit is invariant under u -> lambda^e * u
+for every e constant on the face, so a smaller face is not dominant).  The
+candidates are generated top-down from the facets, pruned by the support
+and dimension conditions, which every subface inherits.  A candidate is
+viable when its limit matches the target and the matched map is dominant,
+which is one exact test: some maximal minor of its Jacobian is a nonzero
+polynomial.  A system without a viable candidate is dismissed before any
+exponent vector is enumerated.
 
 Otherwise the search walks the candidates, each through the integer points
 of its own normal space, level by level in L1 norm.  It finds each face's
@@ -48,22 +53,23 @@ and neither the source's nor the target's, and replays both links through
 it.  An ``unknown`` therefore remains only where no chain of certified
 containments settles the pair.
 
-Non-containment is decided by three closed obstructions: the Schubert
-incidence condition, dimension comparison, and the target's pivot minor
+Non-containment is decided by four closed obstructions: the Schubert
+incidence condition, dimension comparison, the target's pivot minor
 missing from the source's Plücker point (a map from column sets to the
-nonzero minors only).
+nonzero minors only), and, reason ``support``, any other coordinate of the
+target's support missing from it.
 """
 import random
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations, islice
 from math import gcd, lcm
-from operator import mul
+from operator import and_, mul, or_
 
 from .errors import HilbstratError
 from .gamma_modules import GammaModule, delta_set
 from .ideal_cells import _param_index, canonical_family, cell_matrix, minor_support, plucker_point
-from .newton import face_lattice
+from .newton import facets
 from .schubert import closure_leq, schubert_index
 from .symcalc import ParamPoly, limit_s_to_zero
 
@@ -173,7 +179,7 @@ class CoordSystem:
     replacement being invertible.
     """
 
-    __slots__ = ("replacements", "coords", "plucker", "uvars", "arrays", "uniq_exps", "faces")
+    __slots__ = ("replacements", "coords", "plucker", "uvars", "arrays", "uniq_exps", "dim", "facets", "vertices")
 
     def describe(self, family):
         rename = family.display_names
@@ -319,7 +325,11 @@ def _systems(cell):
             plucker[cols] = ParamPoly({tuple(sorted((to_u[nm], e) for nm, e in key)): c for key, c in q.terms.items()})
         sysm.plucker = plucker
         sysm.arrays, sysm.uniq_exps = _term_arrays(plucker, sysm.uvars)
-        sysm.faces = face_lattice(sysm.uniq_exps)
+        sysm.dim, sysm.facets = facets(sysm.uniq_exps)
+        # a point is a vertex when the facets through it meet only in it
+        n = len(sysm.uniq_exps)
+        through = ([f for f in sysm.facets if f >> j & 1] for j in range(n))
+        sysm.vertices = [j for j, fs in enumerate(through) if reduce(and_, fs, (1 << n) - 1) == 1 << j]
         systems.append(sysm)
     cell.systems_cache = systems
     return systems
@@ -363,7 +373,7 @@ def _normal_space(points):
     """The integer vectors e on which every one of ``points`` weighs the same.
 
     The differences to the first point are reduced, over the integers as in
-    ``newton.face_lattice``, until each row is zero on the pivot columns of
+    ``newton.facets``, until each row is zero on the pivot columns of
     the others.  Returns the free columns and, per pivot column p, the row's
     entry d there and its entries on the free columns: e is in the space iff
     d * e[p] + sum(c * e[q]) == 0 for every row.
@@ -412,9 +422,9 @@ def _rank(matrix):
     """Rank of a matrix of ints and Fractions, over the integers.
 
     Each row is scaled by the lcm of its denominators; Bareiss's
-    fraction-free elimination (as in ``newton._det``) then keeps every entry
-    an integer: after k pivots an entry is a (k+1)-minor, and each division
-    by the previous pivot is exact.
+    fraction-free elimination (as in ``newton._inverse_columns``) then keeps
+    every entry an integer: after k pivots an entry is a (k+1)-minor, and
+    each division by the previous pivot is exact.
     """
     m = []
     for row in matrix:
@@ -538,26 +548,45 @@ def _has_nonzero_minor(grad):
 
 
 def _candidate_faces(dst, system):
-    """The faces of ``system`` that may be viable for the target, each mapped
-    to its normal space (``_normal_space``).
+    """The faces of ``system`` that may be viable for the target, each as the
+    set of its points' indices, mapped to its normal space (``_normal_space``).
 
-    A candidate meets the exponents of the target's pivot coordinate and no
-    exponent of a coordinate that vanishes on the target.  It also passes
-    dominance, check 1: the limit is invariant under u -> lambda^e * u for
-    every e constant on the face, so the matched map's rank is at most the
-    face's affine dimension, the number of solved columns of its normal
-    space.
+    A candidate meets the exponents of every coordinate of the target's
+    support, the pivot coordinate among them, and no exponent of a
+    coordinate that vanishes on the target.  It also passes dominance,
+    check 1: the limit is invariant under u -> lambda^e * u for every e
+    constant on the face, so the matched map's rank is at most the face's
+    affine dimension, which must be at least dim C'.
+
+    Faces are generated top-down from the whole point set.  The children of
+    a face F are the inclusion-maximal nonempty F & G != F over the facets
+    G, which are the facets of F, each of dimension dim F - 1.  A face is
+    pruned, with every face below it, only by what passes to its subfaces:
+    a dimension below dim C', or no exponent of some support coordinate.
+    A forced-zero exponent does not pass down, so such a face is only not
+    a candidate itself.
     """
-    arrays, uniq = system.arrays, system.uniq_exps
-    pivot = {j for _, _, j in arrays.get(dst.pivots, ())}
-    forced = {j for cols, items in arrays.items() if cols not in dst.plucker for _, _, j in items}
+    uniq = system.uniq_exps
+    masks = {cols: sum({1 << j for _, _, j in items}) for cols, items in system.arrays.items()}
+    forced = reduce(or_, (m for cols, m in masks.items() if cols not in dst.plucker), 0)
+    support = [masks.get(cols, 0) for cols in dst.plucker]
     out = {}
-    for face in system.faces:
-        if face.isdisjoint(pivot) or not face.isdisjoint(forced):
-            continue
-        free, solved = _normal_space([uniq[j] for j in sorted(face)])
-        if len(solved) >= dst.dim:
-            out[face] = (free, solved)
+    level, dim = [(1 << len(uniq)) - 1], system.dim
+    while level and dim >= dst.dim:
+        below = set()
+        for face in level:
+            if not all(face & m for m in support):
+                continue
+            if not face & forced:
+                points = [j for j in range(len(uniq)) if face >> j & 1]
+                out[frozenset(points)] = _normal_space([uniq[j] for j in points])
+            if dim > dst.dim:
+                kids = []
+                for f in sorted({face & g for g in system.facets} - {0, face}, key=int.bit_count, reverse=True):
+                    if not any(f & k == f for k in kids):
+                        kids.append(f)
+                below.update(kids)
+        level, dim = sorted(below), dim - 1
     return out
 
 
@@ -649,9 +678,8 @@ def _search_system(src, dst, system, sys_idx, seed):
     uniq = system.uniq_exps
     # a linear form constant on a face is minimal there, and nowhere else,
     # iff every vertex off the face weighs more
-    vertices = [j for face in system.faces if len(face) == 1 for j in face]
     live = {  # candidate face -> its normal space, a point on it, the vertices off it
-        face: (free, solved, uniq[min(face)], [uniq[j] for j in vertices if j not in face])
+        face: (free, solved, uniq[min(face)], [uniq[j] for j in system.vertices if j not in face])
         for face, (free, solved) in candidates.items()
     }
     pending = {}  # face -> the least (norm, vector) of its open cone walked so far
@@ -694,6 +722,9 @@ def cell_closure_contains(src, dst, seed=42):
         # that Plücker coordinate vanishes on the whole source cell, hence
         # on its closure, but is the unit pivot minor on the target cell
         return ClosureVerdict(NOT_CONTAINED, "pivot_coordinate")
+    if any(cols not in src.plucker for cols in dst.plucker):
+        # the same for any coordinate of the target's support
+        return ClosureVerdict(NOT_CONTAINED, "support")
     reasons = set()
     for sys_idx, system in enumerate(_systems(src)):
         verdict = _search_system(src, dst, system, sys_idx, seed)

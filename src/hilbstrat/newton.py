@@ -1,79 +1,58 @@
-"""The face lattice of the convex hull of finitely many integer points.
+"""The facets of the convex hull of finitely many integer points.
 
 Everything is exact integer arithmetic.  The points are projected onto the
 pivot coordinates of their affine hull, which is injective there, so a hull
-of lower dimension needs no special case.  Beneath-beyond then keeps a
-triangulated boundary with primitive integer inward normals: those of the
-first simplex come from minors, and each later facet's from the two
-facets that meet at its horizon ridge.  Points are inserted farthest first,
-as in Quickhull (Barber, Dobkin and Huhdanpaa, ACM TOMS 22, 1996), which
-changes the triangulation but not the faces.  Coplanar simplices are merged
-at the end by their common hyperplane.
+of lower dimension needs no special case.  Homogenised as v = (1, p), the
+points span a pointed full-dimensional cone, and the facets of their hull
+are the extreme rays of its polar, the cone of all a with a . v >= 0 for
+every point.  Double description (Fukuda and Prodon, *Double description
+method revisited*, 1996) computes those rays one constraint at a time: it
+starts from the facet normals of a first simplex and adds one point per
+step.  Rays on the positive side of the new point stay, rays on its plane
+gain it in their zero set, rays on the negative side go, and each adjacent
+pair across the plane gives the positive combination that vanishes there.
+Two rays are adjacent by the combinatorial test: no other ray's zero set
+contains their common zero set.  Each ray keeps as its zero set every point
+added so far on its plane, so at the end that set is its facet's point set.
 """
 
 from math import gcd
 from operator import mul
 
 
-def _det(m):
-    """Determinant of a square integer matrix, by Bareiss's fraction-free elimination."""
-    m = [row[:] for row in m]
+def _inverse_columns(m):
+    """The columns of c * m^-1 for a nonsingular square integer matrix m and
+    some integer c != 0, by fraction-free Gauss-Jordan elimination of [m | I]
+    (Bareiss): every division by the previous pivot is exact."""
     n = len(m)
-    sign, prev = 1, 1
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    prev = 1
     for i in range(n):
         if not m[i][i]:
-            swap = next((r for r in range(i + 1, n) if m[r][i]), None)
-            if swap is None:
-                return 0
+            swap = next(r for r in range(i + 1, n) if m[r][i])
             m[i], m[swap] = m[swap], m[i]
-            sign = -sign
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                m[r][c] = (m[r][c] * m[i][i] - m[r][i] * m[i][c]) // prev
-        prev = m[i][i]
-    return sign * prev
+        top, p = m[i], m[i][i]
+        for r in range(n):
+            if r != i:
+                f = m[r][i]
+                m[r] = [(x * p - f * y) // prev for x, y in zip(m[r], top)]
+        prev = p
+    return [[row[n + k] for row in m] for k in range(n)]
 
 
 def _dot(u, v):
     return sum(map(mul, u, v))
 
 
-def _primitive(normal, point):
-    """(normal / gcd, offset) of the hyperplane through ``point``."""
-    g = gcd(*normal)
-    normal = tuple(x // g for x in normal)
-    return normal, _dot(normal, point)
+def _primitive(vector):
+    g = gcd(*vector)
+    return [x // g for x in vector]
 
 
-def _indices(mask):
-    """The positions of the set bits of ``mask``, in increasing order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def face_lattice(points):
-    """Point sets of every nonempty face of conv(points), as frozensets of
-    indices into ``points``, the whole set included.
-
-    A face's point set is every point on it, not only its vertices.  Proper
-    faces are the intersections of facets, so the facets' point sets are
-    closed under intersection.  Faces come largest first, ties broken by
-    their sorted indices.
-
-    Each facet keeps an outside set, the points strictly beyond it that no
-    earlier facet claimed, and the next point inserted is the one farthest
-    beyond its facet (the lex-least projected one on a tie).  Flooding
-    across ridges from that facet finds the visible ones, and their points
-    go only to the new facets: a point beneath all of these lies in the cone
-    from the new point over the old hull, and, beyond a visible facet as the
-    new point is, in the new hull.  The final boundary triangulates the hull
-    whatever the order, so its planes, and hence the faces, are the hull's.
-    """
-    n = len(points)
+def facets(points):
+    """(d, masks): the affine dimension d of conv(points) and, for each facet,
+    the bitmask of the indices of every point on it, not only its vertices,
+    in increasing order.  A hull of dimension 0 has no facet."""
     base = points[0]
     # an echelon basis of the differences: each row is zero on the pivot
     # columns of the rows before it, so reducing in order clears them all
@@ -86,80 +65,37 @@ def face_lattice(points):
                 v = [row[c] * x - v[c] * y for x, y in zip(v, row)]
         lead = next((c for c, x in enumerate(v) if x), None)
         if lead is not None:
-            g = gcd(*v)
-            echelon.append((lead, [x // g for x in v]))
+            echelon.append((lead, _primitive(v)))
             simplex.append(i)
     d = len(echelon)
-    pts = [tuple(p[c] for c, _ in echelon) for p in points]
-    facets = {}  # sorted vertex tuple -> (primitive inward normal, offset)
-    ridges = {}  # each ridge of the triangulated boundary lies on exactly two facets
-    outside = {}  # facet -> (dot, point, index) of each point it claimed, if any
-    fresh = []  # facets to add, with their planes
-    if d:
-        # (d + 1) times the centroid of the first simplex, strictly inside
-        inside = [sum(pts[i][c] for i in simplex) for c in range(d)]
-        for k in range(d + 1):
-            verts = tuple(simplex[:k] + simplex[k + 1 :])
-            q0 = pts[verts[0]]
-            rows = [[a - b for a, b in zip(pts[v], q0)] for v in verts[1:]]
-            normal, offset = _primitive([(-1) ** j * _det([r[:j] + r[j + 1 :] for r in rows]) for j in range(d)], q0)
-            if _dot(normal, inside) < (d + 1) * offset:
-                normal, offset = tuple(-x for x in normal), -offset
-            fresh.append((verts, (normal, offset)))
-    orphans = [i for i in range(n) if i not in simplex]
-    while True:
-        for verts, plane in fresh:
-            facets[verts] = plane
-            for k in range(d):
-                ridges.setdefault(verts[:k] + verts[k + 1 :], []).append(verts)
-        # each orphan goes to the first new facet it is strictly beyond
-        for j in orphans:
-            for verts, (normal, offset) in fresh:
-                dot = _dot(normal, pts[j])
-                if dot < offset:
-                    outside.setdefault(verts, []).append((dot, pts[j], j))
-                    break
-        if not outside:
-            break
-        start = next(reversed(outside))
-        dot, p, i = min(outside[start])
-        # visible means strictly beyond; a point on a facet's plane
-        # extends that facet by a coplanar simplex
-        gaps = {start: dot - facets[start][1]}
-        stack = [start]
+    if not d:
+        return 0, []
+    homog = [[1] + [p[c] for c, _ in echelon] for p in points]
+    corners = sum(1 << i for i in simplex)
+    rays = []  # (primitive normal a, bitmask of the points added so far with a . v == 0)
+    for i, a in zip(simplex, _inverse_columns([homog[i] for i in simplex])):
+        # zero on the simplex's other d points, nonzero on point i
+        a = _primitive(a)
+        if _dot(a, homog[i]) < 0:
+            a = [-x for x in a]
+        rays.append((a, corners ^ 1 << i))
+    for i, v in enumerate(homog):
+        bit = 1 << i
+        if corners & bit:
+            continue
+        signed = [(_dot(a, v), a, z) for a, z in rays]
+        minus = [(x, a, z) for x, a, z in signed if x < 0]
         fresh = []
-        while stack:
-            verts = stack.pop()
-            gap = gaps[verts]
-            for k in range(d):
-                ridge = verts[:k] + verts[k + 1 :]
-                one, two = ridges[ridge]
-                other = two if one == verts else one
-                if other not in gaps:
-                    gaps[other] = _dot(facets[other][0], p) - facets[other][1]
-                    if gaps[other] < 0:
-                        stack.append(other)
-                gap2 = gaps[other]
-                if gap2 < 0:
+        if minus:
+            zeros = [z for _, z in rays]
+            for xp, ap, zp in signed:
+                if xp <= 0:
                     continue
-                # a horizon ridge: the plane through it and p is the
-                # combination of the two facet planes through it that
-                # vanishes at p, and it is inward because gap < 0 <= gap2
-                n2 = facets[other][0]
-                normal = [gap2 * x - gap * y for x, y in zip(facets[verts][0], n2)]
-                fresh.append((tuple(sorted(ridge + (i,))), _primitive(normal, p)))
-        orphans = []
-        for verts in [f for f, gap in gaps.items() if gap < 0]:
-            del facets[verts]
-            orphans.extend(j for _, _, j in outside.pop(verts, ()) if j != i)
-            for k in range(d):
-                ridges[verts[:k] + verts[k + 1 :]].remove(verts)
-    planes = set(facets.values())
-    masks = {sum(1 << i for i, q in enumerate(pts) if _dot(normal, q) == offset) for normal, offset in planes}
-    faces = set(masks)
-    fresh = masks
-    while fresh:
-        fresh = {f & g for f in fresh for g in masks if f & g} - faces
-        faces |= fresh
-    faces.add((1 << n) - 1)
-    return [frozenset(f) for f in sorted(map(_indices, faces), key=lambda f: (-len(f), f))]
+                for xm, am, zm in minus:
+                    common = zp & zm
+                    # adjacent iff the two rays are the only ones zero on common
+                    if common.bit_count() < d - 1 or sum(z & common == common for z in zeros) > 2:
+                        continue
+                    fresh.append((_primitive([xp * y - xm * w for y, w in zip(am, ap)]), common | bit))
+        rays = [(a, z | bit if x == 0 else z) for x, a, z in signed if x >= 0] + fresh
+    return d, sorted(z for _, z in rays)

@@ -1,6 +1,7 @@
-"""Face lattices of integer point sets, checked against known polytopes,
-against the input-order beneath-beyond they replaced and against the faces
-that exponent vectors actually select."""
+"""Facets of integer point sets, checked against known polytopes and
+against the beneath-beyond face lattice they replaced, which is also
+checked against the faces that exponent vectors actually select; candidate
+faces, checked against that lattice under the candidate tests."""
 
 import random
 from itertools import product
@@ -9,12 +10,28 @@ from math import gcd
 import pytest
 
 from hilbstrat import closure_analysis
-from hilbstrat.newton import _det, _dot, _primitive, face_lattice
+from hilbstrat.newton import _dot, facets
+
+
+def _lattice(points):
+    """The point set of every nonempty face of conv(points), as frozensets:
+    the facets closed under intersection, and the whole set.  Faces come
+    largest first, ties broken by their sorted indices."""
+    _, masks = facets(points)
+    faces = set(masks)
+    fresh = faces
+    while fresh:
+        fresh = {f & g for f in fresh for g in masks if f & g} - faces
+        faces |= fresh
+    faces.add((1 << len(points)) - 1)
+    sets = [frozenset(i for i in range(len(points)) if f >> i & 1) for f in faces]
+    return sorted(sets, key=lambda f: (-len(f), sorted(f)))
 
 
 def test_unit_cube_has_27_faces():
     cube = list(product((0, 1), repeat=3))
-    faces = face_lattice(cube)
+    assert facets(cube)[0] == 3
+    faces = _lattice(cube)
     assert len(faces) == 27
     assert faces[0] == frozenset(range(8))
     assert sorted(len(f) for f in faces) == [1] * 8 + [2] * 12 + [4] * 6 + [8]
@@ -23,7 +40,7 @@ def test_unit_cube_has_27_faces():
 def test_grid_points_lie_on_the_faces_of_their_cube():
     """Points that are not vertices still belong to every face they lie on."""
     grid = list(product((0, 1, 2), repeat=3))
-    faces = face_lattice(grid)
+    faces = _lattice(grid)
     assert len(faces) == 27
     assert sorted(len(f) for f in faces) == [1] * 8 + [3] * 12 + [9] * 6 + [27]
 
@@ -33,14 +50,15 @@ def test_simplex_faces(d):
     """Every nonempty subset of a simplex's vertices spans a face, here in a
     space one dimension larger than the simplex."""
     simplex = [tuple(3 * (i == j) for j in range(d + 1)) for i in range(d)] + [(1,) * (d + 1)]
-    faces = face_lattice(simplex)
+    assert facets(simplex)[0] == d
+    faces = _lattice(simplex)
     assert len(faces) == 2 ** (d + 1) - 1
     assert len(set(faces)) == len(faces)
 
 
 def test_collinear_points_give_a_segment():
     points = [(2, 4, 6), (0, 0, 0), (3, 6, 9), (1, 2, 3)]
-    assert set(face_lattice(points)) == {frozenset(range(4)), frozenset({1}), frozenset({2})}
+    assert facets(points) == (1, [1 << 1, 1 << 2])
 
 
 def test_coplanar_points_give_a_polygon():
@@ -50,7 +68,8 @@ def test_coplanar_points_give_a_polygon():
     expected = {frozenset(range(6))}
     expected |= {frozenset(s) for s in ({0, 1, 5}, {1, 2}, {2, 3}, {3, 0})}
     expected |= {frozenset({v}) for v in range(4)}
-    assert set(face_lattice(points)) == expected
+    assert facets(points)[0] == 2
+    assert set(_lattice(points)) == expected
 
 
 def _argmin_faces(points, window):
@@ -78,9 +97,38 @@ def _argmin_faces(points, window):
 def test_every_window_face_is_in_the_lattice(cells_of, gens, r):
     for cell in cells_of(gens, r):
         for system in closure_analysis._systems(cell):
-            faces = set(system.faces)
-            assert len(faces) == len(system.faces)
+            lattice = _reference_face_lattice(system.uniq_exps)
+            faces = set(lattice)
+            assert len(faces) == len(lattice)
             assert _argmin_faces(system.uniq_exps, 5) <= faces
+
+
+def _det(m):
+    """Determinant of a square integer matrix, by Bareiss's fraction-free
+    elimination, as the reference below uses it."""
+    m = [row[:] for row in m]
+    n = len(m)
+    sign, prev = 1, 1
+    for i in range(n):
+        if not m[i][i]:
+            swap = next((r for r in range(i + 1, n) if m[r][i]), None)
+            if swap is None:
+                return 0
+            m[i], m[swap] = m[swap], m[i]
+            sign = -sign
+        for r in range(i + 1, n):
+            for c in range(i + 1, n):
+                m[r][c] = (m[r][c] * m[i][i] - m[r][i] * m[i][c]) // prev
+        prev = m[i][i]
+    return sign * prev
+
+
+def _primitive(normal, point):
+    """(normal / gcd, offset) of the hyperplane through ``point``, as the
+    reference below uses it."""
+    g = gcd(*normal)
+    normal = tuple(x // g for x in normal)
+    return normal, _dot(normal, point)
 
 
 def _reference_face_lattice(points):
@@ -197,31 +245,104 @@ def _seeded_point_sets(seed, count):
         yield points
 
 
+def _reference_facets(points):
+    """The inclusion-maximal proper faces of the reference lattice, as sorted bitmasks."""
+    proper = [f for f in _reference_face_lattice(points) if len(f) < len(points)]
+    return sorted(sum(1 << i for i in f) for f in proper if not any(f < g for g in proper))
+
+
+def _affine_dimension(points):
+    return len(closure_analysis._normal_space(points)[1])
+
+
 def test_face_lattice_matches_reference_on_seeded_points():
+    """The facets are the reference's maximal proper faces, and they generate
+    its whole lattice."""
     for points in _seeded_point_sets(31, 400):
-        assert face_lattice(points) == _reference_face_lattice(points), points
+        assert facets(points) == (_affine_dimension(points), _reference_facets(points)), points
+        assert _lattice(points) == _reference_face_lattice(points), points
 
 
-@pytest.mark.parametrize(
+STRATA = pytest.mark.parametrize(
     "gens,r_max",
     [((3, 4), 6), ((3, 5), 8), ((4, 5), 7)],
     ids=["3x4", "3x5", "4x5"],
 )
+
+
+@STRATA
 def test_face_lattice_matches_reference_on_systems(cells_of, gens, r_max):
+    """Each system's facets are the reference's maximal proper faces, and its
+    vertices are the reference's one-point faces."""
     for r in range(1, r_max + 1):
         for cell in cells_of(gens, r):
             for system in closure_analysis._systems(cell):
-                assert system.faces == _reference_face_lattice(system.uniq_exps)
+                lattice = _reference_face_lattice(system.uniq_exps)
+                assert system.dim == _affine_dimension(system.uniq_exps)
+                assert system.facets == _reference_facets(system.uniq_exps)
+                assert system.vertices == sorted(j for face in lattice if len(face) == 1 for j in face)
 
 
 def test_face_lattice_ignores_point_order():
-    """The faces depend only on the point set, which lets the insertion
-    order be chosen: the lattice of a permuted point list, mapped back, is
-    the same list."""
+    """The facets depend only on the point set: those of a permuted point
+    list, mapped back, are the same."""
     rng = random.Random(37)
     for points in _seeded_point_sets(41, 300):
         order = list(range(len(points)))
         rng.shuffle(order)
-        permuted = face_lattice([points[i] for i in order])
-        back = [frozenset(order[i] for i in face) for face in permuted]
-        assert sorted(back, key=lambda f: (-len(f), sorted(f))) == face_lattice(points)
+        d, permuted = facets([points[i] for i in order])
+        back = sorted(sum(1 << order[i] for i in range(len(points)) if mask >> i & 1) for mask in permuted)
+        assert (d, back) == facets(points)
+
+
+def _reference_candidates(dst, system):
+    """The reference lattice's faces under the candidate tests, each mapped to
+    its normal space, and the faces that only the support test drops."""
+    arrays = system.arrays
+    pivot = {j for _, _, j in arrays.get(dst.pivots, ())}
+    forced = {j for cols, items in arrays.items() if cols not in dst.plucker for _, _, j in items}
+    support = [{j for _, _, j in arrays.get(cols, ())} for cols in dst.plucker]
+    kept, dropped = {}, []
+    for face in _reference_face_lattice(system.uniq_exps):
+        if face.isdisjoint(pivot) or not face.isdisjoint(forced):
+            continue
+        free, solved = closure_analysis._normal_space([system.uniq_exps[j] for j in sorted(face)])
+        if len(solved) < dst.dim:
+            continue
+        if all(not face.isdisjoint(s) for s in support):
+            kept[face] = (free, solved)
+        else:
+            dropped.append(face)
+    return kept, dropped
+
+
+@STRATA
+def test_candidate_faces_match_reference(cells_of, gens, r_max):
+    """For every system and every target of the stratum, the top-down
+    candidates are the reference lattice's faces that meet the target's
+    pivot exponents, meet no forced-zero exponent, have dimension at least
+    the target's and meet every coordinate of the target's support."""
+    for r in range(1, r_max + 1):
+        cells = cells_of(gens, r)
+        for src in cells:
+            for system in closure_analysis._systems(src):
+                for dst in cells:
+                    kept, _ = _reference_candidates(dst, system)
+                    assert closure_analysis._candidate_faces(dst, system) == kept, (r, src.index, dst.index)
+
+
+@STRATA
+def test_support_drops_only_non_viable_faces(cells_of, gens, r_max):
+    """Every face that passes the pivot, forced-zero and dimension tests but
+    misses a support coordinate of the target is judged not viable."""
+    dropped = 0
+    for r in range(1, r_max + 1):
+        cells = cells_of(gens, r)
+        for src in cells:
+            for system in closure_analysis._systems(src):
+                for dst in cells:
+                    _, faces = _reference_candidates(dst, system)
+                    viable = closure_analysis._judge_faces(dst, system)
+                    assert all(viable(face) is None for face in faces), (r, src.index, dst.index)
+                    dropped += len(faces)
+    assert dropped
