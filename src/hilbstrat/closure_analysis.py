@@ -4,44 +4,43 @@ Containment of a cell C' in the closure of C is certified by a
 one-parameter degeneration: each coordinate of C is sent to mu_j * s^{e_j}
 for an integer exponent vector e, the projective limit s -> 0 of the
 Plücker vector is computed exactly, and the limit is matched against the
-symbolic Plücker point of C'.  A match plus a full-rank Jacobian at a
-rational witness point proves the limits sweep out a dense subset of C'.
+symbolic Plücker point of C'.  A match plus a full-rank Jacobian at an
+integer witness point proves the limits sweep out a dense subset of C'.
 
 The limit along e depends only on the face of the source's Newton polytope
 (the convex hull of the exponents of its Plücker coordinates, in one
 coordinate system) on which e is minimal: its initial form.  Each
-coordinate system carries the polytope's dimension, facets (``newton``) and
-vertices; there is no face lattice.  A face is a candidate for the target
-when it meets the exponents of every coordinate of the target's support
-(the limit at a coordinate is the sum of the terms on the face, and a
-dominant map hits points where every such coordinate is nonzero), meets no
-exponent of a coordinate that vanishes on the target, and has affine
-dimension at least dim C' (the limit is invariant under u -> lambda^e * u
-for every e constant on the face, so a smaller face is not dominant).  The
-candidates are generated top-down from the facets, pruned by the support
-and dimension conditions, which every subface inherits.  A candidate is
-viable when its limit matches the target and the matched map is dominant,
-which is one exact test: some maximal minor of its Jacobian is a nonzero
-polynomial.  A system without a viable candidate is dismissed before any
-exponent vector is enumerated.
+coordinate system carries the polytope's dimension and its facets, each
+with a normal minimal exactly on it (``newton``); there is no face
+lattice.  A face is a candidate for the target when it meets the exponents
+of every coordinate of the target's support (the limit at a coordinate is
+the sum of the terms on the face, and a dominant map hits points where
+every such coordinate is nonzero), meets no exponent of a coordinate that
+vanishes on the target, and has affine dimension at least dim C' (the
+limit is invariant under u -> lambda^e * u for every e constant on the
+face, so a smaller face is not dominant).  The candidates are generated
+top-down from the facets, pruned by the support and dimension conditions,
+which every subface inherits.  A candidate is viable when its limit
+matches the target and the matched map is dominant, which is one exact
+test: some maximal minor of its Jacobian is a nonzero polynomial.
 
-Otherwise the search walks the candidates, each through the integer points
-of its own normal space, level by level in L1 norm.  It finds each face's
-first vector: the (L1, lex)-least vector on which exactly that face is
-minimal.  Every face of a polytope has a nonempty open normal cone, so the
-search ends once every candidate has been tried at its first vector.
-Faces are tried in the (L1, lex) order of their first vectors; the first
-whose face is viable and whose witness, seeded from the vector, succeeds
-names the certificate.  That is the vector a scan of all integer vectors
-in (L1, lex) order finds.  An unresolved search reports ``no_face`` when
-no coordinate system tried has a viable face, and ``witness`` when every
-viable face was tried and its witness failed.
+The search judges each system's candidates in generation order and
+certifies at the first viable one, F.  Its exponent vector is e_F, the sum
+of the normals of the facets that contain F: each normal is minimal on its
+facet, so the sum is minimal exactly on their intersection, which is F
+(and e_F = 0 when F is the whole point set).  The witness is the first
+integer point with no zero entry, in (L1, lex) order from (-1, ..., -1),
+where the pivot minor of the limit is nonzero and the Jacobian has full
+rank; the pivot minor times a nonzero maximal minor is a nonzero Laurent
+polynomial, so such a point exists.  Nothing in a verdict depends on a
+seed.  An unresolved search reports ``no_face``: no coordinate system
+tried has a viable face.
 
 Search, replay and limit checks all run on the source cell's one list of
 coordinate systems.  A replay takes the face where the recorded vector is
-minimal, which must be a candidate, and re-runs the judgement and witness
-there, with the seed of the original run; it accepts the certificate only
-if it is well formed and re-derives every recorded field.
+minimal, which must be a viable candidate, and re-derives the witness
+there; it accepts the certificate only if it is well formed and every
+recorded field comes out again.
 
 A stratum's pairs are decided in one pass (``closure_verdicts``) that
 searches only what transitivity leaves open: when (i, k) and (k, j) are
@@ -59,12 +58,11 @@ missing from the source's Plücker point (a map from column sets to the
 nonzero minors only), and, reason ``support``, any other coordinate of the
 target's support missing from it.
 """
-import random
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations, islice
-from math import gcd, lcm
-from operator import and_, mul, or_
+from math import lcm
+from operator import add, mul, or_
 
 from .errors import HilbstratError
 from .gamma_modules import GammaModule, delta_set
@@ -179,7 +177,7 @@ class CoordSystem:
     replacement being invertible.
     """
 
-    __slots__ = ("replacements", "coords", "plucker", "uvars", "arrays", "uniq_exps", "dim", "facets", "vertices")
+    __slots__ = ("replacements", "coords", "plucker", "uvars", "arrays", "uniq_exps", "masks", "dim", "facets", "normals")
 
     def describe(self, family):
         rename = family.display_names
@@ -324,25 +322,26 @@ def _systems(cell):
             q = p.subs(mapping) if mapping else p
             plucker[cols] = ParamPoly({tuple(sorted((to_u[nm], e) for nm, e in key)): c for key, c in q.terms.items()})
         sysm.plucker = plucker
-        sysm.arrays, sysm.uniq_exps = _term_arrays(plucker, sysm.uvars)
-        sysm.dim, sysm.facets = facets(sysm.uniq_exps)
-        # a point is a vertex when the facets through it meet only in it
-        n = len(sysm.uniq_exps)
-        through = ([f for f in sysm.facets if f >> j & 1] for j in range(n))
-        sysm.vertices = [j for j, fs in enumerate(through) if reduce(and_, fs, (1 << n) - 1) == 1 << j]
+        sysm.arrays, sysm.uniq_exps, sysm.masks = _term_arrays(plucker, sysm.uvars)
+        sysm.dim, sysm.facets, sysm.normals = facets(sysm.uniq_exps)
         systems.append(sysm)
     cell.systems_cache = systems
     return systems
 
 
 def _term_arrays(plucker, uvars):
+    """Per coordinate, its terms as (key, coefficient, index of the exponent
+    vector); the distinct exponent vectors; and per coordinate, the bitmask
+    of the indices of its exponent vectors."""
     pos = {u: j for j, u in enumerate(uvars)}
     k = len(uvars)
     uniq = []
     uniq_idx = {}
     arrays = {}
+    masks = {}
     for cols, p in plucker.items():
         items = []
+        mask = 0
         for key, c in p.terms.items():
             vec = [0] * k
             for nm, e in key:
@@ -354,68 +353,10 @@ def _term_arrays(plucker, uvars):
                 uniq_idx[vec] = j
                 uniq.append(vec)
             items.append((key, c, j))
+            mask |= 1 << j
         arrays[cols] = items
-    return arrays, uniq
-
-
-def _fixed_norm_vectors(k, total):
-    """The vectors of Z^k of L1 norm ``total``, in lex order."""
-    if k == 0:
-        if total == 0:
-            yield ()
-        return
-    for v in range(-total, total + 1):
-        for tail in _fixed_norm_vectors(k - 1, total - abs(v)):
-            yield (v,) + tail
-
-
-def _normal_space(points):
-    """The integer vectors e on which every one of ``points`` weighs the same.
-
-    The differences to the first point are reduced, over the integers as in
-    ``newton.facets``, until each row is zero on the pivot columns of
-    the others.  Returns the free columns and, per pivot column p, the row's
-    entry d there and its entries on the free columns: e is in the space iff
-    d * e[p] + sum(c * e[q]) == 0 for every row.
-    """
-    base = points[0]
-    rows = []
-    for point in points[1:]:
-        v = [a - b for a, b in zip(point, base)]
-        for c, row in rows:
-            if v[c]:
-                v = [row[c] * x - v[c] * y for x, y in zip(v, row)]
-        lead = next((c for c, x in enumerate(v) if x), None)
-        if lead is None:
-            continue
-        for i, (c, row) in enumerate(rows):
-            if row[lead]:
-                row = [v[lead] * x - row[lead] * y for x, y in zip(row, v)]
-                g = gcd(*row)
-                rows[i] = (c, [x // g for x in row])
-        g = gcd(*v)
-        rows.append((lead, [x // g for x in v]))
-    pivots = {c for c, _ in rows}
-    free = [q for q in range(len(base)) if q not in pivots]
-    solved = [(c, row[c], [(q, row[q]) for q in free if row[q]]) for c, row in rows]
-    return free, solved
-
-
-def _normal_vectors(free, solved, total):
-    """The integer vectors of a normal space (``_normal_space``) whose free
-    entries have L1 norm ``total``, by the lex order of those."""
-    k = len(free) + len(solved)
-    for part in _fixed_norm_vectors(len(free), total):
-        evec = [0] * k
-        for q, x in zip(free, part):
-            evec[q] = x
-        for p, d, coeffs in solved:
-            num = -sum(c * evec[q] for q, c in coeffs)
-            if num % d:
-                break
-            evec[p] = num // d
-        else:
-            yield tuple(evec)
+        masks[cols] = mask
+    return arrays, uniq, masks
 
 
 def _rank(matrix):
@@ -500,22 +441,35 @@ def _jacobian(n_map, q, dst, uvars):
     return grad
 
 
-def _dominance_witness(grad, q, dst, uvars, seed_str):
-    """Rational point where the induced map onto the target cell has full rank."""
+def _nonzero_points(k, total):
+    """The integer vectors of length k with no zero entry and L1 norm
+    ``total``, in lex order."""
+    if k == 0:
+        if total == 0:
+            yield ()
+        return
+    top = total - (k - 1)
+    for v in range(-top, top + 1):
+        if v:
+            for tail in _nonzero_points(k - 1, total - abs(v)):
+                yield (v,) + tail
+
+
+def _dominance_witness(grad, q, dst, uvars):
+    """The first integer point with no zero entry, in (L1, lex) order from
+    (-1, ..., -1), where the pivot minor q is nonzero and the Jacobian rows
+    ``grad`` have full rank.  There q times some maximal minor is nonzero.
+    On a viable face that product is a nonzero Laurent polynomial, which
+    cannot vanish on a grid infinite in every coordinate, so the walk ends."""
     if dst.dim == 0:
         return {}
-    rng = random.Random(seed_str)
-    for _ in range(8):
-        point = {u: Fraction(rng.choice((-1, 1)) * rng.randint(1, 40), rng.randint(1, 9)) for u in uvars}
-        try:
-            if q.evaluate(point) == 0:
-                continue
-            mat = [[g.evaluate(point) for g in row] for row in grad]
-        except ZeroDivisionError:
-            continue
-        if _rank(mat) == dst.dim:
-            return {u: str(point[u]) for u in uvars}
-    return None
+    total = len(uvars)
+    while True:
+        for values in _nonzero_points(len(uvars), total):
+            point = dict(zip(uvars, values))
+            if q.evaluate(point) and _rank([[g.evaluate(point) for g in row] for row in grad]) == dst.dim:
+                return point
+        total += 1
 
 
 def _has_nonzero_minor(grad):
@@ -549,7 +503,7 @@ def _has_nonzero_minor(grad):
 
 def _candidate_faces(dst, system):
     """The faces of ``system`` that may be viable for the target, each as the
-    set of its points' indices, mapped to its normal space (``_normal_space``).
+    bitmask of its points' indices, in generation order.
 
     A candidate meets the exponents of every coordinate of the target's
     support, the pivot coordinate among them, and no exponent of a
@@ -558,28 +512,26 @@ def _candidate_faces(dst, system):
     constant on the face, so the matched map's rank is at most the face's
     affine dimension, which must be at least dim C'.
 
-    Faces are generated top-down from the whole point set.  The children of
-    a face F are the inclusion-maximal nonempty F & G != F over the facets
-    G, which are the facets of F, each of dimension dim F - 1.  A face is
+    Faces are generated top-down from the whole point set, one dimension at
+    a time, each level in increasing order of the masks.  The children of a
+    face F are the inclusion-maximal nonempty F & G != F over the facets G,
+    which are the facets of F, each of dimension dim F - 1.  A face is
     pruned, with every face below it, only by what passes to its subfaces:
     a dimension below dim C', or no exponent of some support coordinate.
     A forced-zero exponent does not pass down, so such a face is only not
     a candidate itself.
     """
-    uniq = system.uniq_exps
-    masks = {cols: sum({1 << j for _, _, j in items}) for cols, items in system.arrays.items()}
+    masks = system.masks
     forced = reduce(or_, (m for cols, m in masks.items() if cols not in dst.plucker), 0)
     support = [masks.get(cols, 0) for cols in dst.plucker]
-    out = {}
-    level, dim = [(1 << len(uniq)) - 1], system.dim
+    level, dim = [(1 << len(system.uniq_exps)) - 1], system.dim
     while level and dim >= dst.dim:
         below = set()
         for face in level:
             if not all(face & m for m in support):
                 continue
             if not face & forced:
-                points = [j for j in range(len(uniq)) if face >> j & 1]
-                out[frozenset(points)] = _normal_space([uniq[j] for j in points])
+                yield face
             if dim > dst.dim:
                 kids = []
                 for f in sorted({face & g for g in system.facets} - {0, face}, key=int.bit_count, reverse=True):
@@ -587,56 +539,49 @@ def _candidate_faces(dst, system):
                         kids.append(f)
                 below.update(kids)
         level, dim = sorted(below), dim - 1
-    return out
 
 
-def _judge_faces(dst, system):
-    """The viability test of ``system``'s candidate faces for the target, memoized.
+def _face_vector(system, face):
+    """e_F, the sum of the normals of the facets that contain the face F:
+    each normal is minimal on its facet, so the sum is minimal exactly on
+    their intersection, which is F.  It is 0 for the whole point set."""
+    evec = [0] * len(system.uvars)
+    for mask, normal in zip(system.facets, system.normals):
+        if face & mask == face:
+            evec = list(map(add, evec, normal))
+    return evec
 
-    It maps a candidate face (``_candidate_faces``) to the Jacobian rows and
-    pivot minor of the face's limit when the face is viable, and to None
-    otherwise.  A candidate is viable when its limit matches the target and
-    the matched map is dominant.  Only a viable face can give a certificate:
-    at every point the Jacobian's rank is at most its generic rank, so the
-    witness of a non-dominant map always fails.
+
+def _judge(dst, system, face):
+    """The viability test of a candidate face (``_candidate_faces``) for the
+    target: the Jacobian rows and pivot minor of the face's limit when the
+    face is viable, and None otherwise.  A candidate is viable when its
+    limit matches the target and the matched map is dominant.  Only a
+    viable face can give a certificate: at every point the Jacobian's rank
+    is at most its generic rank, so no witness exists for a non-dominant
+    map.
     """
-    arrays = system.arrays
-    judged = {}
-
-    def viable(face):
-        if face not in judged:
-            judged[face] = judge(face)
-        return judged[face]
-
-    def judge(face):
-        limit = {}
-        for cols, items in arrays.items():
-            terms = {key: c for key, c, j in items if j in face}
-            if terms:
-                limit[cols] = ParamPoly(terms)
-        matched = _match_target(limit, dst)
-        if matched is None:
-            return None
-        n_map, q = matched
-        grad = _jacobian(n_map, q, dst, system.uvars)
-        # dominance, check 2, the exact one: some maximal minor is a
-        # nonzero polynomial
-        if not _has_nonzero_minor(grad):
-            return None
-        return grad, q
-
-    return viable
-
-
-def _certify(src, dst, system, sys_idx, judged, evec, seed):
-    """The certificate of the degeneration along ``evec``, whose face was
-    judged viable (``judged`` is its Jacobian rows and pivot minor), or None
-    when the witness seeded from the vector fails."""
-    grad, q = judged
-    seed_str = "%s:%d:%d:%d:%s" % (seed, src.index, dst.index, sys_idx, evec)
-    witness = _dominance_witness(grad, q, dst, system.uvars, seed_str)
-    if witness is None:
+    limit = {}
+    for cols, items in system.arrays.items():
+        terms = {key: c for key, c, j in items if face >> j & 1}
+        if terms:
+            limit[cols] = ParamPoly(terms)
+    matched = _match_target(limit, dst)
+    if matched is None:
         return None
+    n_map, q = matched
+    grad = _jacobian(n_map, q, dst, system.uvars)
+    # dominance, check 2, the exact one: some maximal minor is a nonzero
+    # polynomial
+    if not _has_nonzero_minor(grad):
+        return None
+    return grad, q
+
+
+def _certify(src, dst, system, sys_idx, judged, evec):
+    """The certificate of the degeneration along ``evec``, whose face was
+    judged viable (``judged`` is its Jacobian rows and pivot minor)."""
+    grad, q = judged
     rename = src.family.display_names
     subst = {}
     for coord, u, e in zip(system.coords, system.uvars, evec):
@@ -648,69 +593,27 @@ def _certify(src, dst, system, sys_idx, judged, evec, seed):
         "exponents": list(evec),
         "substitution": subst,
         "target_pivots": list(dst.pivots),
-        "witness": witness,
+        "witness": _dominance_witness(grad, q, dst, system.uvars),
     }
 
 
-def _search_system(src, dst, system, sys_idx, seed):
-    """Certify dst in the closure of src along the (L1, lex)-least vector
-    whose face is viable and whose witness, seeded from the vector,
-    succeeds; each face is tried once, at its first vector.
-
-    Only the candidate faces (``_candidate_faces``) are walked.  Each walks
-    the integer points of its normal space, free entries of L1 norm T at
-    level T = 0, 1, ...; a full vector's norm is at least its free
-    entries', so once level T is walked every vector of norm T in the
-    face's open normal cone is known.  At each level the faces whose first
-    vector has norm T are tried in the lex order of those vectors.  Every
-    face's open normal cone holds an integer vector, so each walk ends at
-    its face's first vector, and the search ends once every candidate has
-    been tried.
-
-    Gives up with reason ``no_face`` before walking any face when no
-    candidate is viable, and with ``witness`` when every viable face's
-    witness failed.
-    """
-    candidates = _candidate_faces(dst, system)
-    viable = _judge_faces(dst, system)
-    if not any(viable(face) for face in candidates):
-        return ClosureVerdict(UNKNOWN, NO_FACE)
-    uniq = system.uniq_exps
-    # a linear form constant on a face is minimal there, and nowhere else,
-    # iff every vertex off the face weighs more
-    live = {  # candidate face -> its normal space, a point on it, the vertices off it
-        face: (free, solved, uniq[min(face)], [uniq[j] for j in system.vertices if j not in face])
-        for face, (free, solved) in candidates.items()
-    }
-    pending = {}  # face -> the least (norm, vector) of its open cone walked so far
-    level = 0
-    while live:
-        for face, (free, solved, base, outside) in live.items():
-            for evec in _normal_vectors(free, solved, level):
-                height = sum(map(mul, evec, base))
-                if all(sum(map(mul, evec, alpha)) > height for alpha in outside):
-                    found = (sum(map(abs, evec)), evec)
-                    if face not in pending or found < pending[face]:
-                        pending[face] = found
-        due = sorted((evec, face) for face, (norm, evec) in pending.items() if norm == level)
-        for evec, face in due:
-            del live[face], pending[face]
-            judged = viable(face)
-            if judged is None:
-                continue
-            cert = _certify(src, dst, system, sys_idx, judged, evec, seed)
-            if cert is not None:
-                return ClosureVerdict(CONTAINED, "degeneration", cert)
-        level += 1
-    return ClosureVerdict(UNKNOWN, "witness")
+def _search_system(src, dst, system, sys_idx):
+    """The certificate of the first viable candidate face of ``system``, in
+    generation order (``_candidate_faces``, ``_judge``), along its vector
+    e_F (``_face_vector``); None when no candidate is viable."""
+    for face in _candidate_faces(dst, system):
+        judged = _judge(dst, system, face)
+        if judged is not None:
+            return _certify(src, dst, system, sys_idx, judged, _face_vector(system, face))
+    return None
 
 
-def cell_closure_contains(src, dst, seed=42):
+def cell_closure_contains(src, dst):
     """Decide whether the target cell lies in the closure of the source cell.
 
     The systems of ``_systems(src)`` are searched in order
-    (``_search_system``); an unknown is ``no_face`` when no system has a
-    viable face, and ``witness`` otherwise.
+    (``_search_system``); an unknown is ``no_face``: no system has a viable
+    face.
     """
     same = src.module.gap_set == dst.module.gap_set
     if not same and dst.dim >= src.dim:
@@ -725,19 +628,14 @@ def cell_closure_contains(src, dst, seed=42):
     if any(cols not in src.plucker for cols in dst.plucker):
         # the same for any coordinate of the target's support
         return ClosureVerdict(NOT_CONTAINED, "support")
-    reasons = set()
     for sys_idx, system in enumerate(_systems(src)):
-        verdict = _search_system(src, dst, system, sys_idx, seed)
-        if verdict.status == CONTAINED:
-            return verdict
-        reasons.add(verdict.reason)
-    if reasons == {NO_FACE}:
-        # no exponent vector of any system tried can certify
-        return ClosureVerdict(UNKNOWN, NO_FACE)
-    return ClosureVerdict(UNKNOWN, "witness")
+        cert = _search_system(src, dst, system, sys_idx)
+        if cert is not None:
+            return ClosureVerdict(CONTAINED, "degeneration", cert)
+    return ClosureVerdict(UNKNOWN, NO_FACE)
 
 
-def closure_verdicts(cells, seed=42):
+def closure_verdicts(cells):
     """The verdict on every ordered pair of a stratum's cells (``cells[i]``
     has index i), keyed (i, j) in sorted order.
 
@@ -760,7 +658,7 @@ def closure_verdicts(cells, seed=42):
                 continue
             k = next((k for k in range(n) if (i, k) in contained and (k, j) in contained), None)
             if k is None:
-                verdict = cell_closure_contains(cells[i], cells[j], seed=seed)
+                verdict = cell_closure_contains(cells[i], cells[j])
             else:
                 links = [verdicts[i, k].certificate, verdicts[k, j].certificate]
                 cert = {"via": k, "gaps": list(cells[k].module.gap_set), "links": links}
@@ -771,7 +669,7 @@ def closure_verdicts(cells, seed=42):
     return dict(sorted(verdicts.items()))
 
 
-def _replay_chain(src, dst, certificate, seed):
+def _replay_chain(src, dst, certificate):
     """Replay a ``chain`` certificate: rebuild the intermediate cell from its
     recorded gap set (sorted, as recorded), with the recorded index, and
     replay both links through it.  The cell is built at truncation margin 0:
@@ -792,25 +690,26 @@ def _replay_chain(src, dst, certificate, seed):
         mid = build_cell(sg, module, src.r, index=via)
     except HilbstratError:
         return False
-    return replay_certificate(src, mid, links[0], seed) and replay_certificate(mid, dst, links[1], seed)
+    return replay_certificate(src, mid, links[0]) and replay_certificate(mid, dst, links[1])
 
 
-def replay_certificate(src, dst, certificate, seed=42):
-    """Re-run the recorded degeneration with the seed of the original run;
-    True iff it certifies again and re-derives every recorded field.
+def replay_certificate(src, dst, certificate, seed=None):
+    """Re-run the recorded degeneration; True iff it certifies again and
+    re-derives every recorded field.
 
     The recorded vector's face is where it is minimal over ``uniq_exps``;
-    the face must be a viable candidate and the witness seeded from the
-    vector must succeed.  A ``chain`` certificate (exactly the keys
+    the face must be a viable candidate, and the witness is re-derived
+    there.  A ``chain`` certificate (exactly the keys
     ``via``, ``gaps`` and ``links``) replays when its gap set is that of a
     third cell of the stratum, of colength r, and both links replay through
     that cell (``_replay_chain``).  A certificate read from outside may be
     malformed: anything but a dict with the six fields, an ``int`` system
     index and a list of ``int`` exponents, or a well-formed chain, replays
-    False.
+    False.  ``seed`` is accepted for old callers and ignored: nothing in a
+    certificate depends on one.
     """
     if isinstance(certificate, dict) and certificate.keys() == CHAIN_KEYS:
-        return _replay_chain(src, dst, certificate, seed)
+        return _replay_chain(src, dst, certificate)
     if not isinstance(certificate, dict) or any(key not in certificate for key in CERTIFICATE_KEYS):
         return False
     sys_idx = certificate["system"]
@@ -823,11 +722,12 @@ def replay_certificate(src, dst, certificate, seed=42):
         return False
     system = systems[sys_idx]
     dots = [sum(map(mul, evec, alpha)) for alpha in system.uniq_exps]
-    face = frozenset(j for j, d in enumerate(dots) if d == min(dots))
+    low = min(dots)
+    face = sum(1 << j for j, d in enumerate(dots) if d == low)
     if face not in _candidate_faces(dst, system):
         return False
-    judged = _judge_faces(dst, system)(face)
-    return judged is not None and _certify(src, dst, system, sys_idx, judged, evec, seed) == certificate
+    judged = _judge(dst, system, face)
+    return judged is not None and _certify(src, dst, system, sys_idx, judged, evec) == certificate
 
 
 def degeneration_limit(src, system_index, exponents):

@@ -14,6 +14,9 @@ pair across the plane gives the positive combination that vanishes there.
 Two rays are adjacent by the combinatorial test: no other ray's zero set
 contains their common zero set.  Each ray keeps as its zero set every point
 added so far on its plane, so at the end that set is its facet's point set.
+A ray's linear part, padded with zeros onto the points' own coordinates, is
+its facet's normal: a linear form minimal over the points exactly on the
+facet.
 """
 
 from math import gcd
@@ -50,9 +53,11 @@ def _primitive(vector):
 
 
 def facets(points):
-    """(d, masks): the affine dimension d of conv(points) and, for each facet,
-    the bitmask of the indices of every point on it, not only its vertices,
-    in increasing order.  A hull of dimension 0 has no facet."""
+    """(d, masks, normals): the affine dimension d of conv(points) and, for
+    each facet, in increasing order of the masks, the bitmask of the indices
+    of every point on it, not only its vertices, and its normal: an integer
+    vector n, as long as a point, such that n . p takes its minimum over the
+    points exactly on the facet.  A hull of dimension 0 has no facet."""
     base = points[0]
     # an echelon basis of the differences: each row is zero on the pivot
     # columns of the rows before it, so reducing in order clears them all
@@ -69,7 +74,7 @@ def facets(points):
             simplex.append(i)
     d = len(echelon)
     if not d:
-        return 0, []
+        return 0, [], []
     homog = [[1] + [p[c] for c, _ in echelon] for p in points]
     corners = sum(1 << i for i in simplex)
     rays = []  # (primitive normal a, bitmask of the points added so far with a . v == 0)
@@ -98,4 +103,11 @@ def facets(points):
                         continue
                     fresh.append((_primitive([xp * y - xm * w for y, w in zip(am, ap)]), common | bit))
         rays = [(a, z | bit if x == 0 else z) for x, a, z in signed if x >= 0] + fresh
-    return d, sorted(z for _, z in rays)
+    masks, normals = [], []
+    for a, z in sorted(rays, key=lambda ray: ray[1]):
+        normal = [0] * len(points[0])
+        for (c, _), x in zip(echelon, a[1:]):
+            normal[c] = x
+        masks.append(z)
+        normals.append(normal)
+    return d, masks, normals

@@ -3,8 +3,10 @@
 The report pipeline strings the lower layers together: enumerate the
 Γ-modules of each colength, build canonical families and Grassmannian
 cells, decide pairwise closures, and aggregate components.  Output is an
-aligned text table or a versioned JSON document; byte-determinism for a
-fixed seed is part of the contract.
+aligned text table or a versioned JSON document.  Nothing in it depends on
+a seed, so the output, certificates included, is byte-identical for fixed
+inputs.  Only the brute-force oracle samples random points, from its own
+seed.
 """
 
 import argparse
@@ -24,14 +26,13 @@ SCHEMA_VERSION = 1
 
 class ReportConfig:
     """Settings shared by every stratum computation: the truncation margin of
-    the canonical families and the seed of the dominance witnesses.  The
-    closure search itself takes no setting."""
+    the canonical families.  The closure search itself takes no setting.
+    ``seed`` is accepted for old callers and ignored."""
 
-    __slots__ = ("trunc_margin", "seed")
+    __slots__ = ("trunc_margin",)
 
-    def __init__(self, trunc_margin=0, seed=42):
+    def __init__(self, trunc_margin=0, seed=None):
         self.trunc_margin = trunc_margin
-        self.seed = seed
 
 
 def canonical_delta_labels(sg, r_max=None):
@@ -115,7 +116,7 @@ def stratify(sg, r, config=None, labels=None):
         cell = build_cell(sg, module, r, index=i, margin=config.trunc_margin)
         cell.label = label_of.get(cell.delta, "Δ_?")
         cells.append(cell)
-    verdicts = closure_verdicts(cells, seed=config.seed)
+    verdicts = closure_verdicts(cells)
     section = StratumSection.__new__(StratumSection)
     section.r = r
     section.cells = cells
@@ -396,7 +397,6 @@ def main(argv=None):
     which.add_argument("--r", type=int, default=None, help="analyze a single stratum")
     parser.add_argument("--format", choices=("table", "json"), default="table")
     parser.add_argument("--trunc-margin", type=int, default=0)
-    parser.add_argument("--seed", type=int, default=42)
     parser.add_argument(
         "--oracle-check",
         action="store_true",
@@ -415,14 +415,14 @@ def main(argv=None):
 
     if args.oracle_check:
         r_max = args.r or args.max_r
-        diff = oracle_check(sg, r_max=r_max, seed=args.seed)
+        diff = oracle_check(sg, r_max=r_max)
         sys.stdout.write(json.dumps(diff, indent=2) + "\n")
         if not diff["ok"]:
             print("hilbstrat: oracle mismatch", file=sys.stderr)
             return 1
         return 0
 
-    config = ReportConfig(trunc_margin=args.trunc_margin, seed=args.seed)
+    config = ReportConfig(trunc_margin=args.trunc_margin)
     try:
         if args.r is not None:
             report = analyze(sg, config=config, rs=[args.r])

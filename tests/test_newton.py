@@ -1,9 +1,11 @@
-"""Facets of integer point sets, checked against known polytopes and
-against the beneath-beyond face lattice they replaced, which is also
-checked against the faces that exponent vectors actually select; candidate
-faces, checked against that lattice under the candidate tests."""
+"""Facets of integer point sets and their normals, checked against known
+polytopes and against the beneath-beyond face lattice they replaced, which
+is also checked against the faces that exponent vectors actually select;
+candidate faces, checked against that lattice under the candidate tests,
+and the vector e_F of each, checked to be minimal exactly on its face."""
 
 import random
+from fractions import Fraction
 from itertools import product
 from math import gcd
 
@@ -17,7 +19,7 @@ def _lattice(points):
     """The point set of every nonempty face of conv(points), as frozensets:
     the facets closed under intersection, and the whole set.  Faces come
     largest first, ties broken by their sorted indices."""
-    _, masks = facets(points)
+    _, masks, _ = facets(points)
     faces = set(masks)
     fresh = faces
     while fresh:
@@ -58,7 +60,7 @@ def test_simplex_faces(d):
 
 def test_collinear_points_give_a_segment():
     points = [(2, 4, 6), (0, 0, 0), (3, 6, 9), (1, 2, 3)]
-    assert facets(points) == (1, [1 << 1, 1 << 2])
+    assert facets(points) == (1, [1 << 1, 1 << 2], [[1, 0, 0], [-1, 0, 0]])
 
 
 def test_coplanar_points_give_a_polygon():
@@ -252,14 +254,36 @@ def _reference_facets(points):
 
 
 def _affine_dimension(points):
-    return len(closure_analysis._normal_space(points)[1])
+    """The rank of the differences to the first point, by elimination over
+    the rationals."""
+    rows = [[Fraction(a - b) for a, b in zip(p, points[0])] for p in points[1:]]
+    rank = 0
+    for c in range(len(points[0])):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / rows[rank][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _argmin_mask(vector, points):
+    """The bitmask of the points on which the linear form ``vector`` is minimal."""
+    dots = [_dot(vector, p) for p in points]
+    low = min(dots)
+    return sum(1 << i for i, x in enumerate(dots) if x == low)
 
 
 def test_face_lattice_matches_reference_on_seeded_points():
     """The facets are the reference's maximal proper faces, and they generate
-    its whole lattice."""
+    its whole lattice; each facet's normal is minimal exactly on it."""
     for points in _seeded_point_sets(31, 400):
-        assert facets(points) == (_affine_dimension(points), _reference_facets(points)), points
+        d, masks, normals = facets(points)
+        assert (d, masks) == (_affine_dimension(points), _reference_facets(points)), points
+        assert [_argmin_mask(n, points) for n in normals] == masks, points
         assert _lattice(points) == _reference_face_lattice(points), points
 
 
@@ -272,15 +296,15 @@ STRATA = pytest.mark.parametrize(
 
 @STRATA
 def test_face_lattice_matches_reference_on_systems(cells_of, gens, r_max):
-    """Each system's facets are the reference's maximal proper faces, and its
-    vertices are the reference's one-point faces."""
+    """Each system's facets are the reference's maximal proper faces, and
+    each facet's normal is minimal exactly on it."""
     for r in range(1, r_max + 1):
         for cell in cells_of(gens, r):
             for system in closure_analysis._systems(cell):
-                lattice = _reference_face_lattice(system.uniq_exps)
-                assert system.dim == _affine_dimension(system.uniq_exps)
-                assert system.facets == _reference_facets(system.uniq_exps)
-                assert system.vertices == sorted(j for face in lattice if len(face) == 1 for j in face)
+                points = system.uniq_exps
+                assert system.dim == _affine_dimension(points)
+                assert system.facets == _reference_facets(points)
+                assert [_argmin_mask(n, points) for n in system.normals] == system.facets
 
 
 def test_face_lattice_ignores_point_order():
@@ -290,29 +314,29 @@ def test_face_lattice_ignores_point_order():
     for points in _seeded_point_sets(41, 300):
         order = list(range(len(points)))
         rng.shuffle(order)
-        d, permuted = facets([points[i] for i in order])
+        d, permuted, _ = facets([points[i] for i in order])
         back = sorted(sum(1 << order[i] for i in range(len(points)) if mask >> i & 1) for mask in permuted)
-        assert (d, back) == facets(points)
+        assert (d, back) == facets(points)[:2]
 
 
 def _reference_candidates(dst, system):
-    """The reference lattice's faces under the candidate tests, each mapped to
-    its normal space, and the faces that only the support test drops."""
+    """The reference lattice's faces under the candidate tests, and the faces
+    that only the support test drops, as bitmasks."""
     arrays = system.arrays
     pivot = {j for _, _, j in arrays.get(dst.pivots, ())}
     forced = {j for cols, items in arrays.items() if cols not in dst.plucker for _, _, j in items}
     support = [{j for _, _, j in arrays.get(cols, ())} for cols in dst.plucker]
-    kept, dropped = {}, []
+    kept, dropped = set(), []
     for face in _reference_face_lattice(system.uniq_exps):
         if face.isdisjoint(pivot) or not face.isdisjoint(forced):
             continue
-        free, solved = closure_analysis._normal_space([system.uniq_exps[j] for j in sorted(face)])
-        if len(solved) < dst.dim:
+        if _affine_dimension([system.uniq_exps[j] for j in sorted(face)]) < dst.dim:
             continue
+        mask = sum(1 << j for j in face)
         if all(not face.isdisjoint(s) for s in support):
-            kept[face] = (free, solved)
+            kept.add(mask)
         else:
-            dropped.append(face)
+            dropped.append(mask)
     return kept, dropped
 
 
@@ -321,14 +345,31 @@ def test_candidate_faces_match_reference(cells_of, gens, r_max):
     """For every system and every target of the stratum, the top-down
     candidates are the reference lattice's faces that meet the target's
     pivot exponents, meet no forced-zero exponent, have dimension at least
-    the target's and meet every coordinate of the target's support."""
+    the target's and meet every coordinate of the target's support, each
+    once."""
     for r in range(1, r_max + 1):
         cells = cells_of(gens, r)
         for src in cells:
             for system in closure_analysis._systems(src):
                 for dst in cells:
                     kept, _ = _reference_candidates(dst, system)
-                    assert closure_analysis._candidate_faces(dst, system) == kept, (r, src.index, dst.index)
+                    faces = list(closure_analysis._candidate_faces(dst, system))
+                    assert len(faces) == len(set(faces)), (r, src.index, dst.index)
+                    assert set(faces) == kept, (r, src.index, dst.index)
+
+
+@STRATA
+def test_face_vector_is_minimal_exactly_on_its_face(cells_of, gens, r_max):
+    """For every candidate face F of every system and target, e_F, the sum of
+    the normals of the facets through F, has F as its argmin."""
+    for r in range(1, r_max + 1):
+        cells = cells_of(gens, r)
+        for src in cells:
+            for system in closure_analysis._systems(src):
+                faces = {f for dst in cells for f in closure_analysis._candidate_faces(dst, system)}
+                for face in faces:
+                    evec = closure_analysis._face_vector(system, face)
+                    assert _argmin_mask(evec, system.uniq_exps) == face, (r, src.index, face)
 
 
 @STRATA
@@ -342,7 +383,6 @@ def test_support_drops_only_non_viable_faces(cells_of, gens, r_max):
             for system in closure_analysis._systems(src):
                 for dst in cells:
                     _, faces = _reference_candidates(dst, system)
-                    viable = closure_analysis._judge_faces(dst, system)
-                    assert all(viable(face) is None for face in faces), (r, src.index, dst.index)
+                    assert all(closure_analysis._judge(dst, system, face) is None for face in faces), (r, src.index, dst.index)
                     dropped += len(faces)
     assert dropped
