@@ -158,7 +158,7 @@ def _entry_minors(cell):
         g = module.min_generators[gi]
         ri = cell.pivots.index(g - cell.r)
         col = c - cell.r
-        entry = cell.rows[ri][col]
+        entry = cell.rows[ri].get(col)
         if entry != ParamPoly.variable(name):  # pragma: no cover - seed rows are unreduced
             raise AssertionError("expected bare %s at row %d col %d" % (name, ri, col))
         cols = tuple(sorted([p for k, p in enumerate(cell.pivots) if k != ri] + [col]))

@@ -8,8 +8,10 @@ Each cell is the set of ideals I ⊆ k[[Γ]] whose order set is a prescribed
 one per minimal generator g_i of S, with c running over the gaps of S
 (elements of Γ∖S) above g_i.  Coefficient relations forced by the module
 structure are eliminated symbolically; the survivors are free coordinates
-on the cell.  Its Plücker point is computed from sparse chart minors, in
-lexicographic column-set order (``plucker_point``).
+on the cell.  Each row of its δ × 2δ cell matrix keeps only its nonzero
+entries, as a dict {column: entry} (``cell_matrix``), and its Plücker
+point is computed from sparse chart minors over them, in lexicographic
+column-set order (``plucker_point``).
 """
 
 from fractions import Fraction
@@ -271,10 +273,13 @@ def canonical_family(sg, module, truncation=None, margin=0):
 
 
 def cell_matrix(family, r):
-    """Reduced unit-pivot echelon basis of t^{-r}·I modulo t^{2δ}.
+    """Reduced unit-pivot echelon basis of t^{-r}·I modulo t^{2δ}, as sparse rows.
 
-    Rows are the normal forms of orders in S ∩ [r, r+2δ), shifted down by
-    r; pivots sit exactly at the Δ-set columns.
+    Row i is the normal form of the i-th order s of S ∩ [r, r+2δ), shifted
+    down by r and read off the family's coefficients: a dict {column: entry}
+    holding only the nonzero entries, in ascending column order.  Its first
+    key is its pivot s − r, with entry 1, and no other row has that column;
+    the pivots are the Δ-set columns.
     """
     module = family.module
     sg = module.ambient
@@ -289,31 +294,29 @@ def cell_matrix(family, r):
         raise TruncationTooSmall(
             "truncation %d below Plücker window end %d" % (family.truncation, r + dd)
         )
+    end = r + dd
     rows = []
     for s in orders:
-        shifted = family.normal_forms[s].shift(-r)
-        rows.append([shifted.coeff(e) for e in range(dd)])
+        coeffs = family.normal_forms[s].coeffs
+        rows.append({e - r: coeffs[e] for e in sorted(coeffs) if e < end})
     pivots = tuple(s - r for s in orders)
     one = ParamPoly.one()
-    for i, p in enumerate(pivots):
-        if rows[i][p] != one:
+    for i, (row, p) in enumerate(zip(rows, pivots)):
+        if row.get(p) != one:
             raise PivotLoss("row %d has no unit pivot at column %d" % (i, p))
-        for e in range(p):
-            if not rows[i][e].is_zero():
-                raise PivotLoss("row %d has support below its pivot" % i)
-        for k in range(len(pivots)):
-            if k != i and not rows[k][p].is_zero():
-                raise PivotLoss("pivot column %d not reduced" % p)
+        if next(iter(row)) != p:
+            raise PivotLoss("row %d has support below its pivot" % i)
+        if any(p in other for k, other in enumerate(rows) if k != i):
+            raise PivotLoss("pivot column %d not reduced" % p)
     return rows, pivots
 
 
 def minor_support(rows):
-    """Column sets, in lexicographic order, on which the δ×δ minor of
-    ``rows`` has a nonzero term.  A DFS over the rows, memoised on (row,
-    columns used): its cost grows with the support, not with the matchings.
+    """Column sets, in lexicographic order, on which the δ×δ minor of the
+    sparse ``rows`` has a nonzero term.  A DFS over the rows' keys, memoised
+    on (row, columns used): its cost grows with the support, not with the
+    matchings.
     """
-    nonzero = [[c for c, q in enumerate(row) if not q.is_zero()] for row in rows]
-
     @cache
     def tails(i, used):
         # bitmasks of the columns that rows i, i+1, ... can take besides ``used``
@@ -321,7 +324,7 @@ def minor_support(rows):
             return {0}
         return {
             1 << c | t
-            for c in nonzero[i]
+            for c in rows[i]
             if not used >> c & 1
             for t in tails(i + 1, used | 1 << c)
         }
@@ -330,14 +333,15 @@ def minor_support(rows):
 
 
 def plucker_point(rows, pivots, support):
-    """The δ×δ minors of the cell matrix ``rows`` (from ``cell_matrix``) on
-    the column sets ``support`` (from ``minor_support``), in that order; one
-    can still cancel to zero.
+    """The δ×δ minors of the sparse cell matrix ``rows`` (from
+    ``cell_matrix``) on the column sets ``support`` (from ``minor_support``),
+    in that order; one can still cancel to zero.
 
     No other row reaches a pivot column, so a row whose pivot is in the set
     must take it: each minor is ± a chart minor, of the rows without their
-    pivot on the non-pivot columns.  The expansion along the first row is
-    memoised on the columns left, so the minors share their sub-minors.
+    pivot on the non-pivot columns.  The expansion along the first row runs
+    over that row's stored entries and is memoised on the columns left, so
+    the minors share their sub-minors.
     """
     @cache
     def minor(cols):
@@ -345,11 +349,13 @@ def plucker_point(rows, pivots, support):
         if not cols:
             return ParamPoly.one()
         i = len(rows) - cols.bit_count()
+        row = rows[i]
+        p = pivots[i]
         total = ParamPoly.zero()
-        for c in [pivots[i]] if cols >> pivots[i] & 1 else range(len(rows[i])):
+        for c, q in [(p, row[p])] if cols >> p & 1 else row.items():
             bit = 1 << c
-            if cols & bit and not rows[i][c].is_zero():
-                term = rows[i][c] * minor(cols ^ bit)
+            if cols & bit:
+                term = q * minor(cols ^ bit)
                 total = total - term if (cols & (bit - 1)).bit_count() & 1 else total + term
         return total
 
@@ -357,26 +363,25 @@ def plucker_point(rows, pivots, support):
 
 
 def reduce_against(rows, pivots, vector):
-    """Reduce a coordinate vector by a reduced unit-pivot echelon basis."""
-    out = list(vector)
-    for i, p in enumerate(pivots):
-        c = out[p]
-        if not c.is_zero():
-            row = rows[i]
-            out = [out[k] - c * row[k] for k in range(len(out))]
-    return out
+    """Reduce a sparse coordinate vector {column: entry} by a sparse reduced
+    unit-pivot echelon basis; the remainder keeps only its nonzero entries."""
+    zero = ParamPoly.zero()
+    out = dict(vector)
+    for row, p in zip(rows, pivots):
+        c = out.get(p)
+        if c is not None:
+            for k, q in row.items():
+                out[k] = out.get(k, zero) - c * q
+    return {k: v for k, v in out.items() if not v.is_zero()}
 
 
 def is_good_subspace(rows, pivots, sg):
-    """Check the 𝒪-submodule condition: each t^{a_j} maps the span into itself."""
-    dd = len(rows[0])
-    zero = ParamPoly.zero()
+    """Check the 𝒪-submodule condition on sparse rows: each t^{a_j} maps the
+    span into itself modulo t^{2δ}."""
+    dd = 2 * sg.delta
     for a in sg.gens:
         for row in rows:
-            shifted = [zero] * dd
-            for e in range(dd - a):
-                shifted[e + a] = row[e]
-            rem = reduce_against(rows, pivots, shifted)
-            if any(not q.is_zero() for q in rem):
+            shifted = {e + a: q for e, q in row.items() if e + a < dd}
+            if reduce_against(rows, pivots, shifted):
                 return False
     return True

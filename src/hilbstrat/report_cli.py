@@ -9,7 +9,6 @@ inputs.  Only the brute-force oracle samples random points, from its own
 seed.
 """
 
-import argparse
 import json
 import random
 import sys
@@ -386,6 +385,8 @@ def _parse_gens(text):
 
 
 def main(argv=None):
+    import argparse  # only the command line needs it; keeps it out of ``import hilbstrat``
+
     parser = argparse.ArgumentParser(
         prog="hilbstrat",
         description="Stratify punctual Hilbert schemes of a monomial curve "

@@ -619,6 +619,40 @@ def _reference_rank(matrix):
     return rank
 
 
+@pytest.mark.parametrize(
+    "gens",
+    [(3, 4), (3, 5), (3, 4, 5), (3, 5, 7), (4, 5, 6), (4, 5, 7)],
+    ids=["E6", "E8", "3x4x5", "3x5x7", "4x5x6", "4x5x7"],
+)
+def test_closure_relation_is_stable_beyond_the_conductor(gens):
+    """The verdict statuses, keyed by the Δ-sets of the two cells, are the
+    same at r = c, c + 1 and c + 2, with c the conductor, and none is
+    unknown.
+
+    ℳ_r embeds in G(δ, 2δ) by I ↦ V = t^{-r}I mod t^{2δ}, the row space of
+    the cell matrix, and the cell of I is the set of V with pivot set Δ.
+    For r ≥ c the image is every δ-dimensional V stable under Γ's
+    generators: M = V + t^{2δ}k[[t]] is then an 𝒪-module of codimension δ
+    in k[[t]], and t^r·M lies in t^c·k[[t]] ⊆ 𝒪 with colength
+    (r + δ) − δ = r.  So ℳ_r and ℳ_c have the same image, the cells with
+    the same Δ-set are the same subset of it, and so are their closures
+    (Pfister–Steenbrink, J. Pure Appl. Algebra 77, 1992, for ℳ_r ≅ ℳ_c).
+    The check shares nothing with the search at r = c: another r gives
+    other families, cell matrices, Plücker coordinates and searches."""
+    sg = NumericalSemigroup(gens)
+    c = sg.conductor
+
+    def statuses(r):
+        section = stratify(sg, r)
+        cells = section.cells
+        return {(cells[i].delta, cells[j].delta): v.status for (i, j), v in section.verdicts.items()}
+
+    base = statuses(c)
+    assert UNKNOWN not in base.values()
+    for r in (c + 1, c + 2):
+        assert statuses(r) == base, r
+
+
 def test_rank_matches_fraction_gauss_jordan():
     """The fraction-free rank agrees with plain rational elimination on
     integer, rational and mixed matrices, with zero and dependent rows, wide

@@ -23,6 +23,7 @@ from hilbstrat import closure_analysis, ideal_cells
 from hilbstrat.closure_analysis import _rank
 from hilbstrat.errors import CardinalityMismatch, TruncationTooSmall
 from hilbstrat.ideal_cells import minor_support
+from hilbstrat.report_cli import specialized_orders
 
 E6 = NumericalSemigroup((3, 4))
 E8 = NumericalSemigroup((3, 5))
@@ -96,12 +97,17 @@ def test_cell_dimension_is_jacobian_rank(sg, r):
     The cell matrix entries are affine coordinates on a Grassmannian chart,
     so the cell's dimension is the generic rank of their Jacobian in the
     free parameters; the largest rank at three seeded rational points must
-    equal the number of free parameters the elimination left."""
+    equal the number of free parameters the elimination left.  The rows
+    store only their nonzero entries; an entry left out has zero gradient.
+
+    Every point of the cell has the order set S, so at each point the
+    specialized family's orders up to the module's conductor are those of
+    S, found by row reduction over the rationals, not by the elimination."""
     rng = random.Random("jacobian-%s-%d" % (sg.gens, r))
     for m in enumerate_colength(sg, r):
         f = canonical_family(sg, m)
         rows, _ = cell_matrix(f, r)
-        entries = [e for row in rows for e in row]
+        entries = [e for row in rows for e in row.values()]
         grad = [[e.derivative(p) for p in f.free_params] for e in entries]
         ranks = []
         for _ in range(3):
@@ -110,6 +116,7 @@ def test_cell_dimension_is_jacobian_rank(sg, r):
                 for p in f.free_params
             }
             ranks.append(_rank([[g.evaluate(point) for g in row] for row in grad]))
+            assert specialized_orders(f, point) == tuple(m.members_below(m.conductor + 1)), (m.gap_set, point)
         assert max(ranks) == f.dimension, (m.gap_set, ranks, f.dimension)
 
 
@@ -271,14 +278,41 @@ def test_plucker_map_matches_dense_minors(cells_of, gens, r):
             p: Fraction(rng.randint(-1000, 1000), rng.randint(1, 97))
             for p in cell.family.free_params
         }
-        rows = [[e.evaluate(point) for e in row] for row in cell.rows]
-        for cols in combinations(range(len(rows[0])), len(rows)):
+        dd = 2 * len(cell.rows)
+        rows = [[row[c].evaluate(point) if c in row else Fraction(0) for c in range(dd)] for row in cell.rows]
+        for cols in combinations(range(dd), len(rows)):
             minor = _fraction_det([[row[c] for c in cols] for row in rows])
             stored = cell.plucker.get(cols)
             if stored is None:
                 assert minor == 0, (cell.module.gap_set, cols)
             else:
                 assert stored.evaluate(point) == minor, (cell.module.gap_set, cols)
+
+
+@pytest.mark.parametrize(
+    "gens,r",
+    [((3, 4), r) for r in range(1, 7)]
+    + [((3, 5), r) for r in range(1, 9)]
+    + [((4, 7), r) for r in range(1, 4)]
+    + [((5, 6), r) for r in range(1, 5)],
+    ids=lambda v: "r%d" % v if isinstance(v, int) else "x".join(map(str, v)),
+)
+def test_sparse_rows_match_dense_construction(cells_of, gens, r):
+    """Each cell-matrix row stores exactly its nonzero entries, in ascending
+    column order.  Densified, the rows are the reference construction: the
+    normal form of each order of S in [r, r + 2δ), shifted down by r and
+    read at every column of [0, 2δ)."""
+    for cell in cells_of(gens, r):
+        family = cell.family
+        dd = 2 * family.module.ambient.delta
+        orders = [s for s in range(r, r + dd) if s in cell.module]
+        dense = [[family.normal_forms[s].shift(-r).coeff(e) for e in range(dd)] for s in orders]
+        assert cell.pivots == tuple(s - r for s in orders)
+        assert len(cell.rows) == len(dense)
+        for row, ref in zip(cell.rows, dense):
+            assert list(row) == sorted(row), (cell.module.gap_set, list(row))
+            assert all(not q.is_zero() for q in row.values()), cell.module.gap_set
+            assert [row.get(e, ParamPoly.zero()) for e in range(dd)] == ref, cell.module.gap_set
 
 
 @pytest.mark.parametrize(
@@ -317,8 +351,9 @@ def test_goodness_of_fixture_cells(sg, gaps, r):
 def test_tampered_rows_are_not_good():
     f = canonical_family(E6, GammaModule(E6, (0, 3, 4)))
     rows, pivots = cell_matrix(f, 3)
-    bad = [row[:] for row in rows]
-    bad[0][0] = ParamPoly.one()
+    assert is_good_subspace(rows, pivots, E6)
+    assert 0 not in rows[0]
+    bad = [{0: ParamPoly.one(), **rows[0]}] + rows[1:]
     assert not is_good_subspace(bad, pivots, E6)
 
 

@@ -109,6 +109,17 @@ def test_e6_e8_output_is_pinned():
     assert reasons["degeneration"] == 48 and reasons["chain"] == 37
 
 
+def test_wide_report_is_pinned(capsys):
+    """sha256 of the ⟨4,7⟩ report for r ≤ 3 (δ = 9): the wide, sparse cell
+    matrices, 9 rows of 18 columns.  The command line's JSON output is the
+    same text."""
+    text = analyze(NumericalSemigroup((4, 7)), r_max=3).to_json()
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "84677ce6e65c19719509a398eec69f3d061454ce086d2b1684fdc6120cc09c85"
+    assert main(["--gens", "4,7", "--max-r", "3", "--format", "json"]) == 0
+    assert capsys.readouterr().out == text
+
+
 def test_report_schema():
     rep = analyze(E6, r_max=2)
     d = rep.to_dict()
