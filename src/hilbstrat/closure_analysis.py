@@ -124,13 +124,13 @@ class StratCell:
         return "StratCell(r=%d, S=%r)" % (self.r, self.module)
 
 
-def build_cell(sg, module, r, index=0, margin=0):
+def build_cell(sg, module, r, index=0):
     cell = StratCell.__new__(StratCell)
     cell.index = index
     cell.label = None
     cell.r = r
     cell.module = module
-    cell.family = canonical_family(sg, module, margin=margin)
+    cell.family = canonical_family(sg, module)
     cell.delta = delta_set(module, r)
     cell.schubert = schubert_index(cell.delta)
     cell.rows, cell.pivots = cell_matrix(cell.family, r)
@@ -672,9 +672,8 @@ def closure_verdicts(cells):
 def _replay_chain(src, dst, certificate):
     """Replay a ``chain`` certificate: rebuild the intermediate cell from its
     recorded gap set (sorted, as recorded), with the recorded index, and
-    replay both links through it.  The cell is built at truncation margin 0:
-    no order at or above a module's conductor enters its family, so the
-    margin of the original run does not change the cell."""
+    replay both links through it.  Building a cell takes no setting, so
+    the rebuilt cell is the one the original run used."""
     via, gaps, links = certificate["via"], certificate["gaps"], certificate["links"]
     if type(via) is not int or not isinstance(gaps, list) or any(type(g) is not int for g in gaps):
         return False
@@ -745,7 +744,7 @@ def degeneration_limit(src, system_index, exponents):
 
 
 class ComponentAnalysis:
-    __slots__ = ("components", "incomplete", "residual_unknowns", "singular_candidates")
+    __slots__ = ("components", "singular_candidates")
 
 
 def components(cells, verdicts):
@@ -757,12 +756,9 @@ def components(cells, verdicts):
     """
     n = len(cells)
     cont = [[i == j for j in range(n)] for i in range(n)]
-    unknown_pairs = []
     for (i, j), v in verdicts.items():
         if v.status == CONTAINED:
             cont[i][j] = True
-        elif v.status == UNKNOWN:
-            unknown_pairs.append((i, j))
     for k in range(n):
         for i in range(n):
             if cont[i][k]:
@@ -771,7 +767,6 @@ def components(cells, verdicts):
                 for j in range(n):
                     if rowk[j]:
                         row[j] = True
-    residual = [(i, j) for (i, j) in unknown_pairs if not cont[i][j]]
     tops = [i for i in range(n) if not any(j != i and cont[j][i] for j in range(n))]
     comps = []
     for t in tops:
@@ -785,8 +780,6 @@ def components(cells, verdicts):
         )
     out = ComponentAnalysis.__new__(ComponentAnalysis)
     out.components = comps
-    out.residual_unknowns = residual
-    out.incomplete = bool(residual)
     membership = {i: sum(i in c["members"] for c in comps) for i in range(n)}
     out.singular_candidates = [i for i in range(n) if membership[i] >= 2]
     return out

@@ -41,9 +41,5 @@ class NonTriangularRelation(HilbstratError):
     """A coefficient relation could not be solved for any parameter linearly."""
 
 
-class TruncationTooSmall(HilbstratError):
-    """The working truncation order is too small for the requested computation."""
-
-
 class PivotLoss(HilbstratError):
     """An echelon matrix lost a unit pivot that the construction guarantees."""

@@ -17,12 +17,7 @@ column-set order (``plucker_point``).
 from fractions import Fraction
 from functools import cache
 
-from .errors import (
-    CardinalityMismatch,
-    NonTriangularRelation,
-    PivotLoss,
-    TruncationTooSmall,
-)
+from .errors import CardinalityMismatch, NonTriangularRelation, PivotLoss
 from .symcalc import ParamPoly, TruncSeries
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -36,11 +31,6 @@ def _param_name(gen_index, exponent):
 def _param_index(name):
     """(generator index, exponent) of a name made by ``_param_name``."""
     return int(name[1:3]), int(name[4:])
-
-
-def default_truncation(module, margin=0):
-    sg = module.ambient
-    return module.conductor + sg.conductor + 2 * sg.delta + 1 + margin
 
 
 class CanonicalFamily:
@@ -206,7 +196,7 @@ def _solve_relation(poly):
     return name, rest * (Fraction(-1) / c)
 
 
-def canonical_family(sg, module, truncation=None, margin=0):
+def canonical_family(sg, module):
     """Construct the affine cell J(S) over Γ = sg.
 
     Seeds unknowns at every gap of S above each minimal generator, closes
@@ -216,19 +206,15 @@ def canonical_family(sg, module, truncation=None, margin=0):
 
     Every gap lies below the module's conductor, and every order of Γ at or
     above it is in S.  So the computation runs modulo t^conductor, and the
-    normal form of each order s at or above the conductor is the bare t^s;
-    ``truncation`` (or ``margin``) only sets the truncation the family's
-    series carry.
+    normal form of each order s at or above the conductor is the bare t^s.
+    The family's series carry the truncation c(S) + c(Γ) + 2δ + 1: a
+    ``cell_matrix`` window ending past it lies inside S, so it holds 2δ
+    orders, not δ, and is refused before any normal form is read.
     """
     if module.ambient is not sg and module.ambient.gens != sg.gens:
         raise CardinalityMismatch("module does not live over the given semigroup")
-    if truncation is None:
-        truncation = default_truncation(module, margin)
     cut = module.conductor
-    if cut > truncation:
-        raise TruncationTooSmall(
-            "truncation %d does not cover forbidden order %d" % (truncation, cut - 1)
-        )
+    truncation = cut + sg.conductor + 2 * sg.delta + 1
 
     eliminated = {}
     while True:
@@ -289,10 +275,6 @@ def cell_matrix(family, r):
         raise CardinalityMismatch(
             "window [%d, %d) holds %d orders, expected δ=%d"
             % (r, r + dd, len(orders), sg.delta)
-        )
-    if r + dd > family.truncation:
-        raise TruncationTooSmall(
-            "truncation %d below Plücker window end %d" % (family.truncation, r + dd)
         )
     end = r + dd
     rows = []

@@ -24,14 +24,15 @@ SCHEMA_VERSION = 1
 
 
 class ReportConfig:
-    """Settings shared by every stratum computation: the truncation margin of
-    the canonical families.  The closure search itself takes no setting.
-    ``seed`` is accepted for old callers and ignored."""
+    """An empty shim: the report pipeline takes no setting.  It exists, with
+    the ``config`` keyword of ``analyze``, only because the benchmark
+    worker calls ``ReportConfig(seed=seed)``; ``seed`` is ignored.  The
+    class and both keywords go once the worker stops passing them."""
 
-    __slots__ = ("trunc_margin",)
+    __slots__ = ()
 
-    def __init__(self, trunc_margin=0, seed=None):
-        self.trunc_margin = trunc_margin
+    def __init__(self, seed=None):
+        pass
 
 
 def canonical_delta_labels(sg, r_max=None):
@@ -101,18 +102,16 @@ class StratumSection:
         return len(comps) == 1 and comps[0]["pd_pattern"]
 
 
-def stratify(sg, r, config=None, labels=None):
+def stratify(sg, r, labels=None):
     """Compute one report section: cells, closure verdicts, components."""
     if r < 1:
         raise ValueError("r must be at least 1, got %d" % r)
-    if config is None:
-        config = ReportConfig()
     if labels is None:
         labels = canonical_delta_labels(sg, r)
     label_of = {d: "Δ_%d" % (i + 1) for i, d in enumerate(labels)}
     cells = []
     for i, module in enumerate(enumerate_colength(sg, r)):
-        cell = build_cell(sg, module, r, index=i, margin=config.trunc_margin)
+        cell = build_cell(sg, module, r, index=i)
         cell.label = label_of.get(cell.delta, "Δ_?")
         cells.append(cell)
     verdicts = closure_verdicts(cells)
@@ -211,9 +210,9 @@ class StratReport:
 
 
 def analyze(sg, r_max=None, config=None, rs=None):
-    """Full report for r = 1 … r_max (default 2δ, or 1 when δ = 0)."""
-    if config is None:
-        config = ReportConfig()
+    """Full report for r = 1 … r_max (default 2δ, or 1 when δ = 0).
+
+    ``config`` is ignored; see ``ReportConfig``."""
     if rs is None:
         if r_max is None:
             r_max = max(1, 2 * sg.delta)
@@ -221,26 +220,25 @@ def analyze(sg, r_max=None, config=None, rs=None):
             raise ValueError("r_max must be at least 1, got %d" % r_max)
         rs = range(1, r_max + 1)
     labels = canonical_delta_labels(sg, max(rs, default=0))
-    sections = [stratify(sg, r, config, labels) for r in rs]
+    sections = [stratify(sg, r, labels) for r in rs]
     return StratReport(sg, sections)
 
 
 # -- brute-force oracle mode ------------------------------------------
 
 
-def enumerate_colength_reference(sg, r, bound=None):
+def enumerate_colength_reference(sg, r):
     """Gap sets of colength r by downward-closed subset search.
 
-    Walks sorted r-subsets of Γ ∩ [0, bound) with only one pruning rule
-    (an element t with t − m ∈ Γ requires t − m already chosen, m the
-    multiplicity) and keeps exactly the subsets whose complement is
+    Walks sorted r-subsets of Γ ∩ [0, c + r·m), c the conductor and m the
+    multiplicity, with only one pruning rule (an element t with t − m ∈ Γ
+    requires t − m already chosen) and keeps exactly the subsets whose complement is
     closed under adding every generator.  Same proven search bound as the
     main enumeration, entirely different walk and filter.
     """
     if r == 0:
         return [()]
-    if bound is None:
-        bound = sg.conductor + r * sg.multiplicity
+    bound = sg.conductor + r * sg.multiplicity
     universe = sg.members_below(bound)
     member = set(universe)
     m = sg.multiplicity
@@ -274,16 +272,16 @@ def enumerate_colength_reference(sg, r, bound=None):
     return out
 
 
-def specialized_orders(family, assignment, upto=None):
-    """Orders below ``upto`` of the ideal spanned by the specialized family.
+def specialized_orders(family, assignment):
+    """Orders up to the module's conductor c of the ideal spanned by the
+    specialized family.
 
     Row-reduces every semigroup shift t^γ·g_i over the exponent window
-    [0, upto); the pivot exponents are exactly the attained orders.
+    [0, c]; the pivot exponents are exactly the attained orders.
     """
     module = family.module
     sg = module.ambient
-    if upto is None:
-        upto = module.conductor + 1
+    upto = module.conductor + 1
     pivots = {}
     for gen in family.generators:
         sp = gen.subs(assignment)
@@ -355,6 +353,8 @@ def oracle_check(sg, r_max=None, samples=3, seed=0):
     """
     if r_max is None:
         r_max = max(1, 2 * sg.delta)
+    if r_max < 1:
+        raise ValueError("r_max must be at least 1, got %d" % r_max)
     strata = {}
     ok = True
     for r in range(1, r_max + 1):
@@ -397,16 +397,12 @@ def main(argv=None):
     which.add_argument("--max-r", type=int, default=None, help="analyze r = 1..N (default 2δ)")
     which.add_argument("--r", type=int, default=None, help="analyze a single stratum")
     parser.add_argument("--format", choices=("table", "json"), default="table")
-    parser.add_argument("--trunc-margin", type=int, default=0)
     parser.add_argument(
         "--oracle-check",
         action="store_true",
         help="diff the pipeline against the brute-force oracle instead of reporting",
     )
     args = parser.parse_args(argv)
-    if args.trunc_margin < 0:
-        print("hilbstrat: --trunc-margin must be at least 0, got %d" % args.trunc_margin, file=sys.stderr)
-        return 2
 
     try:
         sg = NumericalSemigroup(_parse_gens(args.gens))
@@ -415,20 +411,22 @@ def main(argv=None):
         return 2
 
     if args.oracle_check:
-        r_max = args.r or args.max_r
-        diff = oracle_check(sg, r_max=r_max)
+        try:
+            diff = oracle_check(sg, r_max=args.r if args.r is not None else args.max_r)
+        except ValueError as exc:
+            print("hilbstrat: %s" % exc, file=sys.stderr)
+            return 2
         sys.stdout.write(json.dumps(diff, indent=2) + "\n")
         if not diff["ok"]:
             print("hilbstrat: oracle mismatch", file=sys.stderr)
             return 1
         return 0
 
-    config = ReportConfig(trunc_margin=args.trunc_margin)
     try:
         if args.r is not None:
-            report = analyze(sg, config=config, rs=[args.r])
+            report = analyze(sg, rs=[args.r])
         else:
-            report = analyze(sg, r_max=args.max_r, config=config)
+            report = analyze(sg, r_max=args.max_r)
     except (ValueError, HilbstratError) as exc:
         print("hilbstrat: %s" % exc, file=sys.stderr)
         return 2

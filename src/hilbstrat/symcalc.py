@@ -412,13 +412,13 @@ class TruncSeries:
     def subs(self, mapping):
         return TruncSeries(self.trunc, {e: p.subs(mapping) for e, p in self.coeffs.items()})
 
-    def format(self, rename=None, var="t"):
+    def format(self, rename=None):
         if not self.coeffs:
             return "0"
         pieces = []
         for e in sorted(self.coeffs):
             p = self.coeffs[e]
-            mono = "1" if e == 0 else (var if e == 1 else "%s^%d" % (var, e))
+            mono = "1" if e == 0 else ("t" if e == 1 else "t^%d" % e)
             if p.is_constant():
                 c = p.constant_value()
                 if e == 0:
@@ -448,12 +448,12 @@ class TruncSeries:
         return "TruncSeries[<%d](%s)" % (self.trunc, self.format())
 
 
-def limit_s_to_zero(vec, var="s"):
-    """Leading behaviour of a projective vector as the variable tends to 0.
+def limit_s_to_zero(vec):
+    """Leading behaviour of a projective vector as the variable s tends to 0.
 
-    Each entry is a ParamPoly, possibly with negative powers of ``var``.
-    Rescale the whole vector by var**(-m), where m is the minimal
-    var-exponent over all entries, then set var to 0.  Raises
+    Each entry is a ParamPoly, possibly with negative powers of s.
+    Rescale the whole vector by s**(-m), where m is the minimal
+    s-exponent over all entries, then set s to 0.  Raises
     IdenticallyZeroVector when every entry is the zero polynomial.
     """
     m = None
@@ -461,7 +461,7 @@ def limit_s_to_zero(vec, var="s"):
         for key in p.terms:
             e = 0
             for name, ex in key:
-                if name == var:
+                if name == "s":
                     e = ex
                     break
             if m is None or e < m:
@@ -475,7 +475,7 @@ def limit_s_to_zero(vec, var="s"):
             e = 0
             rest = []
             for name, ex in key:
-                if name == var:
+                if name == "s":
                     e = ex
                 else:
                     rest.append((name, ex))

@@ -21,6 +21,7 @@ from itertools import combinations
 from hilbstrat import (
     GammaModule,
     NumericalSemigroup,
+    ParamPoly,
     analyze,
     canonical_family,
     cell_matrix,
@@ -164,16 +165,20 @@ def test_criterion_8_property_suites():
                 good = good and is_good_subspace(rows, pivots, sg)
     parts.append(("goodness", good))
 
-    # truncation stability
+    # the conductor cut: a normal form of order s at or above the module's
+    # conductor c is the bare t^s, and one below it has support in [s, c)
     stable = True
+    one = ParamPoly.one()
     for gens in ((3, 4), (3, 5)):
         sg = NumericalSemigroup(gens)
         for r in range(1, 2 * sg.delta + 1):
             for m in enumerate_colength(sg, r):
-                base = canonical_family(sg, m, margin=0)
-                wide = canonical_family(sg, m, margin=5)
-                stable = stable and base.format_generators() == wide.format_generators()
-                stable = stable and base.dimension == wide.dimension
+                c = m.conductor
+                for s, nf in canonical_family(sg, m).normal_forms.items():
+                    if s >= c:
+                        stable = stable and nf.coeffs == {s: one}
+                    else:
+                        stable = stable and all(s <= e < c for e in nf.coeffs)
     parts.append(("truncation", stable))
 
     # specialization soundness on 20 random rational points per fixture cell

@@ -24,7 +24,7 @@ from hilbstrat import (
     stratify,
 )
 from hilbstrat import closure_analysis
-from hilbstrat.closure_analysis import CONTAINED, NOT_CONTAINED, UNKNOWN, ClosureVerdict
+from hilbstrat.closure_analysis import CONTAINED, NOT_CONTAINED, UNKNOWN
 from test_newton import _reference_face_lattice
 
 E6 = (3, 4)
@@ -457,7 +457,6 @@ def test_components_e6_r5(cells_of):
     assert len(ana.components) == 2
     assert sorted(c["top"] for c in ana.components) == [2, 3]
     assert ana.singular_candidates == [0, 1]
-    assert not ana.incomplete
     for comp in ana.components:
         assert set(ana.singular_candidates) <= set(comp["members"])
 
@@ -493,17 +492,6 @@ def test_top_dimensional_cells_bound_components_below(cells_of, gens, r):
     top_dim = [i for i, c in enumerate(cells) if c.dim == dim]
     assert set(top_dim) <= {c["top"] for c in ana.components}
     assert len(ana.components) >= len(top_dim)
-
-
-def test_components_flag_unresolved_pairs(cells_of):
-    cells = cells_of(E6, 2)
-    verdicts = {
-        (0, 1): ClosureVerdict(NOT_CONTAINED, "dimension"),
-        (1, 0): ClosureVerdict(UNKNOWN),
-    }
-    ana = components(cells, verdicts)
-    assert ana.incomplete
-    assert ana.residual_unknowns == [(1, 0)]
 
 
 CHAIN_STRATA = [(E6, r) for r in range(1, 7)] + [(E8, r) for r in range(1, 9)] + [((4, 5), 8)]

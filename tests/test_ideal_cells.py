@@ -21,7 +21,7 @@ from hilbstrat import (
 )
 from hilbstrat import closure_analysis, ideal_cells
 from hilbstrat.closure_analysis import _rank
-from hilbstrat.errors import CardinalityMismatch, TruncationTooSmall
+from hilbstrat.errors import CardinalityMismatch
 from hilbstrat.ideal_cells import minor_support
 from hilbstrat.report_cli import specialized_orders
 
@@ -129,23 +129,6 @@ def test_cell_dimensions():
     assert s55.min_generators == (5,)
     assert canonical_family(E8, s55).dimension == 3
     assert canonical_family(E8, enumerate_colength(E8, 8)[-1]).dimension == 4
-
-
-@pytest.mark.parametrize(
-    "sg,gaps",
-    [
-        (E6, (0, 4, 8)),
-        (E6, (0, 3, 4, 7, 8, 11)),
-        (E8, (0, 3, 6, 9, 12)),
-    ],
-)
-def test_truncation_stability(sg, gaps):
-    m = GammaModule(sg, gaps)
-    base = canonical_family(sg, m, margin=0)
-    wide = canonical_family(sg, m, margin=5)
-    assert base.dimension == wide.dimension
-    assert base.format_generators() == wide.format_generators()
-    assert base.eliminated_display() == wide.eliminated_display()
 
 
 def test_families_with_eliminations_are_pinned():
@@ -363,17 +346,31 @@ def test_family_rejects_foreign_module():
         canonical_family(E8, m)
 
 
-def test_family_rejects_tiny_truncation():
-    m = GammaModule(E6, (0, 4, 8))
-    with pytest.raises(TruncationTooSmall):
-        canonical_family(E6, m, truncation=8)
-
-
 def test_cell_matrix_window_guards():
     m = GammaModule(E6, (0, 4, 8))
-    f = canonical_family(E6, m, truncation=9)
-    with pytest.raises(TruncationTooSmall):
-        cell_matrix(f, 4)
-    full = canonical_family(E6, m)
     with pytest.raises(CardinalityMismatch):
-        cell_matrix(full, 7)
+        cell_matrix(canonical_family(E6, m), 7)
+
+
+@pytest.mark.parametrize(
+    "gens,r_max",
+    [((3, 4), 6), ((3, 5), 8), ((4, 7), 3), ((2, 3), 2), ((1,), 1)],
+    ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else "r%d" % v,
+)
+def test_cell_matrix_windows_need_no_truncation_guard(gens, r_max):
+    """Every window [r, r + 2δ) for r from 0 to 4 past the family's
+    truncation either gives a matrix or raises CardinalityMismatch.  A
+    window ending past the truncation lies inside S and holds 2δ orders,
+    so every window that gives a matrix ends within the truncation, unless
+    δ = 0 and the matrix is empty."""
+    sg = NumericalSemigroup(gens)
+    dd = 2 * sg.delta
+    for colength in range(r_max + 1):
+        for m in enumerate_colength(sg, colength):
+            f = canonical_family(sg, m)
+            for r in range(f.truncation + 5):
+                try:
+                    rows, _ = cell_matrix(f, r)
+                except CardinalityMismatch:
+                    continue
+                assert r + dd <= f.truncation or rows == [], (m.gap_set, r)

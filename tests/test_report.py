@@ -2,8 +2,11 @@
 
 import hashlib
 import json
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -118,6 +121,34 @@ def test_wide_report_is_pinned(capsys):
     assert digest == "84677ce6e65c19719509a398eec69f3d061454ce086d2b1684fdc6120cc09c85"
     assert main(["--gens", "4,7", "--max-r", "3", "--format", "json"]) == 0
     assert capsys.readouterr().out == text
+
+
+WORKER = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+
+
+@pytest.mark.parametrize("mode", ["plain", "traced"])
+@pytest.mark.parametrize(
+    "workload,digest",
+    [
+        ("ladder-e6e8", "12ee0bede629d4b1589bd414505f0b536e7352e09c1435ca27cacefdf674fcbf"),
+        ("plucker-wide", "84677ce6e65c19719509a398eec69f3d061454ce086d2b1684fdc6120cc09c85"),
+    ],
+    ids=["ladder-e6e8", "plucker-wide"],
+)
+def test_benchmark_worker_passes(workload, digest, mode):
+    """One pass of each benchmark workload, run as the benchmark runs it, in
+    a fresh isolated interpreter.  The traced pass reaches every function
+    the worker must see called, and both passes give the pinned digest."""
+    proc = subprocess.run(
+        [sys.executable, "-I", str(WORKER), workload, "1", mode],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert (out["failed"], out["errors"]) == (0, [])
+    assert out["digest"] == digest
 
 
 def test_report_schema():
@@ -294,24 +325,23 @@ def test_cli_unknowns_exit_3(capsys):
     assert data["strata"][0]["unknowns"] == 1
 
 
-@pytest.mark.parametrize("flag", ["--r", "--max-r"])
-def test_cli_rejects_r_below_one(capsys, flag):
-    rc = main(["--gens", "3,4", flag, "0"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--r", "0"],
+        ["--max-r", "0"],
+        ["--oracle-check", "--r", "0"],
+        ["--oracle-check", "--max-r", "0"],
+        ["--oracle-check", "--max-r", "-3"],
+    ],
+    ids=" ".join,
+)
+def test_cli_rejects_r_below_one(capsys, args):
+    rc = main(["--gens", "3,4"] + args)
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.out == ""
     assert "at least 1" in captured.err
-
-
-@pytest.mark.parametrize("margin", ["-1", "-5", "-30"])
-def test_cli_rejects_negative_trunc_margin(capsys, margin):
-    """A margin only widens the truncation; a negative one is refused
-    before any stratum is computed."""
-    rc = main(["--gens", "3,4", "--trunc-margin", margin])
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert captured.out == ""
-    assert "--trunc-margin must be at least 0" in captured.err
 
 
 def test_cli_oracle_mode(capsys):
