@@ -39,7 +39,7 @@ from .report_cli import (
     oracle_check,
     stratify,
 )
-from .schubert import closure_leq, schubert_index
+from .schubert import schubert_index
 from .semigroup_core import NumericalSemigroup
 from .symcalc import ParamPoly, TruncSeries
 
@@ -62,7 +62,6 @@ __all__ = [
     "canonical_family",
     "cell_closure_contains",
     "cell_matrix",
-    "closure_leq",
     "closure_verdicts",
     "components",
     "degeneration_limit",

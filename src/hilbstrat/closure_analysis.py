@@ -36,8 +36,9 @@ polynomial, so such a point exists.  Nothing in a verdict depends on a
 seed.  An unresolved search reports ``no_face``: no coordinate system
 tried has a viable face.
 
-Search, replay and limit checks all run on the source cell's one list of
-coordinate systems.  A replay takes the face where the recorded vector is
+The search runs on the source cell's one list of coordinate systems; a
+replay or limit check builds only the one a certificate names by its
+replacements.  A replay takes the face where the recorded vector is
 minimal, which must be a viable candidate, and re-derives the witness
 there; it accepts the certificate only if it is well formed and every
 recorded field comes out again.
@@ -45,18 +46,19 @@ recorded field comes out again.
 A stratum's pairs are decided in one pass (``closure_verdicts``) that
 searches only what transitivity leaves open: when (i, k) and (k, j) are
 already contained, (i, j) is recorded as contained with reason ``chain``
-and the certificate {"via": k, "gaps": gap set of cell k, "links": the
-certificates of (i, k) and (k, j)}.  Its replay needs no outside context:
-it rebuilds cell k from the gap set, which must be Γ-closed, of colength r
-and neither the source's nor the target's, and replays both links through
-it.  An ``unknown`` therefore remains only where no chain of certified
-containments settles the pair.
+and the certificate {"gaps": gap set of the least such cell k, "links":
+the certificates of (i, k) and (k, j)}.  Its replay needs no outside
+context: it rebuilds cell k from the gap set, which must be Γ-closed, of
+colength r and neither the source's nor the target's, and replays both
+links through it.  An ``unknown`` therefore remains only where no chain of
+certified containments settles the pair.
 
-Non-containment is decided by four closed obstructions: the Schubert
-incidence condition, dimension comparison, the target's pivot minor
+Non-containment is decided by two closed obstructions: dimension
+comparison and, reason ``support``, a coordinate of the target's support
 missing from the source's Plücker point (a map from column sets to the
-nonzero minors only), and, reason ``support``, any other coordinate of the
-target's support missing from it.
+nonzero minors only).  It covers the Schubert incidence condition: a
+cell's nonzero Plücker coordinates sit at column sets at or above its
+pivot set (Fulton, Young Tableaux, 1997).
 """
 from fractions import Fraction
 from functools import cache, reduce
@@ -68,7 +70,7 @@ from .errors import HilbstratError
 from .gamma_modules import GammaModule, delta_set
 from .ideal_cells import _param_index, canonical_family, cell_matrix, minor_support, plucker_point
 from .newton import facets
-from .schubert import closure_leq, schubert_index
+from .schubert import schubert_index
 from .symcalc import ParamPoly, limit_s_to_zero
 
 CONTAINED = "contained"
@@ -78,8 +80,8 @@ NO_FACE = "no_face"  # unknown: no coordinate system tried has a viable face
 CHAIN = "chain"  # contained: two certified containments through a third cell
 
 MAX_SYSTEMS = 16  # coordinate systems per cell, the canonical one included
-CERTIFICATE_KEYS = ("system", "replacements", "exponents", "substitution", "target_pivots", "witness")
-CHAIN_KEYS = frozenset(("via", "gaps", "links"))
+CERTIFICATE_KEYS = ("replacements", "exponents", "substitution", "target_pivots", "witness")
+CHAIN_KEYS = frozenset(("gaps", "links"))
 
 
 class ClosureVerdict:
@@ -180,17 +182,15 @@ class CoordSystem:
     __slots__ = ("replacements", "coords", "plucker", "uvars", "arrays", "uniq_exps", "masks", "dim", "facets", "normals")
 
     def describe(self, family):
-        rename = family.display_names
-        out = []
-        for param, expr, wname in self.replacements:
-            out.append(
-                {
-                    "parameter": rename.get(param, param),
-                    "coordinate": wname,
-                    "expression": expr.format(rename),
-                }
-            )
-        return out
+        return [_describe(pair, family) for pair in self.replacements]
+
+
+def _describe(pair, family):
+    """A replacement as a certificate records it, in display names; they are
+    distinct, so the expression's text determines the expression."""
+    param, expr, wname = pair
+    rename = family.display_names
+    return {"parameter": rename.get(param, param), "coordinate": wname, "expression": expr.format(rename)}
 
 
 def _compose_replacements(pairs):
@@ -290,12 +290,35 @@ def _candidate_replacements(src):
     return cands
 
 
+def _chart(cell, pairs):
+    """The coordinate system that replaces each parameter of ``pairs`` by its
+    derived coordinate; None when the replacements do not compose."""
+    mapping = _compose_replacements(pairs) if pairs else {}
+    if mapping is None:
+        return None
+    free = cell.family.free_params
+    sysm = CoordSystem.__new__(CoordSystem)
+    sysm.replacements = pairs
+    replaced = {param: wname for param, _, wname in pairs}
+    sysm.coords = [replaced.get(p, p) for p in free]
+    sysm.uvars = ["u%02d" % j for j in range(len(free))]
+    # renaming is injective, so it maps terms one to one, in order
+    to_u = dict(zip(sysm.coords, sysm.uvars))
+    plucker = {}
+    for cols, p in cell.plucker.items():
+        q = p.subs(mapping) if mapping else p
+        plucker[cols] = ParamPoly({tuple(sorted((to_u[nm], e) for nm, e in key)): c for key, c in q.terms.items()})
+    sysm.plucker = plucker
+    sysm.arrays, sysm.uniq_exps, sysm.masks = _term_arrays(plucker, sysm.uvars)
+    sysm.dim, sysm.facets, sysm.normals = facets(sysm.uniq_exps)
+    return sysm
+
+
 def _systems(cell):
     """The cell's coordinate systems, canonical coordinates first and then
     adapted variants; built on first use and then kept."""
     if cell.systems_cache is not None:
         return cell.systems_cache
-    free = cell.family.free_params
     cands = _candidate_replacements(cell)
     subsets = (
         [cands[i] for i in subset]
@@ -305,28 +328,23 @@ def _systems(cell):
     # each parameter is replaced at most once
     distinct = (c for c in subsets if len(set(t[0] for t in c)) == len(c))
     choices = [[]] + list(islice(distinct, MAX_SYSTEMS - 1))
-    systems = []
-    for pairs in choices:
-        mapping = _compose_replacements(pairs) if pairs else {}
-        if mapping is None:
-            continue
-        sysm = CoordSystem.__new__(CoordSystem)
-        sysm.replacements = pairs
-        replaced = {param: wname for param, _, wname in pairs}
-        sysm.coords = [replaced.get(p, p) for p in free]
-        sysm.uvars = ["u%02d" % j for j in range(len(free))]
-        # renaming is injective, so it maps terms one to one, in order
-        to_u = dict(zip(sysm.coords, sysm.uvars))
-        plucker = {}
-        for cols, p in cell.plucker.items():
-            q = p.subs(mapping) if mapping else p
-            plucker[cols] = ParamPoly({tuple(sorted((to_u[nm], e) for nm, e in key)): c for key, c in q.terms.items()})
-        sysm.plucker = plucker
-        sysm.arrays, sysm.uniq_exps, sysm.masks = _term_arrays(plucker, sysm.uvars)
-        sysm.dim, sysm.facets, sysm.normals = facets(sysm.uniq_exps)
-        systems.append(sysm)
-    cell.systems_cache = systems
-    return systems
+    charts = (_chart(cell, pairs) for pairs in choices)
+    cell.systems_cache = [sysm for sysm in charts if sysm is not None]
+    return cell.systems_cache
+
+
+def _recorded_chart(src, replacements):
+    """The chart that recorded ``replacements`` name, each entry matched to
+    the candidate of ``_candidate_replacements(src)`` that describes as it;
+    None when one matches none, two replace one parameter (no search does)
+    or the chart does not compose."""
+    if not isinstance(replacements, list):
+        return None
+    described = [(_describe(pair, src.family), pair) for pair in _candidate_replacements(src)]
+    pairs = [next((pair for d, pair in described if d == entry), None) for entry in replacements]
+    if None in pairs or len({pair[0] for pair in pairs}) != len(pairs):
+        return None
+    return _chart(src, pairs)
 
 
 def _term_arrays(plucker, uvars):
@@ -578,7 +596,7 @@ def _judge(dst, system, face):
     return grad, q
 
 
-def _certify(src, dst, system, sys_idx, judged, evec):
+def _certify(src, dst, system, judged, evec):
     """The certificate of the degeneration along ``evec``, whose face was
     judged viable (``judged`` is its Jacobian rows and pivot minor)."""
     grad, q = judged
@@ -588,7 +606,6 @@ def _certify(src, dst, system, sys_idx, judged, evec):
         shown = rename.get(coord, coord)
         subst[shown] = "%s*s^%d" % (u, e) if e else u
     return {
-        "system": sys_idx,
         "replacements": system.describe(src.family),
         "exponents": list(evec),
         "substitution": subst,
@@ -597,14 +614,14 @@ def _certify(src, dst, system, sys_idx, judged, evec):
     }
 
 
-def _search_system(src, dst, system, sys_idx):
+def _search_system(src, dst, system):
     """The certificate of the first viable candidate face of ``system``, in
     generation order (``_candidate_faces``, ``_judge``), along its vector
     e_F (``_face_vector``); None when no candidate is viable."""
     for face in _candidate_faces(dst, system):
         judged = _judge(dst, system, face)
         if judged is not None:
-            return _certify(src, dst, system, sys_idx, judged, _face_vector(system, face))
+            return _certify(src, dst, system, judged, _face_vector(system, face))
     return None
 
 
@@ -619,17 +636,12 @@ def cell_closure_contains(src, dst):
     if not same and dst.dim >= src.dim:
         # closures of distinct cells add only strictly smaller strata
         return ClosureVerdict(NOT_CONTAINED, "dimension")
-    if not closure_leq(src.schubert, dst.schubert):
-        return ClosureVerdict(NOT_CONTAINED, "schubert")
-    if dst.pivots not in src.plucker:
-        # that Plücker coordinate vanishes on the whole source cell, hence
-        # on its closure, but is the unit pivot minor on the target cell
-        return ClosureVerdict(NOT_CONTAINED, "pivot_coordinate")
     if any(cols not in src.plucker for cols in dst.plucker):
-        # the same for any coordinate of the target's support
+        # it vanishes on the whole source cell, hence on its closure; where
+        # the Schubert order fails, the target's unit pivot minor does
         return ClosureVerdict(NOT_CONTAINED, "support")
-    for sys_idx, system in enumerate(_systems(src)):
-        cert = _search_system(src, dst, system, sys_idx)
+    for system in _systems(src):
+        cert = _search_system(src, dst, system)
         if cert is not None:
             return ClosureVerdict(CONTAINED, "degeneration", cert)
     return ClosureVerdict(UNKNOWN, NO_FACE)
@@ -644,7 +656,8 @@ def closure_verdicts(cells):
     dimension along closure, so when (i, j) comes up every pair (i, k) and
     (k, j) that could link it is already decided.  If both are contained
     for some k, the least such k gives the verdict ``chain``, whose
-    certificate records k, its gap set and the two links' certificates;
+    certificate records the gap set of cell k and the two links'
+    certificates;
     otherwise (i, j) is searched (``cell_closure_contains``).  One pass thus
     settles every pair that a chain of certified containments implies.
     """
@@ -661,7 +674,7 @@ def closure_verdicts(cells):
                 verdict = cell_closure_contains(cells[i], cells[j])
             else:
                 links = [verdicts[i, k].certificate, verdicts[k, j].certificate]
-                cert = {"via": k, "gaps": list(cells[k].module.gap_set), "links": links}
+                cert = {"gaps": list(cells[k].module.gap_set), "links": links}
                 verdict = ClosureVerdict(CONTAINED, CHAIN, cert)
             verdicts[i, j] = verdict
             if verdict.status == CONTAINED:
@@ -670,12 +683,12 @@ def closure_verdicts(cells):
 
 
 def _replay_chain(src, dst, certificate):
-    """Replay a ``chain`` certificate: rebuild the intermediate cell from its
-    recorded gap set (sorted, as recorded), with the recorded index, and
-    replay both links through it.  Building a cell takes no setting, so
-    the rebuilt cell is the one the original run used."""
-    via, gaps, links = certificate["via"], certificate["gaps"], certificate["links"]
-    if type(via) is not int or not isinstance(gaps, list) or any(type(g) is not int for g in gaps):
+    """Replay a ``chain`` certificate: rebuild the middle cell from its
+    recorded gap set (sorted, as recorded) and replay both links through
+    it.  Building a cell takes no setting, so the rebuilt cell is the one
+    the original run used."""
+    gaps, links = certificate["gaps"], certificate["links"]
+    if not isinstance(gaps, list) or any(type(g) is not int for g in gaps):
         return False
     if not isinstance(links, list) or len(links) != 2:
         return False
@@ -686,7 +699,7 @@ def _replay_chain(src, dst, certificate):
             return False
         if module.gap_set in (src.module.gap_set, dst.module.gap_set):
             return False
-        mid = build_cell(sg, module, src.r, index=via)
+        mid = build_cell(sg, module, src.r)
     except HilbstratError:
         return False
     return replay_certificate(src, mid, links[0]) and replay_certificate(mid, dst, links[1])
@@ -696,45 +709,42 @@ def replay_certificate(src, dst, certificate, seed=None):
     """Re-run the recorded degeneration; True iff it certifies again and
     re-derives every recorded field.
 
-    The recorded vector's face is where it is minimal over ``uniq_exps``;
-    the face must be a viable candidate, and the witness is re-derived
-    there.  A ``chain`` certificate (exactly the keys
-    ``via``, ``gaps`` and ``links``) replays when its gap set is that of a
+    Only the chart the recorded ``replacements`` name is built
+    (``_recorded_chart``).  The recorded vector's face is where it is
+    minimal over ``uniq_exps``; the face must be a viable candidate, and
+    the witness is re-derived there.  A ``chain`` certificate (exactly the
+    keys ``gaps`` and ``links``) replays when its gap set is that of a
     third cell of the stratum, of colength r, and both links replay through
-    that cell (``_replay_chain``).  A certificate read from outside may be
-    malformed: anything but a dict with the six fields, an ``int`` system
-    index and a list of ``int`` exponents, or a well-formed chain, replays
-    False.  ``seed`` is accepted for old callers and ignored: nothing in a
-    certificate depends on one.
+    that cell (``_replay_chain``).  Anything but a dict with the five
+    fields, replacements that name a chart and a list of ``int`` exponents,
+    or a well-formed chain, replays False.  ``seed`` is accepted for old
+    callers and ignored: nothing in a certificate depends on one.
     """
     if isinstance(certificate, dict) and certificate.keys() == CHAIN_KEYS:
         return _replay_chain(src, dst, certificate)
     if not isinstance(certificate, dict) or any(key not in certificate for key in CERTIFICATE_KEYS):
         return False
-    sys_idx = certificate["system"]
     exponents = certificate["exponents"]
-    if type(sys_idx) is not int or not isinstance(exponents, list) or any(type(e) is not int for e in exponents):
+    if not isinstance(exponents, list) or any(type(e) is not int for e in exponents):
         return False
-    systems = _systems(src)
+    system = _recorded_chart(src, certificate["replacements"])
     evec = tuple(exponents)
-    if not 0 <= sys_idx < len(systems) or len(evec) != len(systems[sys_idx].coords):
+    if system is None or len(evec) != len(system.coords):
         return False
-    system = systems[sys_idx]
     dots = [sum(map(mul, evec, alpha)) for alpha in system.uniq_exps]
     low = min(dots)
     face = sum(1 << j for j, d in enumerate(dots) if d == low)
     if face not in _candidate_faces(dst, system):
         return False
     judged = _judge(dst, system, face)
-    return judged is not None and _certify(src, dst, system, sys_idx, judged, evec) == certificate
+    return judged is not None and _certify(src, dst, system, judged, evec) == certificate
 
 
-def degeneration_limit(src, system_index, exponents):
-    """The projective limit of a recorded degeneration, as a Plücker map (for checks)."""
-    systems = _systems(src)
-    if not 0 <= system_index < len(systems):
-        raise ValueError("no coordinate system with index %d" % system_index)
-    system = systems[system_index]
+def degeneration_limit(src, replacements, exponents):
+    """The projective limit along ``exponents`` in the chart ``replacements`` name, as a Plücker map."""
+    system = _recorded_chart(src, replacements)
+    if system is None:
+        raise ValueError("no chart of the source has the replacements %r" % (replacements,))
     if len(exponents) != len(system.uvars):
         raise ValueError("%d exponents for %d coordinates" % (len(exponents), len(system.uvars)))
     svar = ParamPoly.variable("s")

@@ -25,10 +25,6 @@ class MalformedDelta(HilbstratError):
     """A delta set is not a subset of range(2*delta) of size delta."""
 
 
-class DimensionMismatch(HilbstratError):
-    """Two computations of the same dimension disagree."""
-
-
 class TruncationMismatch(HilbstratError):
     """Arithmetic was attempted on series with different truncation orders."""
 

@@ -1,10 +1,10 @@
-"""Schubert indices of cells and the Schubert closure partial order.
+"""Schubert indices of cells.
 
 A Schubert index is a plain tuple (a_1, ..., a_δ), weakly decreasing with
 δ ≥ a_1 and a_δ ≥ 0; the report prints it as W(a_1,...,a_δ).
 """
 
-from .errors import DimensionMismatch, MalformedDelta
+from .errors import MalformedDelta
 
 
 def schubert_index(delta):
@@ -21,10 +21,3 @@ def schubert_index(delta):
     if d and (a[-1] < 0 or a[0] > d):
         raise MalformedDelta("index %r from Δ=%r leaves [0, δ]" % (a, b))
     return a
-
-
-def closure_leq(a, b):
-    """True iff the cell W_b lies in the closure of W_a: b_i ≥ a_i for all i."""
-    if len(a) != len(b):
-        raise DimensionMismatch("indices of different length: %r vs %r" % (a, b))
-    return all(y >= x for x, y in zip(a, b))

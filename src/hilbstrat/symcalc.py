@@ -211,19 +211,20 @@ class ParamPoly:
 
         Variables not mentioned in ``mapping`` are left alone.  A negative
         exponent requires the replacement to be invertible (a constant or
-        a single-term polynomial).
+        a single-term polynomial).  Each power of a replacement is computed
+        once per call.  Kept variables enter a term as one monomial, which
+        relabels terms one to one, so the order of the terms is unchanged.
         """
         out = {}
+        powers = {}
         for key, c in self.terms.items():
-            term = ParamPoly.constant(c)
+            term = ParamPoly({tuple((name, e) for name, e in key if name not in mapping): c})
             for name, e in key:
                 if name in mapping:
-                    rep = mapping[name]
-                    if not isinstance(rep, ParamPoly):
-                        rep = ParamPoly.constant(rep)
-                    term = term * rep ** e
-                else:
-                    term = term * ParamPoly({((name, e),): 1})
+                    if (name, e) not in powers:
+                        rep = mapping[name]
+                        powers[name, e] = (rep if isinstance(rep, ParamPoly) else ParamPoly.constant(rep)) ** e
+                    term = term * powers[name, e]
             _add_into(out, term.terms)
         return ParamPoly(out)
 

@@ -15,7 +15,6 @@ from hilbstrat import (
     ParamPoly,
     build_cell,
     cell_closure_contains,
-    closure_leq,
     closure_verdicts,
     components,
     degeneration_limit,
@@ -29,6 +28,8 @@ from test_newton import _reference_face_lattice
 
 E6 = (3, 4)
 E8 = (3, 5)
+# the replacement b -> w01 = a^2 - b of the top cell of E6 r=6
+B_BY_W01 = [{"parameter": "b", "coordinate": "w01", "expression": "-b + a^2"}]
 
 
 def test_reflexivity(cells_of):
@@ -43,7 +44,7 @@ def test_e6_r2_degeneration(cells_of):
     v = cell_closure_contains(src, dst)
     assert v.status == CONTAINED
     cert = v.certificate
-    assert cert["system"] == 0
+    assert cert["replacements"] == []
     assert cert["exponents"] == [-1]
     assert cert["substitution"] == {"a": "u00*s^-1"}
     assert replay_certificate(src, dst, cert)
@@ -51,7 +52,7 @@ def test_e6_r2_degeneration(cells_of):
 
 def test_e6_r2_limit_lands_on_target(cells_of):
     src, dst = cells_of(E6, 2)[1], cells_of(E6, 2)[0]
-    lim = degeneration_limit(src, 0, (-1,))
+    lim = degeneration_limit(src, [], (-1,))
     assert lim == {dst.pivots: ParamPoly.variable("u00")}
 
 
@@ -73,40 +74,43 @@ def test_e6_r6_needs_adapted_coordinates(cells_of):
     v = cell_closure_contains(cells[4], cells[2])
     assert v.status == CONTAINED
     cert = v.certificate
-    assert cert["system"] == 1
-    assert cert["replacements"] == [
-        {"parameter": "b", "coordinate": "w01", "expression": "-b + a^2"}
-    ]
+    assert cert["replacements"] == B_BY_W01
     assert cert["exponents"] == [-1, -1, -3]
     assert replay_certificate(cells[4], cells[2], cert)
 
 
 def test_replay_rejects_malformed_certificates(cells_of):
     """A replay re-derives the whole certificate: an exponent list of the
-    wrong length, a system index out of range or any other recorded field
-    changed certifies nothing."""
+    wrong length, replacements that name no chart of the source, an extra
+    key or any other recorded field changed certifies nothing."""
     cells = cells_of(E6, 6)
     src, dst = cells[4], cells[2]
     cert = cell_closure_contains(src, dst).certificate
-    assert cert["system"] == 1 and cert["exponents"] == [-1, -1, -3]
+    assert cert["replacements"] == B_BY_W01 and cert["exponents"] == [-1, -1, -3]
+    (entry,) = cert["replacements"]
+    unnamed = [
+        "-b + a^2",
+        [entry, entry],  # b replaced twice, which no search builds
+        [list(entry.items())],
+        [dict(entry, coordinate="w00")],
+        [dict(entry, parameter="a")],
+        [dict(entry, expression="b - a^2")],
+        [dict(entry, extra=0)],
+    ]
     malformed = [
         {"exponents": [-1, -1, -3, 7]},
         {"exponents": [-1, -1]},
-        {"system": -1},
-        {"system": 99},
         {"witness": {u: "0" for u in cert["witness"]}},
         {"target_pivots": [0, 1, 2]},
         {"substitution": {}},
         {"replacements": []},
-        {"system": "1"},
-        {"system": True},
-        {"system": 1.0},
+        {"system": 1},
         {"exponents": ["-1", "-1", "-3"]},
         {"exponents": [-1.0, -1.0, -3.0]},
         {"exponents": [-1, True, -3]},
         {"exponents": (-1, -1, -3)},
         {"exponents": "-1,-1,-3"},
-    ]
+    ] + [{"replacements": bad} for bad in unnamed]
     for bad in malformed:
         assert not replay_certificate(src, dst, dict(cert, **bad)), bad
     # a certificate read from outside may lack fields or not be a mapping
@@ -116,15 +120,40 @@ def test_replay_rejects_malformed_certificates(cells_of):
         assert not replay_certificate(src, dst, bad), bad
     assert replay_certificate(src, dst, cert)
     assert replay_certificate(src, dst, json.loads(json.dumps(cert)))
-    for system, exponents in ((1, (-1, -1, -3, 7)), (-1, (-1, -1, -3))):
+    with pytest.raises(ValueError):
+        degeneration_limit(src, B_BY_W01, (-1, -1, -3, 7))
+    for bad in unnamed:
         with pytest.raises(ValueError):
-            degeneration_limit(src, system, exponents)
+            degeneration_limit(src, bad, (-1, -1, -3))
+
+
+def test_replay_rejects_replacements_that_do_not_compose():
+    """⟨4,5⟩ r=7, cell 8: two of its candidate replacements, each alone a
+    chart, do not compose, so no search builds their chart.  A certificate
+    naming them replays False and has no limit.  Only the cell is built."""
+    sg = NumericalSemigroup((4, 5))
+    src = build_cell(sg, enumerate_colength(sg, 7)[8], 7, index=8)
+    named = [
+        {"parameter": "b", "coordinate": "w01", "expression": "-b + a^2"},
+        {"parameter": "c", "coordinate": "w02", "expression": "b*d + a*b*c - a^2*d"},
+    ]
+    cands = closure_analysis._candidate_replacements(src)
+    pairs = [next(p for p in cands if closure_analysis._describe(p, src.family) == entry) for entry in named]
+    assert closure_analysis._compose_replacements(pairs) is None
+    for entry in named:
+        assert closure_analysis._recorded_chart(src, [entry]) is not None
+    assert closure_analysis._recorded_chart(src, named) is None
+    exponents = [-1] * len(src.family.free_params)
+    cert = {"replacements": named, "exponents": exponents, "substitution": {}, "target_pivots": [], "witness": {}}
+    assert not replay_certificate(src, src, cert)
+    with pytest.raises(ValueError):
+        degeneration_limit(src, named, exponents)
 
 
 def test_e6_r6_adapted_limit_respects_target_zeros(cells_of):
     cells = cells_of(E6, 6)
     src, dst = cells[4], cells[2]
-    lim = degeneration_limit(src, 1, (-1, -1, -3))
+    lim = degeneration_limit(src, B_BY_W01, (-1, -1, -3))
     assert not lim[dst.pivots].is_zero()
     # every coordinate that vanishes on the target vanishes in the limit
     assert set(lim) <= set(dst.plucker)
@@ -149,7 +178,7 @@ def test_e8_r5_pivot_coordinate_reject(cells_of):
     assert dst.module.gap_set == (0, 3, 5, 6, 9)
     v = cell_closure_contains(src, dst)
     assert v.status == NOT_CONTAINED
-    assert v.reason == "pivot_coordinate"
+    assert v.reason == "support"
     # the rejection is forced: the source point never charges the target pivot
     assert dst.pivots not in src.plucker
 
@@ -211,16 +240,18 @@ def test_support_separates_exactly_where_a_target_coordinate_vanishes_on_the_sou
 
 
 def test_schubert_reject():
+    """Where the Schubert order fails, the support check rejects: the
+    target's pivot minor vanishes on the source."""
     sg = NumericalSemigroup((4, 5))
-    from hilbstrat import build_cell, enumerate_colength
-
     mods = enumerate_colength(sg, 6)
     src = build_cell(sg, mods[7], 6, index=7)
     dst = build_cell(sg, mods[5], 6, index=5)
     assert dst.dim < src.dim
+    assert not all(y >= x for x, y in zip(src.schubert, dst.schubert))
     v = cell_closure_contains(src, dst)
     assert v.status == NOT_CONTAINED
-    assert v.reason == "schubert"
+    assert v.reason == "support"
+    assert dst.pivots not in src.plucker
 
 
 def test_each_face_is_matched_once(monkeypatch):
@@ -249,7 +280,9 @@ def test_each_face_is_matched_once(monkeypatch):
     monkeypatch.setattr(closure_analysis, "_match_target", counting_match)
     v = cell_closure_contains(src, dst)
     assert v.status == CONTAINED
-    assert v.certificate["system"] == 5
+    system = closure_analysis._systems(src)[5]
+    assert current == [system]
+    assert v.certificate["replacements"] == system.describe(src.family)
     assert len(calls) == 12
     assert len(calls) == len(set(calls))
 
@@ -264,7 +297,7 @@ def test_certified_faces_are_viable(cells_of, gens, r_max):
             if v.status != CONTAINED:
                 continue
             cert = v.certificate
-            system = closure_analysis._systems(cells[i])[cert["system"]]
+            system = closure_analysis._recorded_chart(cells[i], cert["replacements"])
             dots = [sum(e * a for e, a in zip(cert["exponents"], alpha)) for alpha in system.uniq_exps]
             face = frozenset(k for k, d in enumerate(dots) if d == min(dots))
             assert face in _reference_face_lattice(system.uniq_exps), (r, i, j)
@@ -297,7 +330,7 @@ def _vector_loop_certificate(src, dst, vectors):
     ``vectors`` (a window in (L1, lex) order), take each vector's face over
     all exponents, and certify at the first vector whose face is a viable
     candidate.  A system without a viable candidate face is skipped."""
-    for sys_idx, system in enumerate(closure_analysis._systems(src)):
+    for system in closure_analysis._systems(src):
         candidates = set(closure_analysis._candidate_faces(dst, system))
         if not any(closure_analysis._judge(dst, system, face) for face in candidates):
             continue
@@ -310,7 +343,7 @@ def _vector_loop_certificate(src, dst, vectors):
             tried.add(face)
             judged = closure_analysis._judge(dst, system, face) if face in candidates else None
             if judged is not None:
-                return closure_analysis._certify(src, dst, system, sys_idx, judged, evec)
+                return closure_analysis._certify(src, dst, system, judged, evec)
     return None
 
 
@@ -328,7 +361,7 @@ def test_face_walk_certifies_like_the_vector_loop(cells_of, gens, r_max):
                 if k not in orders:
                     orders[k] = _l1_lex(k, 5)
                 loop = _vector_loop_certificate(cells[i], cells[j], orders[k])
-                for key in ("system", "replacements", "target_pivots"):
+                for key in ("replacements", "target_pivots"):
                     assert v.certificate[key] == loop[key], (r, i, j, key)
                 assert replay_certificate(cells[i], cells[j], v.certificate), (r, i, j)
                 assert replay_certificate(cells[i], cells[j], loop), (r, i, j)
@@ -343,7 +376,7 @@ def test_first_viable_face_certifies_along_its_vector(cells_of):
     system = closure_analysis._systems(src)[0]
     face = next(f for f in closure_analysis._candidate_faces(dst, system) if closure_analysis._judge(dst, system, f))
     v = cell_closure_contains(src, dst)
-    assert v.certificate["system"] == 0
+    assert v.certificate["replacements"] == []
     assert v.certificate["exponents"] == closure_analysis._face_vector(system, face) == [-1, -1, -2, 1]
     assert v.certificate["witness"] == {"u00": -1, "u01": -1, "u02": -1, "u03": -1}
     dots = [sum(e * a for e, a in zip(v.certificate["exponents"], alpha)) for alpha in system.uniq_exps]
@@ -376,13 +409,14 @@ def test_limit_depends_only_on_face(cells_of):
 
     assert face(e1) == face(e2)
     assert e1[2] * e2[3] != e1[3] * e2[2]  # not parallel
-    lim1 = degeneration_limit(src, 1, e1)
-    lim2 = degeneration_limit(src, 1, e2)
+    named = system.describe(src.family)
+    lim1 = degeneration_limit(src, named, e1)
+    lim2 = degeneration_limit(src, named, e2)
     assert lim1 == lim2
     assert not lim1[dst.pivots].is_zero()
     # the search certifies in the same system, along e_F of its first viable face
     cert = cell_closure_contains(src, dst).certificate
-    assert cert["system"] == 1
+    assert cert["replacements"] == named
     assert cert["exponents"] == [0, -1, -1, -3]
 
 
@@ -426,7 +460,8 @@ def test_containment_respects_schubert_order(cells_of):
                     continue
                 v = cell_closure_contains(a, b)
                 if v.status == CONTAINED:
-                    assert closure_leq(a.schubert, b.schubert)
+                    # the Schubert order: b's index is componentwise at least a's
+                    assert all(y >= x for x, y in zip(a.schubert, b.schubert))
                     assert b.dim < a.dim
 
 
@@ -519,11 +554,10 @@ def test_chain_certificates_replay(cells_of, gens, r):
     for (i, j), v in verdicts.items():
         if v.reason != "chain":
             continue
-        k = v.certificate["via"]
-        links = [verdicts[i, k].certificate, verdicts[k, j].certificate]
-        assert v.certificate == {"via": k, "gaps": list(cells[k].module.gap_set), "links": links}
         linked = [m for m in range(len(cells)) if m not in (i, j) and verdicts[i, m].status == verdicts[m, j].status == CONTAINED]
-        assert k == linked[0]
+        k = linked[0]
+        links = [verdicts[i, k].certificate, verdicts[k, j].certificate]
+        assert v.certificate == {"gaps": list(cells[k].module.gap_set), "links": links}
         # a certificate read back from JSON is the same, and replays
         read_back = json.loads(json.dumps(v.certificate))
         assert read_back == v.certificate
@@ -532,13 +566,15 @@ def test_chain_certificates_replay(cells_of, gens, r):
 
 def test_tampered_chain_certificates_replay_false(cells_of):
     """A chain certificate replays only as recorded: each tampered variant,
-    in its links, its intermediate gap set, its index or its keys, fails."""
+    in its links, its intermediate gap set or its keys, fails.  A chain
+    names its middle cell by gap set alone: one that still carries the
+    index ``via`` fails too, whatever the index."""
     cells = cells_of(E8, 8)
     verdicts = _chain_verdicts(cells_of, E8, 8)
     (i, j), cert = next(
         (pair, v.certificate)
         for pair, v in verdicts.items()
-        if v.reason == "chain" and all("system" in link for link in v.certificate["links"])
+        if v.reason == "chain" and all("replacements" in link for link in v.certificate["links"])
     )
     src, dst = cells[i], cells[j]
     first, second = cert["links"]
@@ -554,7 +590,9 @@ def test_tampered_chain_certificates_replay_false(cells_of):
         {"gaps": unclosed},
         {"gaps": gaps[:-1]},  # Γ-closed, of colength r - 1
         {"gaps": gaps[::-1]},
-        {"via": str(cert["via"])},
+        {"via": 2},
+        {"via": 99},
+        {"via": -3},
         {"links": [first]},
         {"links": [first, dict(second, exponents=[second["exponents"][0] + 1] + second["exponents"][1:])]},
     ]
@@ -587,6 +625,51 @@ def test_chains_settle_the_transitive_closure(cells_of, gens, r):
         closure |= more
     assert {pair for pair, v in verdicts.items() if v.status == CONTAINED} == closure
     assert components(cells, verdicts).components == components(cells, _verdicts(cells)).components
+
+
+@pytest.mark.parametrize("gens,r_max", [(E6, 6), (E8, 8)], ids=["3x4", "3x5"])
+def test_certificates_replay_on_fresh_cells(cells_of, gens, r_max, monkeypatch):
+    """A certificate stands alone: the source and target of every contained
+    pair, rebuilt from their gap sets, replay it after a JSON round trip
+    without the search's list of coordinate systems.  A degeneration builds
+    only the chart its replacements name, and a chain only its middle cell."""
+    sg = NumericalSemigroup(gens)
+    verdicts = {r: _chain_verdicts(cells_of, gens, r) for r in range(1, r_max + 1)}
+
+    def unreachable(cell):
+        raise AssertionError("a replay built the search's coordinate systems")
+
+    monkeypatch.setattr(closure_analysis, "_systems", unreachable)
+    replayed = 0
+    for r in range(1, r_max + 1):
+        cells = cells_of(gens, r)
+        for (i, j), v in verdicts[r].items():
+            if v.status != CONTAINED:
+                continue
+            src, dst = (build_cell(sg, GammaModule(sg, cells[k].module.gap_set), r) for k in (i, j))
+            assert replay_certificate(src, dst, json.loads(json.dumps(v.certificate))), (r, i, j)
+            replayed += 1
+    assert replayed == {E6: 23, E8: 62}[gens]
+
+
+@pytest.mark.parametrize(
+    "gens,r_max", [(E6, 6), (E8, 8), ((4, 5), 8), ((3, 7), 8)], ids=["3x4", "3x5", "4x5", "3x7"]
+)
+def test_support_lies_at_or_above_the_pivots(cells_of, gens, r_max):
+    """A point of a Schubert cell has nonzero Plücker coordinates only at
+    column sets componentwise at or above its pivot set (Fulton, Young
+    Tableaux, 1997).  So where the Schubert order fails between two cells,
+    the target's pivot minor vanishes on the source, and the support check
+    covers the Schubert incidence condition."""
+    for r in range(1, r_max + 1):
+        cells = cells_of(gens, r)
+        for cell in cells:
+            for cols in cell.plucker:
+                assert all(c >= p for c, p in zip(cols, cell.pivots)), (r, cell.index, cols)
+        for src in cells:
+            for dst in cells:
+                if src is not dst and not all(y >= x for x, y in zip(src.schubert, dst.schubert)):
+                    assert dst.pivots not in src.plucker, (r, src.index, dst.index)
 
 
 def _reference_rank(matrix):

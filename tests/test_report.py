@@ -84,8 +84,8 @@ def test_e6_e8_output_is_pinned():
     ``chain`` verdict is replaced by the search it stands in for.  The
     third is over the verdicts as ``stratify`` returns them.  The fourth
     is over those verdicts without the fields that depend on the vector
-    chosen on a face (``_strip_vectors``): which pairs are contained, in
-    which coordinate system and through which chain."""
+    chosen on a face (``_strip_vectors``): which pairs are contained, under
+    which replacements and through which middle cell."""
     text = hashlib.sha256()
     searched = []
     returned = []
@@ -104,11 +104,11 @@ def test_e6_e8_output_is_pinned():
                 searched.append((s.r, i, j, v.to_dict()))
     assert text.hexdigest() == "12ee0bede629d4b1589bd414505f0b536e7352e09c1435ca27cacefdf674fcbf"
     digest = hashlib.sha256(json.dumps(searched, sort_keys=True).encode()).hexdigest()
-    assert digest == "d0c525b4bb26528ff8574320e77c43b80722e139d32e94bf343862abc7e830c2"
+    assert digest == "95999cba5d56f38fb67c23c93095501844b7dd4ce84c0952df4d25e39a5e0124"
     digest = hashlib.sha256(json.dumps(returned, sort_keys=True).encode()).hexdigest()
-    assert digest == "711a372be26f24f3f1ea79509f894ac4be8871dbef3a14e187cea82f2f0bfa8a"
+    assert digest == "5181e38c24fa02574ec0c70e75fcd434ccd8fecc7888893137e1bb25d10c3f31"
     digest = hashlib.sha256(json.dumps(stripped, sort_keys=True).encode()).hexdigest()
-    assert digest == "aca9cbc7b5f796d7e5946fad7deb934190ec4401f9d292029b9e9464c880b344"
+    assert digest == "0c89c3cc7b2204122b20fb75d9db50f5583d657ca23b3a0aa9998e6cf1162054"
     assert reasons["degeneration"] == 48 and reasons["chain"] == 37
 
 

@@ -1,17 +1,14 @@
-"""Schubert indices of Δ-sets and the closure partial order."""
-
-from itertools import combinations, permutations
+"""Schubert indices of Δ-sets."""
 
 import pytest
 
 from hilbstrat import (
     NumericalSemigroup,
-    closure_leq,
     delta_set,
     enumerate_colength,
     schubert_index,
 )
-from hilbstrat.errors import DimensionMismatch, MalformedDelta
+from hilbstrat.errors import MalformedDelta
 
 
 def test_index_fixtures():
@@ -33,31 +30,6 @@ def test_malformed_delta_rejected():
         schubert_index((1, 4, 6))
     with pytest.raises(MalformedDelta):
         schubert_index((-1, 0, 1))
-
-
-def test_closure_leq_basics():
-    assert closure_leq((3, 3, 1), (3, 3, 2))
-    assert not closure_leq((3, 3, 2), (3, 3, 1))
-    assert closure_leq((2, 2, 0), (3, 3, 1))
-    assert not closure_leq((3, 3, 3), (2, 2, 0))
-
-
-def test_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        closure_leq((3, 3), (3, 3, 1))
-
-
-def test_partial_order_over_valid_deltas(valid_delta_sets):
-    sg = NumericalSemigroup((3, 4))
-    idx = [schubert_index(d) for d in sorted(valid_delta_sets(sg))]
-    for a in idx:
-        assert closure_leq(a, a)
-    for a, b in permutations(idx, 2):
-        if closure_leq(a, b) and closure_leq(b, a):
-            assert a == b
-    for a, b, c in permutations(idx, 3):
-        if closure_leq(a, b) and closure_leq(b, c):
-            assert closure_leq(a, c)
 
 
 @pytest.mark.parametrize(

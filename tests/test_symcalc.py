@@ -164,6 +164,15 @@ def test_subs_matches_accumulation_by_sums():
         cancelled += len(got.terms) < sum(len(ParamPoly({k: c}).subs(mapping).terms) for k, c in p.terms.items())
     assert cancelled > 10
     assert (A * B - B * B + A).subs({"a": B}).terms == {(("b", 1),): 1}
+    # one variable at several powers, among them negative powers of a
+    # monomial replacement, and a kept variable between replaced ones
+    C = ParamPoly.variable("c")
+    p = A ** -2 * B + A ** -1 * B * C ** 2 + 3 * A ** 2 * C - A ** -2 * C ** -1 + A ** -1
+    for mapping in ({"a": -2 * B ** -1, "c": 4 * A}, {"a": Fraction(1, 2) * B * C, "c": 3}, {"a": C ** 2, "c": -B}):
+        got = p.subs(mapping)
+        want = _subs_by_sums(p, mapping)
+        assert list(got.terms.items()) == list(want.terms.items())
+        assert [type(c) for c in got.terms.values()] == [type(c) for c in want.terms.values()]
 
 
 def test_integral_coefficients_are_ints():
