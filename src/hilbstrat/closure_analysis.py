@@ -9,9 +9,11 @@ integer witness point proves the limits sweep out a dense subset of C'.
 
 The limit along e depends only on the face of the source's Newton polytope
 (the convex hull of the exponents of its Plücker coordinates, in one
-coordinate system) on which e is minimal: its initial form.  Each
-coordinate system carries the polytope's dimension and its facets, each
-with a normal minimal exactly on it (``newton``); there is no face
+coordinate system) on which e is minimal: its initial form.  A coordinate
+system is one table of exponent vectors: the distinct vectors of its
+substituted Plücker coordinates, and per coordinate its terms as (vector
+index, coefficient).  It carries the polytope's dimension and its facets,
+each with a normal minimal exactly on it (``newton``); there is no face
 lattice.  A face is a candidate for the target when it meets the exponents
 of every coordinate of the target's support (the limit at a coordinate is
 the sum of the terms on the face, and a dominant map hits points where
@@ -177,12 +179,13 @@ class CoordSystem:
     keep their identity.  Any polynomial map into the cell's parameter
     space yields valid source points, so soundness never depends on the
     replacement being invertible.
+
+    The chart is one table of exponent vectors: ``uniq_exps``, the distinct
+    vectors over ``coords`` in order of first appearance, and per column
+    set its ``terms`` as (vector index, coefficient) and its ``masks``.
     """
 
-    __slots__ = ("replacements", "coords", "plucker", "uvars", "arrays", "uniq_exps", "masks", "dim", "facets", "normals")
-
-    def describe(self, family):
-        return [_describe(pair, family) for pair in self.replacements]
+    __slots__ = ("replacements", "coords", "uvars", "uniq_exps", "terms", "masks", "dim", "facets", "normals")
 
 
 def _describe(pair, family):
@@ -292,7 +295,9 @@ def _candidate_replacements(src):
 
 def _chart(cell, pairs):
     """The coordinate system that replaces each parameter of ``pairs`` by its
-    derived coordinate; None when the replacements do not compose."""
+    derived coordinate; None when the replacements do not compose.  Vector
+    indices follow the substituted terms' order, which fixes the masks and
+    so the order of the candidate faces."""
     mapping = _compose_replacements(pairs) if pairs else {}
     if mapping is None:
         return None
@@ -302,16 +307,26 @@ def _chart(cell, pairs):
     replaced = {param: wname for param, _, wname in pairs}
     sysm.coords = [replaced.get(p, p) for p in free]
     sysm.uvars = ["u%02d" % j for j in range(len(free))]
-    # renaming is injective, so it maps terms one to one, in order
-    to_u = dict(zip(sysm.coords, sysm.uvars))
-    plucker = {}
+    index = {}
+    sysm.terms, sysm.masks = {}, {}
     for cols, p in cell.plucker.items():
         q = p.subs(mapping) if mapping else p
-        plucker[cols] = ParamPoly({tuple(sorted((to_u[nm], e) for nm, e in key)): c for key, c in q.terms.items()})
-    sysm.plucker = plucker
-    sysm.arrays, sysm.uniq_exps, sysm.masks = _term_arrays(plucker, sysm.uvars)
+        items, mask = [], 0
+        for key, c in q.terms.items():
+            exps = dict(key)
+            j = index.setdefault(tuple(exps.get(nm, 0) for nm in sysm.coords), len(index))
+            items.append((j, c))
+            mask |= 1 << j
+        sysm.terms[cols], sysm.masks[cols] = items, mask
+    sysm.uniq_exps = list(index)
     sysm.dim, sysm.facets, sysm.normals = facets(sysm.uniq_exps)
     return sysm
+
+
+def _polynomial(system, items, face):
+    """The terms ``items`` with vector on ``face`` (a bitmask; -1 is all), in the u-variables."""
+    uvars, exps = system.uvars, system.uniq_exps
+    return ParamPoly({tuple((u, e) for u, e in zip(uvars, exps[j]) if e): c for j, c in items if face >> j & 1})
 
 
 def _systems(cell):
@@ -345,36 +360,6 @@ def _recorded_chart(src, replacements):
     if None in pairs or len({pair[0] for pair in pairs}) != len(pairs):
         return None
     return _chart(src, pairs)
-
-
-def _term_arrays(plucker, uvars):
-    """Per coordinate, its terms as (key, coefficient, index of the exponent
-    vector); the distinct exponent vectors; and per coordinate, the bitmask
-    of the indices of its exponent vectors."""
-    pos = {u: j for j, u in enumerate(uvars)}
-    k = len(uvars)
-    uniq = []
-    uniq_idx = {}
-    arrays = {}
-    masks = {}
-    for cols, p in plucker.items():
-        items = []
-        mask = 0
-        for key, c in p.terms.items():
-            vec = [0] * k
-            for nm, e in key:
-                vec[pos[nm]] = e
-            vec = tuple(vec)
-            j = uniq_idx.get(vec)
-            if j is None:
-                j = len(uniq)
-                uniq_idx[vec] = j
-                uniq.append(vec)
-            items.append((key, c, j))
-            mask |= 1 << j
-        arrays[cols] = items
-        masks[cols] = mask
-    return arrays, uniq, masks
 
 
 def _rank(matrix):
@@ -577,13 +562,12 @@ def _judge(dst, system, face):
     limit matches the target and the matched map is dominant.  Only a
     viable face can give a certificate: at every point the Jacobian's rank
     is at most its generic rank, so no witness exists for a non-dominant
-    map.
+    map.  Only the terms on the face are written in the u-variables.
     """
     limit = {}
-    for cols, items in system.arrays.items():
-        terms = {key: c for key, c, j in items if face >> j & 1}
-        if terms:
-            limit[cols] = ParamPoly(terms)
+    for cols, items in system.terms.items():
+        if face & system.masks[cols]:
+            limit[cols] = _polynomial(system, items, face)
     matched = _match_target(limit, dst)
     if matched is None:
         return None
@@ -606,7 +590,7 @@ def _certify(src, dst, system, judged, evec):
         shown = rename.get(coord, coord)
         subst[shown] = "%s*s^%d" % (u, e) if e else u
     return {
-        "replacements": system.describe(src.family),
+        "replacements": [_describe(pair, src.family) for pair in system.replacements],
         "exponents": list(evec),
         "substitution": subst,
         "target_pivots": list(dst.pivots),
@@ -741,7 +725,8 @@ def replay_certificate(src, dst, certificate, seed=None):
 
 
 def degeneration_limit(src, replacements, exponents):
-    """The projective limit along ``exponents`` in the chart ``replacements`` name, as a Plücker map."""
+    """The projective limit along ``exponents`` in the chart ``replacements``
+    name, as a Plücker map: the chart's terms written in the u-variables."""
     system = _recorded_chart(src, replacements)
     if system is None:
         raise ValueError("no chart of the source has the replacements %r" % (replacements,))
@@ -749,8 +734,8 @@ def degeneration_limit(src, replacements, exponents):
         raise ValueError("%d exponents for %d coordinates" % (len(exponents), len(system.uvars)))
     svar = ParamPoly.variable("s")
     subs = {u: ParamPoly.variable(u) * svar ** e for u, e in zip(system.uvars, exponents)}
-    vec = limit_s_to_zero([p.subs(subs) for p in system.plucker.values()])
-    return {cols: p for cols, p in zip(system.plucker, vec) if not p.is_zero()}
+    vec = limit_s_to_zero([_polynomial(system, items, -1).subs(subs) for items in system.terms.values()])
+    return {cols: p for cols, p in zip(system.terms, vec) if not p.is_zero()}
 
 
 class ComponentAnalysis:

@@ -194,8 +194,11 @@ def test_e8_r8_top_cell_containments(cells_of):
 
 @pytest.mark.parametrize("gens,r_max", [(E6, 6), (E8, 8)], ids=["3x4", "3x5"])
 def test_systems_rename_like_substitution(cells_of, gens, r_max):
-    """Renaming each coordinate to its u-variable gives the polynomial that
-    substituting u-variables gave, term for term and in the same order."""
+    """Each coordinate's (exponent vector, coefficient) pairs in a system's
+    table are the terms that substituting the replacements and then the
+    u-variables gives, term for term and in the same order; the distinct
+    vectors are numbered by first appearance, and each mask holds the
+    indices of its coordinate's vectors."""
     for r in range(1, r_max + 1):
         for cell in cells_of(gens, r):
             systems = closure_analysis._systems(cell)
@@ -204,10 +207,16 @@ def test_systems_rename_like_substitution(cells_of, gens, r_max):
             for system in systems:
                 mapping = closure_analysis._compose_replacements(system.replacements) if system.replacements else {}
                 to_u = {c: ParamPoly.variable(u) for c, u in zip(system.coords, system.uvars)}
-                assert list(system.plucker) == list(cell.plucker)
+                assert list(system.terms) == list(system.masks) == list(cell.plucker)
+                seen = []
                 for cols, p in cell.plucker.items():
                     want = p.subs(mapping).subs(to_u)
-                    assert list(system.plucker[cols].terms.items()) == list(want.terms.items())
+                    vectors = [tuple(dict(key).get(u, 0) for u in system.uvars) for key in want.terms]
+                    got = [(system.uniq_exps[j], c) for j, c in system.terms[cols]]
+                    assert got == list(zip(vectors, want.terms.values()))
+                    assert system.masks[cols] == sum(1 << j for j, _ in system.terms[cols])
+                    seen += [v for v in vectors if v not in seen]
+                assert system.uniq_exps == seen
 
 
 @pytest.mark.parametrize(
@@ -282,7 +291,7 @@ def test_each_face_is_matched_once(monkeypatch):
     assert v.status == CONTAINED
     system = closure_analysis._systems(src)[5]
     assert current == [system]
-    assert v.certificate["replacements"] == system.describe(src.family)
+    assert v.certificate["replacements"] == [closure_analysis._describe(p, src.family) for p in system.replacements]
     assert len(calls) == 12
     assert len(calls) == len(set(calls))
 
@@ -409,7 +418,7 @@ def test_limit_depends_only_on_face(cells_of):
 
     assert face(e1) == face(e2)
     assert e1[2] * e2[3] != e1[3] * e2[2]  # not parallel
-    named = system.describe(src.family)
+    named = [closure_analysis._describe(p, src.family) for p in system.replacements]
     lim1 = degeneration_limit(src, named, e1)
     lim2 = degeneration_limit(src, named, e2)
     assert lim1 == lim2
@@ -796,11 +805,12 @@ def test_nonzero_minor_is_independence_over_the_function_field():
 def test_integral_coefficients_stay_int(cells_of, gens, r_max):
     """Every coefficient the E6 and E8 cells build is integral, and each is
     stored as an ``int``: in the family's normal forms, the cell's Plücker
-    point and every coordinate system's Plücker point."""
+    point and every coordinate system's table of terms."""
     for r in range(1, r_max + 1):
         for cell in cells_of(gens, r):
             polys = [p for nf in cell.family.normal_forms.values() for p in nf.coeffs.values()]
             polys += cell.plucker.values()
-            polys += [p for system in closure_analysis._systems(cell) for p in system.plucker.values()]
             kinds = {type(c) for p in polys for c in p.terms.values()}
+            tables = [system.terms.values() for system in closure_analysis._systems(cell)]
+            kinds |= {type(c) for table in tables for items in table for _, c in items}
             assert kinds == {int}, (r, cell.module.gap_set, kinds)

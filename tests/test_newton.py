@@ -322,10 +322,10 @@ def test_face_lattice_ignores_point_order():
 def _reference_candidates(dst, system):
     """The reference lattice's faces under the candidate tests, and the faces
     that only the support test drops, as bitmasks."""
-    arrays = system.arrays
-    pivot = {j for _, _, j in arrays.get(dst.pivots, ())}
-    forced = {j for cols, items in arrays.items() if cols not in dst.plucker for _, _, j in items}
-    support = [{j for _, _, j in arrays.get(cols, ())} for cols in dst.plucker]
+    terms = system.terms
+    pivot = {j for j, _ in terms.get(dst.pivots, ())}
+    forced = {j for cols, items in terms.items() if cols not in dst.plucker for j, _ in items}
+    support = [{j for j, _ in terms.get(cols, ())} for cols in dst.plucker]
     kept, dropped = set(), []
     for face in _reference_face_lattice(system.uniq_exps):
         if face.isdisjoint(pivot) or not face.isdisjoint(forced):

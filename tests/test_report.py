@@ -112,6 +112,27 @@ def test_e6_e8_output_is_pinned():
     assert reasons["degeneration"] == 48 and reasons["chain"] == 37
 
 
+def test_replacement_charts_output_is_pinned():
+    """sha256 of the ⟨4,5⟩ and ⟨3,7⟩ reports up to r = 8 and of every
+    closure verdict, certificates included.  E6 and E8 certify only 5 of
+    their 48 degenerations in a replacement chart; here 19 of 93 are, so a
+    change to how a chart is built shows here first."""
+    text = hashlib.sha256()
+    rows = []
+    reasons = Counter()
+    for gens in ((4, 5), (3, 7)):
+        report = analyze(NumericalSemigroup(gens), r_max=8)
+        text.update(report.to_json().encode())
+        for s in report.sections:
+            for (i, j), v in sorted(s.verdicts.items()):
+                reasons[v.reason] += 1
+                rows.append((s.r, i, j, v.to_dict()))
+    assert text.hexdigest() == "e21302165c2cfd09b0bf00b7d4b51af6f52c4b153bafeee576dfa763b4c18b6f"
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == "96fa1cf6d12fdb1a2fe02c5571df4c8c2929bd8569efe7a475c57c94a40150fa"
+    assert reasons == {"degeneration": 93, "chain": 113, "support": 11, "dimension": 284, "no_face": 5}
+
+
 def test_wide_report_is_pinned(capsys):
     """sha256 of the ⟨4,7⟩ report for r ≤ 3 (δ = 9): the wide, sparse cell
     matrices, 9 rows of 18 columns.  The command line's JSON output is the
