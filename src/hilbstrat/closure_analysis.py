@@ -24,7 +24,8 @@ face, so a smaller face is not dominant).  The candidates are generated
 top-down from the facets, pruned by the support and dimension conditions,
 which every subface inherits.  A candidate is viable when its limit
 matches the target and the matched map is dominant, which is one exact
-test: some maximal minor of its Jacobian is a nonzero polynomial.
+test: some maximal minor of its Jacobian is a nonzero polynomial.  The
+first such minor, in the lex order of column sets, is kept.
 
 The search judges each system's candidates in generation order and
 certifies at the first viable one, F.  Its exponent vector is e_F, the sum
@@ -32,8 +33,8 @@ of the normals of the facets that contain F: each normal is minimal on its
 facet, so the sum is minimal exactly on their intersection, which is F
 (and e_F = 0 when F is the whole point set).  The witness is the first
 integer point with no zero entry, in (L1, lex) order from (-1, ..., -1),
-where the pivot minor of the limit is nonzero and the Jacobian has full
-rank; the pivot minor times a nonzero maximal minor is a nonzero Laurent
+where the pivot minor of the limit and the kept minor are both nonzero, so
+the Jacobian has full rank there; their product is a nonzero Laurent
 polynomial, so such a point exists.  Nothing in a verdict depends on a
 seed.  An unresolved search reports ``no_face``: no coordinate system
 tried has a viable face.
@@ -65,7 +66,6 @@ pivot set (Fulton, Young Tableaux, 1997).
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations, islice
-from math import lcm
 from operator import add, mul, or_
 
 from .errors import HilbstratError
@@ -108,7 +108,6 @@ class StratCell:
     """One cell of a stratum M_r with its Grassmannian data precomputed."""
 
     __slots__ = (
-        "index",
         "label",
         "r",
         "module",
@@ -128,9 +127,8 @@ class StratCell:
         return "StratCell(r=%d, S=%r)" % (self.r, self.module)
 
 
-def build_cell(sg, module, r, index=0):
+def build_cell(sg, module, r):
     cell = StratCell.__new__(StratCell)
-    cell.index = index
     cell.label = None
     cell.r = r
     cell.module = module
@@ -242,16 +240,9 @@ def _primitive_part(p):
     return p
 
 
-def _solvable_params(p, free_set):
+def _solvable_params(p):
     """Parameters of degree one in p whose coefficient is a monomial."""
-    out = []
-    for nm in p.variables():
-        if nm not in free_set or p.degree_in(nm) != 1:
-            continue
-        c = p.coeff_of(nm, 1)
-        if len(c.terms) == 1:
-            out.append(nm)
-    return out
+    return [nm for nm in p.variables() if p.degree_in(nm) == 1 and len(p.coeff_of(nm, 1).terms) == 1]
 
 
 def _candidate_replacements(src):
@@ -259,21 +250,20 @@ def _candidate_replacements(src):
 
     Two sources: non-bare displayed coefficients of the family's normal
     forms, and non-monomial Plücker coordinates of the cell.  Either kind
-    is adopted by solving for one parameter of degree one.
+    is adopted by solving for one parameter of degree one.  The normal
+    forms add nothing as a set (a displayed coefficient is a cell-matrix
+    entry, so +/- a single-swap minor), but coming first they fix the
+    order that ``MAX_SYSTEMS`` cuts.
     """
-    free = src.family.free_params
-    free_set = set(free)
-    position = {p: i for i, p in enumerate(free)}
+    position = {p: i for i, p in enumerate(src.family.free_params)}
     cands = []
     seen = set()
 
     def consider(p):
-        if p.is_zero() or len(p.terms) == 1:
+        if len(p.terms) == 1:
             return
         p = _primitive_part(p)
-        if p.is_constant() or len(p.terms) == 1:
-            return
-        solvable = _solvable_params(p, free_set)
+        solvable = _solvable_params(p)
         if not solvable:
             return
         target = max(solvable)
@@ -362,37 +352,6 @@ def _recorded_chart(src, replacements):
     return _chart(src, pairs)
 
 
-def _rank(matrix):
-    """Rank of a matrix of ints and Fractions, over the integers.
-
-    Each row is scaled by the lcm of its denominators; Bareiss's
-    fraction-free elimination (as in ``newton._inverse_columns``) then keeps
-    every entry an integer: after k pivots an entry is a (k+1)-minor, and
-    each division by the previous pivot is exact.
-    """
-    m = []
-    for row in matrix:
-        den = lcm(*(x.denominator for x in row))
-        m.append([x.numerator * (den // x.denominator) for x in row])
-    rank, prev = 0, 1
-    cols = len(m[0]) if m else 0
-    for c in range(cols):
-        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        top = m[rank]
-        p = top[c]
-        for i in range(rank + 1, len(m)):
-            f = m[i][c]
-            m[i] = [(x * p - f * y) // prev for x, y in zip(m[i], top)]
-        prev = p
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
-
-
 def _match_target(limit, dst):
     """Identify the limit (a Plücker map) with a parametrized point of the
     target cell.
@@ -458,31 +417,32 @@ def _nonzero_points(k, total):
                 yield (v,) + tail
 
 
-def _dominance_witness(grad, q, dst, uvars):
+def _dominance_witness(minor, q, dst, uvars):
     """The first integer point with no zero entry, in (L1, lex) order from
-    (-1, ..., -1), where the pivot minor q is nonzero and the Jacobian rows
-    ``grad`` have full rank.  There q times some maximal minor is nonzero.
-    On a viable face that product is a nonzero Laurent polynomial, which
-    cannot vanish on a grid infinite in every coordinate, so the walk ends."""
+    (-1, ..., -1), where the pivot minor q and the maximal minor ``minor`` of
+    the Jacobian are both nonzero; there the Jacobian has full rank.  On a
+    viable face q * minor is a nonzero Laurent polynomial, which cannot
+    vanish on a grid infinite in every coordinate, so the walk ends."""
     if dst.dim == 0:
         return {}
     total = len(uvars)
     while True:
         for values in _nonzero_points(len(uvars), total):
             point = dict(zip(uvars, values))
-            if q.evaluate(point) and _rank([[g.evaluate(point) for g in row] for row in grad]) == dst.dim:
+            if q.evaluate(point) and minor.evaluate(point):
                 return point
         total += 1
 
 
-def _has_nonzero_minor(grad):
-    """True iff some maximal minor of the polynomial matrix ``grad`` is a
-    nonzero polynomial, i.e. the rows are independent over the function field.
+def _nonzero_minor(grad):
+    """The first maximal minor of the polynomial matrix ``grad``, in the lex
+    order of its column sets, that is a nonzero polynomial; None when there
+    is none, i.e. the rows are dependent over the function field.
 
-    The minors are tried in the lex order of their column sets, up to the
-    first nonzero one.  Each is expanded along its first row, memoised on
-    the columns left (as in ``ideal_cells.plucker_point``), so the minors
-    share their sub-minors and only those the tried minors reach are built.
+    The minors are tried up to the first nonzero one.  Each is expanded
+    along its first row, memoised on the columns left (as in
+    ``ideal_cells.plucker_point``), so the minors share their sub-minors and
+    only those the tried minors reach are built.
     """
     m = len(grad)
     k = len(grad[0]) if grad else 0
@@ -501,7 +461,8 @@ def _has_nonzero_minor(grad):
                 total = total - term if (cols & (bit - 1)).bit_count() & 1 else total + term
         return total
 
-    return any(not minor(sum(1 << c for c in cols)).is_zero() for cols in combinations(range(k), m))
+    dets = (minor(sum(1 << c for c in cols)) for cols in combinations(range(k), m))
+    return next((d for d in dets if not d.is_zero()), None)
 
 
 def _candidate_faces(dst, system):
@@ -557,12 +518,13 @@ def _face_vector(system, face):
 
 def _judge(dst, system, face):
     """The viability test of a candidate face (``_candidate_faces``) for the
-    target: the Jacobian rows and pivot minor of the face's limit when the
-    face is viable, and None otherwise.  A candidate is viable when its
-    limit matches the target and the matched map is dominant.  Only a
-    viable face can give a certificate: at every point the Jacobian's rank
-    is at most its generic rank, so no witness exists for a non-dominant
-    map.  Only the terms on the face are written in the u-variables.
+    target: (minor, q) when the face is viable, and None otherwise.  A
+    candidate is viable when its limit matches the target, with pivot minor
+    q, and the matched map is dominant; ``minor`` is the first nonzero
+    maximal minor of its Jacobian (``_nonzero_minor``).  Only a viable face
+    can give a certificate: at every point the Jacobian's rank is at most
+    its generic rank, so no witness exists for a non-dominant map.  Only
+    the terms on the face are written in the u-variables.
     """
     limit = {}
     for cols, items in system.terms.items():
@@ -572,18 +534,19 @@ def _judge(dst, system, face):
     if matched is None:
         return None
     n_map, q = matched
-    grad = _jacobian(n_map, q, dst, system.uvars)
     # dominance, check 2, the exact one: some maximal minor is a nonzero
     # polynomial
-    if not _has_nonzero_minor(grad):
+    minor = _nonzero_minor(_jacobian(n_map, q, dst, system.uvars))
+    if minor is None:
         return None
-    return grad, q
+    return minor, q
 
 
 def _certify(src, dst, system, judged, evec):
     """The certificate of the degeneration along ``evec``, whose face was
-    judged viable (``judged`` is its Jacobian rows and pivot minor)."""
-    grad, q = judged
+    judged viable: ``judged`` is the (minor, q) of ``_judge``, from which
+    the witness is read (``_dominance_witness``)."""
+    minor, q = judged
     rename = src.family.display_names
     subst = {}
     for coord, u, e in zip(system.coords, system.uvars, evec):
@@ -594,7 +557,7 @@ def _certify(src, dst, system, judged, evec):
         "exponents": list(evec),
         "substitution": subst,
         "target_pivots": list(dst.pivots),
-        "witness": _dominance_witness(grad, q, dst, system.uvars),
+        "witness": _dominance_witness(minor, q, dst, system.uvars),
     }
 
 

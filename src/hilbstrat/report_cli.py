@@ -110,8 +110,8 @@ def stratify(sg, r, labels=None):
         labels = canonical_delta_labels(sg, r)
     label_of = {d: "Δ_%d" % (i + 1) for i, d in enumerate(labels)}
     cells = []
-    for i, module in enumerate(enumerate_colength(sg, r)):
-        cell = build_cell(sg, module, r, index=i)
+    for module in enumerate_colength(sg, r):
+        cell = build_cell(sg, module, r)
         cell.label = label_of.get(cell.delta, "Δ_?")
         cells.append(cell)
     verdicts = closure_verdicts(cells)

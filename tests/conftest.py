@@ -1,5 +1,7 @@
-"""Shared fixtures: the two worked semigroups and a cached cell factory."""
+"""Shared fixtures: the two worked semigroups and a cached cell factory;
+and a reference rank over the rationals."""
 
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -33,9 +35,7 @@ def cells_of():
         if key not in _CELL_CACHE:
             sg = NumericalSemigroup(gens)
             mods = enumerate_colength(sg, r)
-            _CELL_CACHE[key] = [
-                build_cell(sg, m, r, index=i) for i, m in enumerate(mods)
-            ]
+            _CELL_CACHE[key] = [build_cell(sg, m, r) for m in mods]
         return _CELL_CACHE[key]
 
     return get
@@ -59,3 +59,22 @@ def valid_delta_sets():
         return out
 
     return compute
+
+
+def _reference_rank(matrix):
+    """Gauss-Jordan elimination over the rationals, sharing no code with
+    ``hilbstrat``."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        m[rank] = [x / m[rank][c] for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank

@@ -1,8 +1,6 @@
 """Closure verdicts, degeneration certificates, component assembly."""
 
 import json
-import random
-from fractions import Fraction
 from itertools import product
 from types import SimpleNamespace
 
@@ -24,6 +22,7 @@ from hilbstrat import (
 )
 from hilbstrat import closure_analysis
 from hilbstrat.closure_analysis import CONTAINED, NOT_CONTAINED, UNKNOWN
+from conftest import _reference_rank
 from test_newton import _reference_face_lattice
 
 E6 = (3, 4)
@@ -132,7 +131,7 @@ def test_replay_rejects_replacements_that_do_not_compose():
     chart, do not compose, so no search builds their chart.  A certificate
     naming them replays False and has no limit.  Only the cell is built."""
     sg = NumericalSemigroup((4, 5))
-    src = build_cell(sg, enumerate_colength(sg, 7)[8], 7, index=8)
+    src = build_cell(sg, enumerate_colength(sg, 7)[8], 7)
     named = [
         {"parameter": "b", "coordinate": "w01", "expression": "-b + a^2"},
         {"parameter": "c", "coordinate": "w02", "expression": "b*d + a*b*c - a^2*d"},
@@ -241,7 +240,7 @@ def test_support_separates_exactly_where_a_target_coordinate_vanishes_on_the_sou
     two cells of each pair are built."""
     sg = NumericalSemigroup(gens)
     mods = enumerate_colength(sg, r)
-    src, dst = (build_cell(sg, mods[k], r, index=k) for k in (i, j))
+    src, dst = (build_cell(sg, mods[k], r) for k in (i, j))
     v = cell_closure_contains(src, dst)
     assert v.reason == reason
     assert v.status == (NOT_CONTAINED if reason == "support" else UNKNOWN)
@@ -253,8 +252,8 @@ def test_schubert_reject():
     target's pivot minor vanishes on the source."""
     sg = NumericalSemigroup((4, 5))
     mods = enumerate_colength(sg, 6)
-    src = build_cell(sg, mods[7], 6, index=7)
-    dst = build_cell(sg, mods[5], 6, index=5)
+    src = build_cell(sg, mods[7], 6)
+    dst = build_cell(sg, mods[5], 6)
     assert dst.dim < src.dim
     assert not all(y >= x for x, y in zip(src.schubert, dst.schubert))
     v = cell_closure_contains(src, dst)
@@ -270,7 +269,7 @@ def test_each_face_is_matched_once(monkeypatch):
     twelve faces over six systems.  Only the two cells are built."""
     sg = NumericalSemigroup((4, 7))
     mods = enumerate_colength(sg, 10)
-    src, dst = (build_cell(sg, mods[k], 10, index=k) for k in (18, 6))
+    src, dst = (build_cell(sg, mods[k], 10) for k in (18, 6))
     calls = []
     current = []
     search = closure_analysis._search_system
@@ -674,29 +673,11 @@ def test_support_lies_at_or_above_the_pivots(cells_of, gens, r_max):
         cells = cells_of(gens, r)
         for cell in cells:
             for cols in cell.plucker:
-                assert all(c >= p for c, p in zip(cols, cell.pivots)), (r, cell.index, cols)
+                assert all(c >= p for c, p in zip(cols, cell.pivots)), (r, cell.module.gap_set, cols)
         for src in cells:
             for dst in cells:
                 if src is not dst and not all(y >= x for x, y in zip(src.schubert, dst.schubert)):
-                    assert dst.pivots not in src.plucker, (r, src.index, dst.index)
-
-
-def _reference_rank(matrix):
-    """Gauss-Jordan elimination over the rationals: the reference for ``_rank``."""
-    m = [[Fraction(x) for x in row] for row in matrix]
-    rank = 0
-    for c in range(len(m[0]) if m else 0):
-        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        m[rank] = [x / m[rank][c] for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
-        rank += 1
-    return rank
+                    assert dst.pivots not in src.plucker, (r, src.module.gap_set, dst.module.gap_set)
 
 
 @pytest.mark.parametrize(
@@ -733,41 +714,10 @@ def test_closure_relation_is_stable_beyond_the_conductor(gens):
         assert statuses(r) == base, r
 
 
-def test_rank_matches_fraction_gauss_jordan():
-    """The fraction-free rank agrees with plain rational elimination on
-    integer, rational and mixed matrices, with zero and dependent rows, wide
-    and tall shapes, and leaves its input unchanged."""
-    rank = closure_analysis._rank
-    assert rank([]) == 0
-    assert rank([[], []]) == 0
-    rng = random.Random("rank")
-    for trial in range(600):
-        # the share of Fraction entries: integer, rational, mixed matrices
-        share = (0.0, 1.0, 0.5)[trial % 3]
-        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
-
-        def entry():
-            n = rng.choice((0, 0, rng.randint(-9, 9)))
-            return Fraction(n, rng.randint(1, 6)) if rng.random() < share else n
-
-        m = [[entry() for _ in range(cols)] for _ in range(rows)]
-        if rows >= 3 and rng.random() < 0.5:
-            a, b, k = rng.sample(range(rows), 3)
-            fa, fb = Fraction(rng.randint(-4, 4), rng.randint(1, 3)), rng.randint(-4, 4)
-            m[k] = [fa * x + fb * y for x, y in zip(m[a], m[b])]
-        if rows >= 2 and rng.random() < 0.3:
-            m[rng.randrange(rows)] = [0] * cols
-        before = [row[:] for row in m]
-        assert rank(m) == _reference_rank(m), m
-        assert m == before
-    # a tall matrix of full column rank
-    assert rank([[1, 0], [0, Fraction(1, 3)], [2, 5], [7, 7]]) == 2
-
-
 def test_dominance_witness_walks_integer_points_in_l1_lex_order():
     """The witness is the first integer point with no zero entry, in (L1,
-    lex) order from (-1, -1), where q is nonzero and the Jacobian has full
-    rank; it is the same on every call and its values are ints."""
+    lex) order from (-1, -1), where q and the kept maximal minor are both
+    nonzero; it is the same on every call and its values are ints."""
     points = closure_analysis._nonzero_points
     assert list(points(2, 3)) == sorted(
         v for v in product(range(-2, 3), repeat=2) if 0 not in v and sum(map(abs, v)) == 3
@@ -777,28 +727,62 @@ def test_dominance_witness_walks_integer_points_in_l1_lex_order():
     zero = ParamPoly.zero()
     target = SimpleNamespace(dim=1)
     witness = closure_analysis._dominance_witness
-    # q(-1, -1) = 0 skips the first point; the rank is full at the next
-    assert witness([[u0 * u1, zero]], u0 - u1, target, ["u00", "u01"]) == {"u00": -1, "u01": 1}
-    # the Jacobian vanishes at (-1, 1), so (1, -1) follows
-    found = witness([[u1 - 1, zero]], u0 - u1, target, ["u00", "u01"])
+    minor = closure_analysis._nonzero_minor
+    # q(-1, -1) = 0 skips the first point; the minor u0 * u1 is nonzero at the next
+    assert witness(minor([[u0 * u1, zero]]), u0 - u1, target, ["u00", "u01"]) == {"u00": -1, "u01": 1}
+    # the minor u1 - 1 vanishes at (-1, 1), so (1, -1) follows
+    found = witness(minor([[u1 - 1, zero]]), u0 - u1, target, ["u00", "u01"])
     assert found == {"u00": 1, "u01": -1}
     assert {type(x) for x in found.values()} == {int}
-    assert witness([[u1 - 1, zero]], u0 - u1, target, ["u00", "u01"]) == found
+    assert witness(u1 - 1, u0 - u1, target, ["u00", "u01"]) == found
 
 
 def test_nonzero_minor_is_independence_over_the_function_field():
     """A maximal minor is a nonzero polynomial iff the rows are independent
-    over the function field; the minors after a zero one are tried too."""
-    has = closure_analysis._has_nonzero_minor
+    over the function field; the minors after a zero one are tried too, and
+    the first nonzero one, in the lex order of column sets, is returned."""
+    minor = closure_analysis._nonzero_minor
     u0, u1 = ParamPoly.variable("u00"), ParamPoly.variable("u01")
     one, zero = ParamPoly.one(), ParamPoly.zero()
     first = [u0, u1, one]
-    assert not has([first, [u0 * x for x in first]])  # row 2 = u0 * row 1
-    assert has([[zero, u0]])  # the first minor, on column 0, is zero
-    assert has([[one, one, zero], [u0, u0, one]])  # likewise on columns 0, 1
-    assert has([[u0, one], [one, u1]])
-    assert not has([[u0], [u1]])  # more rows than columns
-    assert has([])  # no rows: the empty minor is 1
+    assert minor([first, [u0 * x for x in first]]) is None  # row 2 = u0 * row 1
+    assert minor([[zero, u0]]) == u0  # the first minor, on column 0, is zero
+    assert minor([[one, one, zero], [u0, u0, one]]) == one  # likewise on columns 0, 1
+    assert minor([[u0, one], [one, u1]]) == u0 * u1 - one
+    assert minor([[u0], [u1]]) is None  # more rows than columns
+    assert minor([]) == one  # no rows: the empty minor is 1
+
+
+@pytest.mark.parametrize("gens,r_max", [(E6, 6), (E8, 8)], ids=["3x4", "3x5"])
+def test_witness_is_the_first_full_rank_point(cells_of, gens, r_max):
+    """Every recorded witness, read from q and the kept minor, is the point
+    the full-rank rule picks: the first integer point with no zero entry,
+    in (L1, lex) order, where q is nonzero and the Jacobian has rank dim C'.
+    The limit is ``degeneration_limit``'s, not the face ``_judge`` keeps,
+    and the rank is the reference's."""
+    checked = 0
+    for r in range(1, r_max + 1):
+        cells = cells_of(gens, r)
+        for (i, j), v in _chain_verdicts(cells_of, gens, r).items():
+            if v.reason != "degeneration":
+                continue
+            cert, dst = v.certificate, cells[j]
+            limit = degeneration_limit(cells[i], cert["replacements"], cert["exponents"])
+            n_map, q = closure_analysis._match_target(limit, dst)
+            uvars = closure_analysis._recorded_chart(cells[i], cert["replacements"]).uvars
+            grad = closure_analysis._jacobian(n_map, q, dst, uvars)
+            first = {}
+            total = len(uvars)
+            while dst.dim and not first:
+                for values in closure_analysis._nonzero_points(len(uvars), total):
+                    point = dict(zip(uvars, values))
+                    if q.evaluate(point) and _reference_rank([[g.evaluate(point) for g in row] for row in grad]) == dst.dim:
+                        first = point
+                        break
+                total += 1
+            assert cert["witness"] == first, (r, i, j)
+            checked += 1
+    assert checked == {E6: 14, E8: 34}[gens]
 
 
 @pytest.mark.parametrize("gens,r_max", [(E6, 6), (E8, 8)], ids=["3x4", "3x5"])

@@ -354,8 +354,8 @@ def test_candidate_faces_match_reference(cells_of, gens, r_max):
                 for dst in cells:
                     kept, _ = _reference_candidates(dst, system)
                     faces = list(closure_analysis._candidate_faces(dst, system))
-                    assert len(faces) == len(set(faces)), (r, src.index, dst.index)
-                    assert set(faces) == kept, (r, src.index, dst.index)
+                    assert len(faces) == len(set(faces)), (r, src.module.gap_set, dst.module.gap_set)
+                    assert set(faces) == kept, (r, src.module.gap_set, dst.module.gap_set)
 
 
 @STRATA
@@ -369,7 +369,7 @@ def test_face_vector_is_minimal_exactly_on_its_face(cells_of, gens, r_max):
                 faces = {f for dst in cells for f in closure_analysis._candidate_faces(dst, system)}
                 for face in faces:
                     evec = closure_analysis._face_vector(system, face)
-                    assert _argmin_mask(evec, system.uniq_exps) == face, (r, src.index, face)
+                    assert _argmin_mask(evec, system.uniq_exps) == face, (r, src.module.gap_set, face)
 
 
 @STRATA
@@ -383,6 +383,6 @@ def test_support_drops_only_non_viable_faces(cells_of, gens, r_max):
             for system in closure_analysis._systems(src):
                 for dst in cells:
                     _, faces = _reference_candidates(dst, system)
-                    assert all(closure_analysis._judge(dst, system, face) is None for face in faces), (r, src.index, dst.index)
+                    assert all(closure_analysis._judge(dst, system, face) is None for face in faces), (r, src.module.gap_set, dst.module.gap_set)
                     dropped += len(faces)
     assert dropped
