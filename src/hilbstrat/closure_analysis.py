@@ -4,7 +4,7 @@ Containment of a cell C' in the closure of C is certified by a
 one-parameter degeneration: each coordinate of C is sent to mu_j * s^{e_j}
 for an integer exponent vector e, the projective limit s -> 0 of the
 Plücker vector is computed exactly, and the limit is matched against the
-symbolic Plücker point of C'.  A match plus a full-rank Jacobian at an
+entries of the cell matrix of C'.  A match plus a full-rank Jacobian at an
 integer witness point proves the limits sweep out a dense subset of C'.
 
 The limit along e depends only on the face of the source's Newton polytope
@@ -70,7 +70,7 @@ from operator import add, mul, or_
 
 from .errors import HilbstratError
 from .gamma_modules import GammaModule, delta_set
-from .ideal_cells import _param_index, canonical_family, cell_matrix, minor_support, plucker_point
+from .ideal_cells import canonical_family, cell_matrix, minor_support, plucker_point
 from .newton import facets
 from .schubert import schubert_index
 from .symcalc import ParamPoly, limit_s_to_zero
@@ -119,7 +119,6 @@ class StratCell:
         "plucker",
         "dim",
         "entry_minors",
-        "plucker_degree",
         "systems_cache",
     )
 
@@ -141,31 +140,21 @@ def build_cell(sg, module, r):
     cell.plucker = {cols: p for cols, p in minors if not p.is_zero()}
     cell.dim = cell.family.dimension
     cell.entry_minors = _entry_minors(cell)
-    cell.plucker_degree = max(1, max(p.total_degree() for p in cell.plucker.values()))
     cell.systems_cache = None
     return cell
 
 
 def _entry_minors(cell):
-    """For each free parameter, (column set, sign) of the minor exposing it.
-
-    A free parameter appears as a bare matrix entry in the row of the
-    minimal generator it was seeded on; swapping that row's pivot column
-    for the entry's column isolates it: the minor equals +/- the entry.
-    """
-    module = cell.module
-    out = {}
-    for name in cell.family.free_params:
-        gi, c = _param_index(name)
-        g = module.min_generators[gi]
-        ri = cell.pivots.index(g - cell.r)
-        col = c - cell.r
-        entry = cell.rows[ri].get(col)
-        if entry != ParamPoly.variable(name):  # pragma: no cover - seed rows are unreduced
-            raise AssertionError("expected bare %s at row %d col %d" % (name, ri, col))
-        cols = tuple(sorted([p for k, p in enumerate(cell.pivots) if k != ri] + [col]))
-        sign = 1 if (ri + cols.index(col)) % 2 == 0 else -1
-        out[name] = (cols, sign)
+    """Every stored off-pivot entry of the cell matrix as (column set, sign,
+    entry): swapping the row's pivot column for the entry's column gives the
+    minor sign * entry.  Each free parameter is a bare entry in the row it
+    was seeded on; a zero entry's column set vanishes on the cell."""
+    out = []
+    for ri, (row, pivot) in enumerate(zip(cell.rows, cell.pivots)):
+        for col, entry in row.items():
+            if col != pivot:
+                cols = tuple(sorted(set(cell.pivots) - {pivot} | {col}))
+                out.append((cols, (-1) ** (ri + cols.index(col)), entry))
     return out
 
 
@@ -353,42 +342,30 @@ def _recorded_chart(src, replacements):
 
 
 def _match_target(limit, dst):
-    """Identify the limit (a Plücker map) with a parametrized point of the
-    target cell.
-
-    Solves the target's free coefficients through single-swap minors and
-    verifies every Plücker coordinate matches after clearing the pivot
-    denominator; exact polynomial identities throughout.
+    """(n, q) when the limit (a Plücker map) is q times the target's Plücker
+    point at n/q, and None otherwise.  The limit is a point of the
+    Grassmannian, so where q, its pivot coordinate, is nonzero it is q times
+    the Plücker point of its reduced matrix, with entries sign * limit / q at
+    the entries' column sets (``_entry_minors``); only these are read.  n is
+    read off the bare parameters' entries, and each entry of degree d is
+    checked as sign * limit * q^(D-1) against the entry homogenised at n and
+    q to degree D = max(1, d).
     """
-    # a coordinate that vanishes on the target must vanish in the limit
-    if any(cols not in dst.plucker for cols in limit):
-        return None
-    q = limit.get(dst.pivots)
-    if q is None:
-        return None
-    zero = ParamPoly.zero()
+    q = limit[dst.pivots]
     n = {}
-    for name, (cols, sign) in dst.entry_minors.items():
-        val = limit.get(cols, zero)
-        n[name] = val if sign == 1 else -val
-    D = dst.plucker_degree
-    powers = {0: ParamPoly.one(), 1: q}
-
-    def qp(e):
-        if e not in powers:
-            powers[e] = qp(e - 1) * q
-        return powers[e]
-
-    lhs_factor = qp(D - 1)
-    for cols, pk in dst.plucker.items():
+    for cols, sign, entry in dst.entry_minors:
+        names = entry.variables()
+        if len(names) == 1 and entry == ParamPoly.variable(names[0]):
+            n.setdefault(names[0], limit[cols] * sign)
+    for cols, sign, entry in dst.entry_minors:
+        D = max(1, entry.total_degree())
         h = ParamPoly.zero()
-        for key, cf in pk.terms.items():
-            deg = sum(x for _, x in key)
-            term = qp(D - deg) * cf
+        for key, cf in entry.terms.items():
+            term = q ** (D - sum(x for _, x in key)) * cf
             for nm, ex in key:
                 term = term * n[nm] ** ex
             h = h + term
-        if limit.get(cols, zero) * lhs_factor != h:
+        if limit[cols] * sign * q ** (D - 1) != h:
             return None
     return n, q
 
@@ -524,12 +501,11 @@ def _judge(dst, system, face):
     maximal minor of its Jacobian (``_nonzero_minor``).  Only a viable face
     can give a certificate: at every point the Jacobian's rank is at most
     its generic rank, so no witness exists for a non-dominant map.  Only
-    the terms on the face are written in the u-variables.
+    the coordinates ``_match_target`` reads are written in the u-variables,
+    each with its terms on the face.
     """
-    limit = {}
-    for cols, items in system.terms.items():
-        if face & system.masks[cols]:
-            limit[cols] = _polynomial(system, items, face)
+    read = [dst.pivots] + [cols for cols, _, _ in dst.entry_minors]
+    limit = {cols: _polynomial(system, system.terms[cols], face) for cols in read}
     matched = _match_target(limit, dst)
     if matched is None:
         return None
@@ -689,7 +665,10 @@ def replay_certificate(src, dst, certificate, seed=None):
 
 def degeneration_limit(src, replacements, exponents):
     """The projective limit along ``exponents`` in the chart ``replacements``
-    name, as a Plücker map: the chart's terms written in the u-variables."""
+    name, as a Plücker map: the chart's terms written in the u-variables.
+    The exponents are a list of ``int``, as in a certificate."""
+    if not isinstance(exponents, list) or any(type(e) is not int for e in exponents):
+        raise ValueError("exponents must be a list of int, got %r" % (exponents,))
     system = _recorded_chart(src, replacements)
     if system is None:
         raise ValueError("no chart of the source has the replacements %r" % (replacements,))

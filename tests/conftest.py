@@ -1,12 +1,13 @@
 """Shared fixtures: the two worked semigroups and a cached cell factory;
-and a reference rank over the rationals."""
+a reference rank over the rationals and a reference target match."""
 
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from hilbstrat import NumericalSemigroup, build_cell, enumerate_colength
+from hilbstrat import NumericalSemigroup, ParamPoly, build_cell, enumerate_colength
+from hilbstrat.ideal_cells import _param_index
 
 
 @pytest.fixture
@@ -78,3 +79,41 @@ def _reference_rank(matrix):
                 m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
         rank += 1
     return rank
+
+
+def _reference_match(limit, dst):
+    """The target match on the whole Plücker point, sharing no code with
+    ``closure_analysis._match_target``: (n, q) when the limit (a Plücker
+    map) is q times the target's Plücker point at n/q, and None otherwise.
+
+    A coordinate of the limit outside the target's support, or a missing
+    pivot coordinate q, rejects.  n is read from each free parameter's
+    single-swap minor in the row it was seeded on; then every Plücker
+    coordinate of the target is compared after clearing q, homogenised to
+    the largest degree D of the target's coordinates (at least 1).
+    """
+    if any(cols not in dst.plucker for cols in limit):
+        return None
+    q = limit.get(dst.pivots)
+    if q is None:
+        return None
+    zero = ParamPoly.zero()
+    n = {}
+    for name in dst.family.free_params:
+        gi, c = _param_index(name)
+        ri = dst.pivots.index(dst.module.min_generators[gi] - dst.r)
+        col = c - dst.r
+        cols = tuple(sorted([p for k, p in enumerate(dst.pivots) if k != ri] + [col]))
+        val = limit.get(cols, zero)
+        n[name] = val if (ri + cols.index(col)) % 2 == 0 else -val
+    D = max(1, max(p.total_degree() for p in dst.plucker.values()))
+    for cols, pk in dst.plucker.items():
+        h = ParamPoly.zero()
+        for key, cf in pk.terms.items():
+            term = q ** (D - sum(x for _, x in key)) * cf
+            for nm, ex in key:
+                term = term * n[nm] ** ex
+            h = h + term
+        if limit.get(cols, zero) * q ** (D - 1) != h:
+            return None
+    return n, q

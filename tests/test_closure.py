@@ -22,7 +22,8 @@ from hilbstrat import (
 )
 from hilbstrat import closure_analysis
 from hilbstrat.closure_analysis import CONTAINED, NOT_CONTAINED, UNKNOWN
-from conftest import _reference_rank
+from hilbstrat.ideal_cells import minor_support, plucker_point
+from conftest import _reference_match, _reference_rank
 from test_newton import _reference_face_lattice
 
 E6 = (3, 4)
@@ -51,7 +52,7 @@ def test_e6_r2_degeneration(cells_of):
 
 def test_e6_r2_limit_lands_on_target(cells_of):
     src, dst = cells_of(E6, 2)[1], cells_of(E6, 2)[0]
-    lim = degeneration_limit(src, [], (-1,))
+    lim = degeneration_limit(src, [], [-1])
     assert lim == {dst.pivots: ParamPoly.variable("u00")}
 
 
@@ -120,10 +121,10 @@ def test_replay_rejects_malformed_certificates(cells_of):
     assert replay_certificate(src, dst, cert)
     assert replay_certificate(src, dst, json.loads(json.dumps(cert)))
     with pytest.raises(ValueError):
-        degeneration_limit(src, B_BY_W01, (-1, -1, -3, 7))
+        degeneration_limit(src, B_BY_W01, [-1, -1, -3, 7])
     for bad in unnamed:
         with pytest.raises(ValueError):
-            degeneration_limit(src, bad, (-1, -1, -3))
+            degeneration_limit(src, bad, [-1, -1, -3])
 
 
 def test_replay_rejects_replacements_that_do_not_compose():
@@ -149,10 +150,22 @@ def test_replay_rejects_replacements_that_do_not_compose():
         degeneration_limit(src, named, exponents)
 
 
+def test_degeneration_limit_takes_exponents_as_replay_does(cells_of):
+    """Exponents that are not a list of ``int``, bools included, replay False
+    and give no limit."""
+    cells = cells_of(E6, 6)
+    src, dst = cells[4], cells[2]
+    cert = cell_closure_contains(src, dst).certificate
+    for bad in (["1", 0, 0], [1.5, 0, 0], 5, None, [True, 0, 0]):
+        assert not replay_certificate(src, dst, dict(cert, exponents=bad)), bad
+        with pytest.raises(ValueError):
+            degeneration_limit(src, B_BY_W01, bad)
+
+
 def test_e6_r6_adapted_limit_respects_target_zeros(cells_of):
     cells = cells_of(E6, 6)
     src, dst = cells[4], cells[2]
-    lim = degeneration_limit(src, B_BY_W01, (-1, -1, -3))
+    lim = degeneration_limit(src, B_BY_W01, [-1, -1, -3])
     assert not lim[dst.pivots].is_zero()
     # every coordinate that vanishes on the target vanishes in the limit
     assert set(lim) <= set(dst.plucker)
@@ -295,6 +308,60 @@ def test_each_face_is_matched_once(monkeypatch):
     assert len(calls) == len(set(calls))
 
 
+@pytest.mark.parametrize(
+    "gens,faces", [(E6, 29), (E8, 255), ((4, 5), 825), ((3, 7), 600)], ids=["3x4", "3x5", "4x5", "3x7"]
+)
+def test_entry_match_agrees_with_the_full_plucker_match(cells_of, gens, faces):
+    """On every candidate face of every ordered pair of distinct cells, r <= 8
+    (up to 2δ for E6), the match on the target's cell-matrix entries and
+    the reference match on its whole Plücker point agree: both None, or
+    the same (n, q).  The limit holds every coordinate that meets the
+    face, as the reference needs."""
+    seen = 0
+    for r in range(1, min(8, 2 * NumericalSemigroup(gens).delta) + 1):
+        cells = cells_of(gens, r)
+        for src, dst in product(cells, repeat=2):
+            if src is dst:
+                continue
+            for system in closure_analysis._systems(src):
+                for face in closure_analysis._candidate_faces(dst, system):
+                    limit = {
+                        cols: closure_analysis._polynomial(system, items, face)
+                        for cols, items in system.terms.items()
+                        if face & system.masks[cols]
+                    }
+                    assert closure_analysis._match_target(limit, dst) == _reference_match(limit, dst), (r, face)
+                    seen += 1
+    assert seen == faces
+
+
+@pytest.mark.parametrize("gens,r_max,altered", [(E6, 6, 2), (E8, 8, 5), ((4, 5), 8, 25)], ids=["3x4", "3x5", "4x5"])
+def test_match_rejects_a_point_off_the_target(cells_of, gens, r_max, altered):
+    """Adding 1 to a stored entry of the target's cell matrix that is not a
+    bare parameter keeps the unit pivots and the bare parameters, so the
+    altered rows span a point of the Grassmannian whose n is the
+    parameters and whose q is 1, but one entry is no longer the target's
+    at n: the point is off the target cell.  Both matches reject its
+    Plücker point."""
+    seen = 0
+    for r in range(1, r_max + 1):
+        for dst in cells_of(gens, r):
+            for ri, row in enumerate(dst.rows):
+                for col, entry in row.items():
+                    names = entry.variables()
+                    if col == dst.pivots[ri] or (len(names) == 1 and entry == ParamPoly.variable(names[0])):
+                        continue
+                    rows = [dict(other) for other in dst.rows]
+                    rows[ri][col] = entry + 1
+                    support = minor_support(rows)
+                    minors = zip(support, plucker_point(rows, dst.pivots, support))
+                    limit = {cols: p for cols, p in minors if not p.is_zero()}
+                    assert closure_analysis._match_target(limit, dst) is None, (r, ri, col)
+                    assert _reference_match(limit, dst) is None, (r, ri, col)
+                    seen += 1
+    assert seen == altered
+
+
 @pytest.mark.parametrize("gens,r_max", [(E6, 6), (E8, 8)], ids=["3x4", "3x5"])
 def test_certified_faces_are_viable(cells_of, gens, r_max):
     """Soundness of skipping: the face of every certificate is in the
@@ -408,7 +475,7 @@ def test_limit_depends_only_on_face(cells_of):
     cells = cells_of(E8, 8)
     src, dst = cells[6], cells[2]
     system = closure_analysis._systems(src)[1]
-    e1, e2 = (0, -1, 0, -3), (0, -1, 2, -3)
+    e1, e2 = [0, -1, 0, -3], [0, -1, 2, -3]
 
     def face(evec):
         dots = [sum(e * a for e, a in zip(evec, alpha)) for alpha in system.uniq_exps]
