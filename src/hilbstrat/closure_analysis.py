@@ -12,15 +12,16 @@ The limit along e depends only on the face of the source's Newton polytope
 coordinate system) on which e is minimal: its initial form.  A coordinate
 system is one table of exponent vectors: the distinct vectors of its
 substituted Plücker coordinates, and per coordinate its terms as (vector
-index, coefficient).  It carries the polytope's dimension and its facets,
-each with a normal minimal exactly on it (``newton``); there is no face
-lattice.  A face is a candidate for the target when it meets the exponents
-of every coordinate of the target's support (the limit at a coordinate is
-the sum of the terms on the face, and a dominant map hits points where
-every such coordinate is nonzero), meets no exponent of a coordinate that
-vanishes on the target, and has affine dimension at least dim C' (the
-limit is invariant under u -> lambda^e * u for every e constant on the
-face, so a smaller face is not dominant).  The candidates are generated
+index, coefficient).  The polytope's dimension and its facets, each with
+a normal minimal exactly on it (``newton``), are built on the chart's first
+use and kept on it; there is no face lattice.  A face is a candidate for
+the target when it meets the exponents of every coordinate of the
+target's support (the limit at a coordinate is the sum of the terms on
+the face, and a dominant map hits points where every such coordinate is
+nonzero), meets no exponent of a coordinate that vanishes on the target,
+and has affine dimension at least dim C' (the limit is invariant under
+u -> lambda^e * u for every e constant on the face, so a smaller face is
+not dominant).  The candidates are generated
 top-down from the facets, pruned by the support and dimension conditions,
 which every subface inherits.  A candidate is viable when its limit
 matches the target and the matched map is dominant, which is one exact
@@ -170,6 +171,8 @@ class CoordSystem:
     The chart is one table of exponent vectors: ``uniq_exps``, the distinct
     vectors over ``coords`` in order of first appearance, and per column
     set its ``terms`` as (vector index, coefficient) and its ``masks``.
+    Its hull, ``dim``, ``facets`` and ``normals``, is None until
+    ``_candidate_faces`` first needs it (``_hull``).
     """
 
     __slots__ = ("replacements", "coords", "uvars", "uniq_exps", "terms", "masks", "dim", "facets", "normals")
@@ -298,8 +301,15 @@ def _chart(cell, pairs):
             mask |= 1 << j
         sysm.terms[cols], sysm.masks[cols] = items, mask
     sysm.uniq_exps = list(index)
-    sysm.dim, sysm.facets, sysm.normals = facets(sysm.uniq_exps)
+    sysm.dim = sysm.facets = sysm.normals = None
     return sysm
+
+
+def _hull(system):
+    """Fill in the chart's dimension, facets and normals (``newton.facets``)
+    on its first use; they are kept on it."""
+    if system.facets is None:
+        system.dim, system.facets, system.normals = facets(system.uniq_exps)
 
 
 def _polynomial(system, items, face):
@@ -460,11 +470,17 @@ def _candidate_faces(dst, system):
     pruned, with every face below it, only by what passes to its subfaces:
     a dimension below dim C', or no exponent of some support coordinate.
     A forced-zero exponent does not pass down, so such a face is only not
-    a candidate itself.
+    a candidate itself.  When every exponent of some support coordinate is
+    forced-zero, no face is a candidate, and the generator stops before
+    the chart's hull is built (``_hull``).
     """
     masks = system.masks
     forced = reduce(or_, (m for cols, m in masks.items() if cols not in dst.plucker), 0)
     support = [masks.get(cols, 0) for cols in dst.plucker]
+    if any(not m & ~forced for m in support):
+        # every face meeting this coordinate meets a forced-zero exponent
+        return
+    _hull(system)
     level, dim = [(1 << len(system.uniq_exps)) - 1], system.dim
     while level and dim >= dst.dim:
         below = set()

@@ -55,18 +55,13 @@ class GammaModule:
         # s ≥ max(conductor_S, conductor_Γ) + multiplicity splits off one
         # multiplicity step inside S, so the scan below is complete.
         sg = self.ambient
-        limit = max(self.conductor, sg.conductor) + sg.multiplicity
-        out = []
-        for s in range(limit):
-            if s not in self:
-                continue
-            if any((s - a) in self for a in sg.gens):
-                continue
-            out.append(s)
-        return out
+        members = self.members_below(max(self.conductor, sg.conductor) + sg.multiplicity)
+        inside = set(members)
+        return [s for s in members if not any(s - a in inside for a in sg.gens)]
 
     def members_below(self, bound):
-        return [n for n in range(bound) if n in self]
+        absent = self._absent
+        return [n for n in self.ambient.members_below(bound) if n not in absent]
 
 
 def delta_set(module, r):
@@ -119,6 +114,9 @@ def enumerate_colength(sg, r, bound=None):
     if bound is None:
         bound = enumeration_bound(sg, r)
     pool = sg.members_below(bound)
+    members = set(pool)
+    # the t − a ∈ Γ of each candidate t; all lie below t, hence in the pool
+    below = [[t - a for a in sg.gens if t - a in members] for t in pool]
     out = []
     prefix = []
     chosen = set()
@@ -129,15 +127,9 @@ def enumerate_colength(sg, r, bound=None):
             return
         remaining = r - len(prefix)
         for idx in range(start, len(pool) - remaining + 1):
-            t = pool[idx]
-            ok = True
-            for a in sg.gens:
-                u = t - a
-                if u in sg and u not in chosen:
-                    ok = False
-                    break
-            if not ok:
+            if not chosen.issuperset(below[idx]):
                 continue
+            t = pool[idx]
             prefix.append(t)
             chosen.add(t)
             extend(idx + 1)

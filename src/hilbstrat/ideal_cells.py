@@ -135,9 +135,7 @@ def _primaries(module, seeds):
     cut = module.conductor
     prim = {}
     owners = {}
-    for s in range(cut):
-        if s not in module:
-            continue
+    for s in module.members_below(cut):
         for i, g in enumerate(gens):
             if (s - g) in module.ambient:
                 prim[s] = seeds[i].shift(s - g, trunc=cut)
@@ -270,7 +268,7 @@ def cell_matrix(family, r):
     module = family.module
     sg = module.ambient
     dd = 2 * sg.delta
-    orders = [s for s in range(r, r + dd) if s in module]
+    orders = [s for s in module.members_below(r + dd) if s >= r]
     if len(orders) != sg.delta:
         raise CardinalityMismatch(
             "window [%d, %d) holds %d orders, expected δ=%d"
@@ -282,36 +280,46 @@ def cell_matrix(family, r):
         coeffs = family.normal_forms[s].coeffs
         rows.append({e - r: coeffs[e] for e in sorted(coeffs) if e < end})
     pivots = tuple(s - r for s in orders)
+    pivot_set = set(pivots)
     one = ParamPoly.one()
     for i, (row, p) in enumerate(zip(rows, pivots)):
         if row.get(p) != one:
             raise PivotLoss("row %d has no unit pivot at column %d" % (i, p))
         if next(iter(row)) != p:
             raise PivotLoss("row %d has support below its pivot" % i)
-        if any(p in other for k, other in enumerate(rows) if k != i):
-            raise PivotLoss("pivot column %d not reduced" % p)
+        reached = pivot_set.intersection(row) - {p}
+        if reached:
+            raise PivotLoss("pivot column %d not reduced" % min(reached))
     return rows, pivots
 
 
 def minor_support(rows):
     """Column sets, in lexicographic order, on which the δ×δ minor of the
-    sparse ``rows`` has a nonzero term.  A DFS over the rows' keys, memoised
-    on (row, columns used): its cost grows with the support, not with the
-    matchings.
+    sparse ``rows`` has a nonzero term.  A unit row, whose only entry is its
+    pivot, takes that column in every such set; a DFS over the other rows'
+    keys, memoised on (row, columns used), picks the rest.  Its cost grows
+    with the support, not with δ or the matchings.
     """
+    unit = 0
+    for row in rows:
+        if len(row) == 1:
+            unit |= 1 << next(iter(row))
+    rest = [row for row in rows if len(row) > 1]
+
     @cache
     def tails(i, used):
-        # bitmasks of the columns that rows i, i+1, ... can take besides ``used``
-        if i == len(rows):
+        # bitmasks of the columns that rows i, i+1, ... of ``rest`` can take besides ``used``
+        if i == len(rest):
             return {0}
         return {
             1 << c | t
-            for c in rows[i]
+            for c in rest[i]
             if not used >> c & 1
             for t in tails(i + 1, used | 1 << c)
         }
 
-    return sorted(tuple(c for c in range(m.bit_length()) if m >> c & 1) for m in tails(0, 0))
+    masks = (unit | m for m in tails(0, unit))
+    return sorted(tuple(c for c in range(m.bit_length()) if m >> c & 1) for m in masks)
 
 
 def plucker_point(rows, pivots, support):
@@ -320,10 +328,11 @@ def plucker_point(rows, pivots, support):
     in that order; one can still cancel to zero.
 
     No other row reaches a pivot column, so a row whose pivot is in the set
-    must take it: each minor is ± a chart minor, of the rows without their
-    pivot on the non-pivot columns.  The expansion along the first row runs
-    over that row's stored entries and is memoised on the columns left, so
-    the minors share their sub-minors.
+    must take it.  In a nonzero minor it is also the least column left, as
+    the rows below start right of it: the minor is that of the rows below
+    on the other columns, with sign + and no arithmetic, which is all a
+    unit row costs.  Any other row is expanded over its stored entries,
+    memoised on the columns left, so the minors share their sub-minors.
     """
     @cache
     def minor(cols):
@@ -331,10 +340,11 @@ def plucker_point(rows, pivots, support):
         if not cols:
             return ParamPoly.one()
         i = len(rows) - cols.bit_count()
-        row = rows[i]
         p = pivots[i]
+        if cols >> p & 1:
+            return minor(cols ^ 1 << p)
         total = ParamPoly.zero()
-        for c, q in [(p, row[p])] if cols >> p & 1 else row.items():
+        for c, q in rows[i].items():
             bit = 1 << c
             if cols & bit:
                 term = q * minor(cols ^ bit)

@@ -37,7 +37,7 @@ class ReportConfig:
         pass
 
 
-def canonical_delta_labels(sg, r_max=None):
+def canonical_delta_labels(sg, r_max=None, modules=None):
     """Δ-sets in order of first appearance over r = 1, 2, …, 2δ, or only up
     to r_max when given: a label depends only on the strata before it.
 
@@ -45,14 +45,17 @@ def canonical_delta_labels(sg, r_max=None):
     the strata in increasing r and numbering each new Δ-set on sight
     reproduces the customary Δ_1, Δ_2, … naming.  Every Δ-set of every
     stratum occurs among the cells of ℳ_{2δ}, so the list is complete.
+    ``modules`` maps a colength to its modules, as ``enumerate_colength``
+    lists them; a colength it lacks is enumerated here.
     """
     labels = []
     seen = set()
     top = max(1, 2 * sg.delta)
     if r_max is not None:
         top = min(top, r_max)
+    modules = modules or {}
     for r in range(1, top + 1):
-        for module in enumerate_colength(sg, r):
+        for module in modules.get(r) or enumerate_colength(sg, r):
             d = delta_set(module, r)
             if d not in seen:
                 seen.add(d)
@@ -104,15 +107,19 @@ class StratumSection:
         return len(comps) == 1 and comps[0]["pd_pattern"]
 
 
-def stratify(sg, r, labels=None):
-    """Compute one report section: cells, closure verdicts, components."""
+def stratify(sg, r, labels=None, modules=None):
+    """Compute one report section: cells, closure verdicts, components.
+    ``modules`` are the Γ-modules of colength r (``enumerate_colength``),
+    enumerated here when not given."""
     if r < 1:
         raise ValueError("r must be at least 1, got %d" % r)
+    if modules is None:
+        modules = enumerate_colength(sg, r)
     if labels is None:
-        labels = canonical_delta_labels(sg, r)
+        labels = canonical_delta_labels(sg, r, {r: modules})
     label_of = {d: "Δ_%d" % (i + 1) for i, d in enumerate(labels)}
     cells = []
-    for module in enumerate_colength(sg, r):
+    for module in modules:
         cell = build_cell(sg, module, r)
         cell.label = label_of.get(cell.delta, "Δ_?")
         cells.append(cell)
@@ -221,8 +228,10 @@ def analyze(sg, r_max=None, config=None, rs=None):
         if r_max < 1:
             raise ValueError("r_max must be at least 1, got %d" % r_max)
         rs = range(1, r_max + 1)
-    labels = canonical_delta_labels(sg, max(rs, default=0))
-    sections = [stratify(sg, r, labels) for r in rs]
+    # each colength is enumerated once, for the labels and the cells alike
+    modules = {r: enumerate_colength(sg, r) for r in rs if r >= 1}
+    labels = canonical_delta_labels(sg, max(rs, default=0), modules)
+    sections = [stratify(sg, r, labels, modules.get(r)) for r in rs]
     return StratReport(sg, sections)
 
 

@@ -26,7 +26,9 @@ class NumericalSemigroup:
         if g != 1:
             raise NonCoprime("generators %r have gcd %d" % (gens, g))
 
-        bound = 4 * gens[-1] + 2
+        # Schur: conductor <= (a_1 - 1)(a_k - 1), and the conductor is found
+        # by the run of a_1 members that starts there.
+        bound = (gens[0] - 1) * (gens[-1] - 1) + gens[0]
         sieve = [False] * bound
         sieve[0] = True
         for n in range(bound):
@@ -47,7 +49,7 @@ class NumericalSemigroup:
             if run == self.multiplicity:
                 conductor = n - self.multiplicity + 1
                 break
-        if conductor is None:  # pragma: no cover - bound is provably large enough
+        if conductor is None:  # pragma: no cover - unreachable by Schur's bound
             raise AssertionError("sieve bound too small for %r" % gens)
         self.conductor = conductor
         self.gaps = tuple(n for n in range(conductor) if not sieve[n])
@@ -69,7 +71,7 @@ class NumericalSemigroup:
         # larger splits off one multiplicity step and stays in the semigroup.
         out = []
         limit = max(self.conductor + self.multiplicity, self.multiplicity + 1)
-        members = [n for n in range(1, limit) if n in self]
+        members = self.members_below(limit)[1:]
         member_set = set(members)
         for g in members:
             if any(g - a in member_set for a in members if a < g):
@@ -78,8 +80,10 @@ class NumericalSemigroup:
         return out
 
     def members_below(self, bound):
-        """Sorted members of the semigroup in [0, bound)."""
-        return [n for n in range(bound) if n in self]
+        """Sorted members of the semigroup in [0, bound), read off the sieve
+        below the conductor."""
+        c = self.conductor
+        return [n for n in range(min(bound, c)) if self._sieve[n]] + list(range(c, bound))
 
     def to_dict(self):
         return {

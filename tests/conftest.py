@@ -1,7 +1,9 @@
 """Shared fixtures: the two worked semigroups and a cached cell factory;
-a reference rank over the rationals and a reference target match."""
+a reference rank over the rationals, a reference target match, and the
+all-rows minor support and Plücker point."""
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 import pytest
@@ -117,3 +119,41 @@ def _reference_match(limit, dst):
         if limit.get(cols, zero) * q ** (D - 1) != h:
             return None
     return n, q
+
+
+def _reference_minor_support(rows):
+    """``ideal_cells.minor_support`` as it was before unit rows were split
+    off, kept verbatim as the reference: a DFS over every row's keys."""
+    @cache
+    def tails(i, used):
+        if i == len(rows):
+            return {0}
+        return {
+            1 << c | t
+            for c in rows[i]
+            if not used >> c & 1
+            for t in tails(i + 1, used | 1 << c)
+        }
+
+    return sorted(tuple(c for c in range(m.bit_length()) if m >> c & 1) for m in tails(0, 0))
+
+
+def _reference_plucker_point(rows, pivots, support):
+    """``ideal_cells.plucker_point`` as it was before rows whose pivot is in
+    the set skipped their arithmetic, kept verbatim as the reference."""
+    @cache
+    def minor(cols):
+        if not cols:
+            return ParamPoly.one()
+        i = len(rows) - cols.bit_count()
+        row = rows[i]
+        p = pivots[i]
+        total = ParamPoly.zero()
+        for c, q in [(p, row[p])] if cols >> p & 1 else row.items():
+            bit = 1 << c
+            if cols & bit:
+                term = q * minor(cols ^ bit)
+                total = total - term if (cols & (bit - 1)).bit_count() & 1 else total + term
+        return total
+
+    return tuple(minor(sum(1 << c for c in cols)) for cols in support)

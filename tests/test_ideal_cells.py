@@ -20,10 +20,11 @@ from hilbstrat import (
     plucker_point,
 )
 from hilbstrat import closure_analysis, ideal_cells
-from hilbstrat.errors import CardinalityMismatch
+from hilbstrat.errors import CardinalityMismatch, PivotLoss
 from hilbstrat.ideal_cells import minor_support
 from hilbstrat.report_cli import specialized_orders
-from conftest import _reference_rank
+from hilbstrat.symcalc import TruncSeries
+from conftest import _reference_minor_support, _reference_plucker_point, _reference_rank
 
 E6 = NumericalSemigroup((3, 4))
 E8 = NumericalSemigroup((3, 5))
@@ -374,3 +375,51 @@ def test_cell_matrix_windows_need_no_truncation_guard(gens, r_max):
                 except CardinalityMismatch:
                     continue
                 assert r + dd <= f.truncation or rows == [], (m.gap_set, r)
+
+
+@pytest.mark.parametrize(
+    "gens,r",
+    [((3, 4), r) for r in range(1, 9)]
+    + [((3, 5), r) for r in range(1, 9)]
+    + [((4, 5), r) for r in range(1, 9)]
+    + [((3, 7), r) for r in range(1, 9)]
+    + [((4, 7), r) for r in range(1, 5)]
+    + [((5, 6), r) for r in range(1, 5)],
+    ids=lambda v: "r%d" % v if isinstance(v, int) else "x".join(map(str, v)),
+)
+def test_unit_rows_keep_support_and_term_order(cells_of, gens, r):
+    """Splitting off the unit rows and skipping the arithmetic of rows
+    whose pivot is in the set changes nothing: the all-rows DFS and
+    expansion give the same column sets, and each coordinate the same
+    terms in the same order, so every chart's vector indices stay."""
+    for cell in cells_of(gens, r):
+        support = minor_support(cell.rows)
+        assert support == _reference_minor_support(cell.rows), cell.module.gap_set
+        got = plucker_point(cell.rows, cell.pivots, support)
+        want = _reference_plucker_point(cell.rows, cell.pivots, support)
+        for cols, p, q in zip(support, got, want):
+            assert list(p.terms.items()) == list(q.terms.items()), (cell.module.gap_set, cols)
+
+
+@pytest.mark.parametrize(
+    "tamper,message",
+    [
+        (lambda s, t: {s: ParamPoly.constant(2)}, "row 1 has no unit pivot"),
+        (lambda s, t: {s - 1: ParamPoly.variable("z")}, "row 1 has support below its pivot"),
+        (lambda s, t: {t: ParamPoly.variable("z")}, "pivot column %d not reduced"),
+    ],
+    ids=["unit-pivot", "below-pivot", "unreduced"],
+)
+def test_cell_matrix_pivot_guards(tamper, message):
+    """Each ``PivotLoss`` guard of ``cell_matrix`` fires on normal forms
+    tampered to break it: row 1's pivot entry is not 1, it has an entry
+    below its pivot, or it reaches row 2's pivot column."""
+    family = canonical_family(E8, GammaModule(E8, (0, 3, 5)))
+    r = 3
+    _, pivots = cell_matrix(family, r)
+    s, t = pivots[1] + r, pivots[2] + r
+    assert s - 1 > pivots[0] + r
+    nf = family.normal_forms[s]
+    family.normal_forms[s] = TruncSeries(nf.trunc, {**nf.coeffs, **tamper(s, t)})
+    with pytest.raises(PivotLoss, match=message.replace("%d", str(t - r))):
+        cell_matrix(family, r)

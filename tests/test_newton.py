@@ -296,11 +296,12 @@ STRATA = pytest.mark.parametrize(
 
 @STRATA
 def test_face_lattice_matches_reference_on_systems(cells_of, gens, r_max):
-    """Each system's facets are the reference's maximal proper faces, and
-    each facet's normal is minimal exactly on it."""
+    """Each system's facets, once its hull is built, are the reference's
+    maximal proper faces, and each facet's normal is minimal exactly on it."""
     for r in range(1, r_max + 1):
         for cell in cells_of(gens, r):
             for system in closure_analysis._systems(cell):
+                closure_analysis._hull(system)
                 points = system.uniq_exps
                 assert system.dim == _affine_dimension(points)
                 assert system.facets == _reference_facets(points)
@@ -386,3 +387,35 @@ def test_support_drops_only_non_viable_faces(cells_of, gens, r_max):
                     assert all(closure_analysis._judge(dst, system, face) is None for face in faces), (r, src.module.gap_set, dst.module.gap_set)
                     dropped += len(faces)
     assert dropped
+
+
+@pytest.mark.parametrize(
+    "gens,r_max",
+    [((3, 4), 6), ((3, 5), 8), ((4, 5), 8), ((3, 7), 8)],
+    ids=["3x4", "3x5", "4x5", "3x7"],
+)
+def test_early_exit_rejects_only_charts_without_candidates(cells_of, gens, r_max):
+    """When every term of some coordinate of the target's support sits on a
+    forced-zero exponent, ``_candidate_faces`` stops before the chart's hull
+    is built.  On every such (chart, target), with the hull then forced,
+    no face of the facet lattice meets every support coordinate and misses
+    the forced-zero exponents."""
+    rejected = 0
+    for r in range(1, r_max + 1):
+        cells = cells_of(gens, r)
+        for src in cells:
+            for system in closure_analysis._systems(src):
+                for dst in cells:
+                    terms = system.terms
+                    forced = {j for cols, items in terms.items() if cols not in dst.plucker for j, _ in items}
+                    support = [{j for j, _ in terms.get(cols, ())} for cols in dst.plucker]
+                    if not any(s <= forced for s in support):
+                        continue
+                    rejected += 1
+                    fresh = closure_analysis._chart(src, system.replacements)
+                    assert list(closure_analysis._candidate_faces(dst, fresh)) == []
+                    assert fresh.facets is None, (r, src.module.gap_set, dst.module.gap_set)
+                    closure_analysis._hull(fresh)
+                    for face in _lattice(fresh.uniq_exps):
+                        assert not all(face & s for s in support) or face & forced, (r, src.module.gap_set, dst.module.gap_set)
+    assert rejected

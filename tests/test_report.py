@@ -21,6 +21,7 @@ from hilbstrat import (
     oracle_check,
     stratify,
 )
+from hilbstrat import report_cli
 from hilbstrat.report_cli import (
     enumerate_colength_reference,
     main,
@@ -57,6 +58,60 @@ def test_labels_up_to_the_reported_stratum(sg):
         labels = canonical_delta_labels(sg, k)
         assert labels == full_labels[: len(labels)]
         assert analyze(sg, r_max=k).to_dict()["strata"] == full[:k]
+
+
+def _count_calls(monkeypatch):
+    """Wrap ``report_cli``'s ``enumerate_colength`` and
+    ``canonical_delta_labels``; returns the colengths enumerated, in call
+    order, and the list of label calls."""
+    enumerated, labelled = [], []
+    enumerate_real = report_cli.enumerate_colength
+    labels_real = report_cli.canonical_delta_labels
+
+    def enumerate_spy(sg, r):
+        enumerated.append(r)
+        return enumerate_real(sg, r)
+
+    def labels_spy(*args):
+        labelled.append(args[1])
+        return labels_real(*args)
+
+    monkeypatch.setattr(report_cli, "enumerate_colength", enumerate_spy)
+    monkeypatch.setattr(report_cli, "canonical_delta_labels", labels_spy)
+    return enumerated, labelled
+
+
+@pytest.mark.parametrize(
+    "sg,kwargs,colengths",
+    [
+        (E6, {}, range(1, 7)),
+        (E8, {}, range(1, 9)),
+        (E6, {"r_max": 8}, range(1, 9)),
+        (E8, {"rs": [5]}, range(1, 6)),
+        (E8, {"rs": [10, 3]}, range(1, 9)),
+    ],
+    ids=["3x4", "3x5", "3x4-r8", "3x5-r5", "3x5-r10,3"],
+)
+def test_analyze_enumerates_each_colength_once(monkeypatch, sg, kwargs, colengths):
+    """``analyze`` enumerates each colength that its labels or its cells
+    need exactly once, and computes the labels once; the report is the
+    same as the one built stratum by stratum."""
+    expected = [s.to_dict() for s in analyze(sg, **kwargs).sections]
+    enumerated, labelled = _count_calls(monkeypatch)
+    report = analyze(sg, **kwargs)
+    assert sorted(enumerated) == sorted(set(colengths) | set(kwargs.get("rs", ())))
+    assert len(labelled) == 1
+    assert [s.to_dict() for s in report.sections] == expected
+
+
+@pytest.mark.parametrize("r", [1, 4, 6])
+def test_stratify_enumerates_each_colength_once(monkeypatch, r):
+    """``stratify(sg, r)`` with no labels enumerates each of 1..r once: its
+    own colength serves its cells and its labels alike."""
+    enumerated, labelled = _count_calls(monkeypatch)
+    stratify(E6, r)
+    assert sorted(enumerated) == list(range(1, r + 1))
+    assert labelled == [r]
 
 
 def _strip_vectors(verdict):

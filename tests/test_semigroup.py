@@ -1,9 +1,13 @@
 """Numerical semigroup invariants: gaps, delta, conductor, generators."""
 
+from itertools import combinations
+from math import gcd
+
 import pytest
 
 from hilbstrat import NumericalSemigroup
 from hilbstrat.errors import EmptyGenerators, NonCoprime
+from hilbstrat.report_cli import main
 
 
 def test_e6_invariants():
@@ -82,3 +86,33 @@ def test_gap_count_and_conductor(gens):
         assert all(n in sg for n in range(sg.conductor, sg.conductor + 10))
     else:
         assert sg.conductor == 0
+
+
+def _brute_conductor_and_delta(gens):
+    """Conductor and δ by reachability up to gens[0] * gens[-1], which
+    exceeds every Frobenius number of a generating set with gcd 1."""
+    top = gens[0] * gens[-1] + gens[0]
+    member = [True] + [False] * top
+    for n in range(1, top + 1):
+        member[n] = any(n >= g and member[n - g] for g in gens)
+    gaps = [n for n in range(top + 1) if not member[n]]
+    return (gaps[-1] + 1 if gaps else 0), len(gaps)
+
+
+def test_sieve_covers_every_small_semigroup():
+    """The sieve reaches the conductor (Schur: c <= (a_1 - 1)(a_k - 1)) on
+    every coprime pair a < b <= 21 and every coprime triple in [2, 14),
+    ⟨6,7⟩, ⟨7,8⟩ and ⟨9,10⟩ among them, whose conductors exceed 4·a_k + 2."""
+    sets = [(a, b) for b in range(2, 22) for a in range(2, b) if gcd(a, b) == 1]
+    sets += [t for t in combinations(range(2, 14), 3) if gcd(*t) == 1]
+    for gens in sets:
+        sg = NumericalSemigroup(gens)
+        assert (sg.conductor, sg.delta) == _brute_conductor_and_delta(gens), gens
+        assert sg.members_below(sg.conductor + 3) == [n for n in range(sg.conductor + 3) if n in sg]
+    assert NumericalSemigroup((9, 10)).conductor == 72
+
+
+@pytest.mark.parametrize("argv", [["--gens", "6,7", "--r", "1"], ["--gens", "6,7", "--r", "2"], ["--gens", "7,8", "--r", "1"]])
+def test_cli_accepts_long_conductor(argv, capsys):
+    assert main(argv) == 0
+    assert "Γ = ⟨" in capsys.readouterr().out
