@@ -265,8 +265,7 @@ def _candidate_replacements(src):
         seen.add(sig)
         cands.append((target, p, "w%02d" % position[target]))
 
-    for s in src.family.generator_orders:
-        nf = src.family.normal_forms[s]
+    for s, nf in zip(src.family.generator_orders, src.family.generators):
         for e in sorted(nf.coeffs):
             if e != s:
                 consider(nf.coeffs[e])
@@ -627,9 +626,7 @@ def _replay_chain(src, dst, certificate):
     it.  Building a cell takes no setting, so the rebuilt cell is the one
     the original run used."""
     gaps, links = certificate["gaps"], certificate["links"]
-    if not isinstance(gaps, list) or any(type(g) is not int for g in gaps):
-        return False
-    if not isinstance(links, list) or len(links) != 2:
+    if not isinstance(gaps, list) or not isinstance(links, list) or len(links) != 2:
         return False
     sg = src.module.ambient
     try:

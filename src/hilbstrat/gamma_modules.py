@@ -14,7 +14,10 @@ class GammaModule:
     __slots__ = ("ambient", "gap_set", "colength", "conductor", "min_generators", "_absent")
 
     def __init__(self, ambient, gap_set):
-        gaps = tuple(sorted(set(int(g) for g in gap_set)))
+        gaps = tuple(gap_set)
+        if any(type(g) is not int for g in gaps):  # the exact type: a bool is refused too
+            raise MalformedDelta("gaps must be ints, got %r" % (gaps,))
+        gaps = tuple(sorted(set(gaps)))
         for g in gaps:
             if g not in ambient:
                 raise MalformedDelta("gap %d is not in the ambient semigroup" % g)
@@ -100,7 +103,7 @@ def enumeration_bound(sg, r):
     return sg.conductor + r * sg.multiplicity
 
 
-def enumerate_colength(sg, r, bound=None):
+def enumerate_colength(sg, r):
     """All Γ-modules S ⊆ Γ with ♯(Γ∖S) = r, sorted lexicographically by gap set.
 
     Gap sets are grown as sorted prefixes: a sorted prefix of an order
@@ -111,9 +114,7 @@ def enumerate_colength(sg, r, bound=None):
         raise ValueError("colength must be >= 0, got %d" % r)
     if r == 0:
         return [GammaModule(sg, ())]
-    if bound is None:
-        bound = enumeration_bound(sg, r)
-    pool = sg.members_below(bound)
+    pool = sg.members_below(enumeration_bound(sg, r))
     members = set(pool)
     # the t − a ∈ Γ of each candidate t; all lie below t, hence in the pool
     below = [[t - a for a in sg.gens if t - a in members] for t in pool]

@@ -8,10 +8,11 @@ Each cell is the set of ideals I ⊆ k[[Γ]] whose order set is a prescribed
 one per minimal generator g_i of S, with c running over the gaps of S
 (elements of Γ∖S) above g_i.  Coefficient relations forced by the module
 structure are eliminated symbolically; the survivors are free coordinates
-on the cell.  Each row of its δ × 2δ cell matrix keeps only its nonzero
-entries, as a dict {column: entry} (``cell_matrix``), and its Plücker
-point is computed from sparse chart minors over them, in lexicographic
-column-set order (``plucker_point``).
+on the cell.  The family keeps the normal forms of the orders of S below
+its conductor c(S), modulo t^{c(S)}; above, they are the bare t^s.  Each
+row of its δ × 2δ cell matrix keeps only its nonzero entries, as a dict
+{column: entry} (``cell_matrix``), and its Plücker point is computed from
+sparse chart minors over them, in lexicographic column-set order (``plucker_point``).
 """
 
 from fractions import Fraction
@@ -36,7 +37,9 @@ def _param_index(name):
 class CanonicalFamily:
     """The affine cell J(S): parametrized generators plus elimination data.
 
-    ``generators`` is the displayed family: the minimal-generator series
+    ``normal_forms`` maps exactly the orders of S below the module's conductor
+    c(S) to their normal forms modulo t^{c(S)}.  ``generators`` is the
+    displayed family: the minimal-generator series (t^s at or above c(S))
     together with any derived normal forms carrying a coefficient that is
     neither zero nor a bare free parameter (these are the informative
     redundant generators the case analyses print, e.g. t^6 - a^2 t^8).
@@ -44,7 +47,6 @@ class CanonicalFamily:
 
     __slots__ = (
         "module",
-        "truncation",
         "generators",
         "generator_orders",
         "free_params",
@@ -54,9 +56,8 @@ class CanonicalFamily:
         "display_names",
     )
 
-    def __init__(self, module, truncation, normal_forms, free_params, eliminated):
+    def __init__(self, module, normal_forms, free_params, eliminated):
         self.module = module
-        self.truncation = truncation
         self.normal_forms = normal_forms
         self.free_params = free_params
         self.eliminated = eliminated
@@ -66,19 +67,18 @@ class CanonicalFamily:
             for i, name in enumerate(free_params)
         }
         self.generator_orders = self._displayed_orders()
-        self.generators = [normal_forms[s] for s in self.generator_orders]
+        self.generators = [
+            normal_forms[s] if s in normal_forms else TruncSeries(s + 1, {s: ParamPoly.one()})
+            for s in self.generator_orders
+        ]
 
     def _displayed_orders(self):
-        module = self.module
         free = set(self.free_params)
-        min_gens = set(module.min_generators)
-        max_gap = module.gap_set[-1] if module.gap_set else -1
+        min_gens = set(self.module.min_generators)
         orders = []
-        for s in sorted(self.normal_forms):
+        for s in sorted(min_gens.union(self.normal_forms)):
             if s in min_gens:
                 orders.append(s)
-                continue
-            if s > max_gap:
                 continue
             informative = False
             for e, p in self.normal_forms[s].coeffs.items():
@@ -111,9 +111,12 @@ class CanonicalFamily:
         return out
 
 
-def _build_seeds(module, truncation, eliminated):
+def _build_seeds(module, eliminated):
+    cut = module.conductor
     seeds = []
     for i, g in enumerate(module.min_generators):
+        if g >= cut:  # it and those after it have no parameter and reach no order below cut
+            break
         coeffs = {g: ParamPoly.one()}
         for c in module.gap_set:
             if c > g:
@@ -123,7 +126,7 @@ def _build_seeds(module, truncation, eliminated):
                     p = ParamPoly.variable(name)
                 if not p.is_zero():
                     coeffs[c] = p
-        seeds.append(TruncSeries(truncation, coeffs))
+        seeds.append(TruncSeries(cut, coeffs))
     return seeds
 
 
@@ -205,18 +208,15 @@ def canonical_family(sg, module):
     Every gap lies below the module's conductor, and every order of Γ at or
     above it is in S.  So the computation runs modulo t^conductor, and the
     normal form of each order s at or above the conductor is the bare t^s.
-    The family's series carry the truncation c(S) + c(Γ) + 2δ + 1: a
-    ``cell_matrix`` window ending past it lies inside S, so it holds 2δ
-    orders, not δ, and is refused before any normal form is read.
+    The family stores the normal forms of the orders below the conductor
+    only, each modulo t^conductor.
     """
     if module.ambient is not sg and module.ambient.gens != sg.gens:
         raise CardinalityMismatch("module does not live over the given semigroup")
-    cut = module.conductor
-    truncation = cut + sg.conductor + 2 * sg.delta + 1
 
     eliminated = {}
     while True:
-        seeds = _build_seeds(module, truncation, eliminated)
+        seeds = _build_seeds(module, eliminated)
         primaries, owners = _primaries(module, seeds)
         relations = _scan_relations(module, seeds, primaries, owners)
         if not relations:
@@ -247,13 +247,8 @@ def canonical_family(sg, module):
         if d.coeff(s) != ParamPoly.one():
             raise PivotLoss("normal form at order %d lost its unit leading term" % s)
         reduced[s] = d
-    one = ParamPoly.one()
-    normal_forms = {
-        s: TruncSeries(truncation, reduced[s].coeffs if s < cut else {s: one})
-        for s in module.members_below(truncation)
-    }
 
-    return CanonicalFamily(module, truncation, normal_forms, free, eliminated)
+    return CanonicalFamily(module, dict(sorted(reduced.items())), free, eliminated)
 
 
 def cell_matrix(family, r):
@@ -261,9 +256,10 @@ def cell_matrix(family, r):
 
     Row i is the normal form of the i-th order s of S ∩ [r, r+2δ), shifted
     down by r and read off the family's coefficients: a dict {column: entry}
-    holding only the nonzero entries, in ascending column order.  Its first
-    key is its pivot s − r, with entry 1, and no other row has that column;
-    the pivots are the Δ-set columns.
+    holding only the nonzero entries, in ascending column order; an order at
+    or above the module's conductor (not stored) gives the unit row {s − r: 1}.
+    Its first key is its pivot s − r, with entry 1, and no other row has that
+    column; the pivots are the Δ-set columns.
     """
     module = family.module
     sg = module.ambient
@@ -275,13 +271,13 @@ def cell_matrix(family, r):
             % (r, r + dd, len(orders), sg.delta)
         )
     end = r + dd
+    one = ParamPoly.one()
     rows = []
     for s in orders:
-        coeffs = family.normal_forms[s].coeffs
+        coeffs = family.normal_forms[s].coeffs if s in family.normal_forms else {s: one}
         rows.append({e - r: coeffs[e] for e in sorted(coeffs) if e < end})
     pivots = tuple(s - r for s in orders)
     pivot_set = set(pivots)
-    one = ParamPoly.one()
     for i, (row, p) in enumerate(zip(rows, pivots)):
         if row.get(p) != one:
             raise PivotLoss("row %d has no unit pivot at column %d" % (i, p))

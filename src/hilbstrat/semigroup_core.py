@@ -8,14 +8,17 @@ from .errors import EmptyGenerators, NonCoprime
 class NumericalSemigroup:
     """Additive submonoid of the nonnegative integers with finite complement.
 
-    Built from any generating set with gcd 1.  The stored ``gens`` are the
-    minimal generators, which may be a proper subset of the input.
+    Built from any generating set of ints with gcd 1.  The stored ``gens``
+    are the minimal generators, which may be a proper subset of the input.
     """
 
     __slots__ = ("gens", "multiplicity", "conductor", "gaps", "delta", "_sieve")
 
     def __init__(self, generators):
-        gens = sorted(set(int(g) for g in generators))
+        gens = list(generators)
+        if any(type(g) is not int for g in gens):  # the exact type: a bool is refused too
+            raise ValueError("generators must be ints, got %r" % (gens,))
+        gens = sorted(set(gens))
         if not gens:
             raise EmptyGenerators("need at least one generator")
         if gens[0] <= 0:

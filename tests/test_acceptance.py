@@ -21,7 +21,6 @@ from itertools import combinations
 from hilbstrat import (
     GammaModule,
     NumericalSemigroup,
-    ParamPoly,
     analyze,
     canonical_family,
     cell_matrix,
@@ -165,20 +164,19 @@ def test_criterion_8_property_suites():
                 good = good and is_good_subspace(rows, pivots, sg)
     parts.append(("goodness", good))
 
-    # the conductor cut: a normal form of order s at or above the module's
-    # conductor c is the bare t^s, and one below it has support in [s, c)
+    # the conductor cut: the family stores the normal forms of exactly the
+    # orders s of S below the module's conductor c (at and above it, the
+    # normal form is the bare t^s), each with support in [s, c)
     stable = True
-    one = ParamPoly.one()
     for gens in ((3, 4), (3, 5)):
         sg = NumericalSemigroup(gens)
         for r in range(1, 2 * sg.delta + 1):
             for m in enumerate_colength(sg, r):
                 c = m.conductor
-                for s, nf in canonical_family(sg, m).normal_forms.items():
-                    if s >= c:
-                        stable = stable and nf.coeffs == {s: one}
-                    else:
-                        stable = stable and all(s <= e < c for e in nf.coeffs)
+                forms = canonical_family(sg, m).normal_forms
+                stable = stable and list(forms) == m.members_below(c)
+                for s, nf in forms.items():
+                    stable = stable and all(s <= e < c for e in nf.coeffs)
     parts.append(("truncation", stable))
 
     # specialization soundness on 20 random rational points per fixture cell

@@ -7,8 +7,8 @@ from hilbstrat import (
     NumericalSemigroup,
     delta_set,
     enumerate_colength,
-    enumeration_bound,
 )
+from hilbstrat import gamma_modules
 from hilbstrat.errors import CardinalityMismatch, MalformedDelta
 
 E6 = NumericalSemigroup((3, 4))
@@ -91,6 +91,19 @@ def test_min_module_element_at_least_colength():
                 assert min(m.members_below(sg.conductor + rmax + 1)) >= r
 
 
+@pytest.mark.parametrize("gaps", [(0, 3.7), (0, 3.0), ("0", 3), (False, 3)], ids=repr)
+def test_non_int_gap_rejected(gaps):
+    """A gap that is not an int is refused, not coerced: (0, 3.7) is not
+    the gap set (0, 3), nor is False the gap 0."""
+    with pytest.raises(MalformedDelta, match="must be ints"):
+        GammaModule(E6, gaps)
+
+
+def test_int_gaps_unchanged():
+    assert GammaModule(E6, [4, 0, 4]).gap_set == (0, 4)
+    assert GammaModule(E6, (0, 3, 4, 7, 8, 11)) == enumerate_colength(E6, 6)[-1]
+
+
 def test_non_module_gap_set_rejected():
     # 8 - 4 = 4 would have to be a gap too, but is not listed
     with pytest.raises(MalformedDelta):
@@ -127,11 +140,14 @@ def test_gap_sets_are_order_ideals(sg, rmax):
 
 
 @pytest.mark.parametrize("sg,rmax", [(E6, 6), (E8, 8)])
-def test_enumeration_bound_stability(sg, rmax):
+def test_enumeration_bound_stability(sg, rmax, monkeypatch):
+    """Widening the enumeration pool by 10 finds no further module."""
+    base = [enumerate_colength(sg, r) for r in range(1, rmax + 1)]
+    bound = gamma_modules.enumeration_bound
+    monkeypatch.setattr(gamma_modules, "enumeration_bound", lambda sg, r: bound(sg, r) + 10)
     for r in range(1, rmax + 1):
-        base = enumerate_colength(sg, r)
-        wide = enumerate_colength(sg, r, bound=enumeration_bound(sg, r) + 10)
-        assert [m.gap_set for m in base] == [m.gap_set for m in wide]
+        wide = enumerate_colength(sg, r)
+        assert [m.gap_set for m in base[r - 1]] == [m.gap_set for m in wide]
 
 
 def test_membership_and_members_below():

@@ -135,28 +135,43 @@ def test_cell_dimensions():
 def test_families_with_eliminations_are_pinned():
     """sha256 of every family of ⟨4,5⟩ and ⟨3,7⟩ up to r = 12, ⟨5,6⟩ up to
     r = 6, ⟨4,7⟩ up to r = 7 and ⟨3,4,5⟩ up to r = 6: free parameters,
-    eliminations, normal forms, displayed orders and truncation.  19 of the
-    265 families eliminate a coefficient, which E6 and E8 never do.  At and
-    above the module's conductor every normal form is the bare t^s."""
+    eliminations, displayed orders and the stored normal forms with their
+    truncations.  19 of the 265 families eliminate a coefficient, which E6
+    and E8 never do.  A family stores the normal forms of exactly the
+    orders of S below the module's conductor c(S), each modulo t^{c(S)};
+    at and above c(S) the normal form is the bare t^s, so a displayed
+    generator there reads t^s.  The second digest leaves out the
+    truncations and reads the displayed generators instead; it is the same
+    as when every order up to c(S) + c(Γ) + 2δ was stored."""
     cases = (((4, 5), 12), ((3, 7), 12), ((5, 6), 6), ((4, 7), 7), ((3, 4, 5), 6))
     records = []
+    displayed = []
     eliminating = 0
     for gens, r_max in cases:
         sg = NumericalSemigroup(gens)
         for r in range(1, r_max + 1):
             for m in enumerate_colength(sg, r):
+                c = m.conductor
                 f = canonical_family(sg, m)
                 eliminating += bool(f.eliminated)
-                for s, nf in f.normal_forms.items():
-                    if s >= m.conductor:
-                        assert nf.coeffs == {s: ParamPoly.one()}, (gens, m.gap_set, s)
-                forms = [[s, f.normal_forms[s].trunc, f.normal_forms[s].format()] for s in sorted(f.normal_forms)]
+                assert list(f.normal_forms) == m.members_below(c), (gens, m.gap_set)
+                for nf in f.normal_forms.values():
+                    assert nf.trunc == c and max(nf.coeffs) < c, (gens, m.gap_set)
+                for s, text in zip(f.generator_orders, f.format_generators()):
+                    if s >= c:
+                        assert text == "t^%d" % s, (gens, m.gap_set, s)
+                forms = [[s, nf.trunc, nf.format()] for s, nf in f.normal_forms.items()]
                 elim = sorted((k, v.format()) for k, v in f.eliminated.items())
-                family = [list(m.gap_set), f.truncation, f.free_params, elim, f.generator_orders, forms]
+                family = [list(m.gap_set), f.free_params, elim, f.generator_orders, forms]
                 records.append([list(gens), r, family])
+                forms = [[s, nf.format()] for s, nf in f.normal_forms.items()]
+                family = [list(m.gap_set), f.free_params, elim, f.generator_orders, f.format_generators(), forms]
+                displayed.append([list(gens), r, family])
     assert (len(records), eliminating) == (265, 19)
     digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
-    assert digest == "6bc44215b9069dcc5607621e1d3b19c526d84b83e12a682933d0d910aa21ccf6"
+    assert digest == "1b9acbaf83d2aa41e53a3d3cee864343c43345c5377dbdecf4bb0e7e58557f95"
+    digest = hashlib.sha256(json.dumps(displayed).encode()).hexdigest()
+    assert digest == "47172949ec917dd076a4a86e609da04b4c23835982e385c26e2e3d746903f459"
 
 
 def test_genuine_elimination_45():
@@ -290,7 +305,9 @@ def test_sparse_rows_match_dense_construction(cells_of, gens, r):
         family = cell.family
         dd = 2 * family.module.ambient.delta
         orders = [s for s in range(r, r + dd) if s in cell.module]
-        dense = [[family.normal_forms[s].shift(-r).coeff(e) for e in range(dd)] for s in orders]
+        bare = {s: TruncSeries(s + 1, {s: ParamPoly.one()}) for s in orders}
+        forms = [family.normal_forms[s] if s < cell.module.conductor else bare[s] for s in orders]
+        dense = [[nf.shift(-r).coeff(e) for e in range(dd)] for nf in forms]
         assert cell.pivots == tuple(s - r for s in orders)
         assert len(cell.rows) == len(dense)
         for row, ref in zip(cell.rows, dense):
@@ -358,23 +375,29 @@ def test_cell_matrix_window_guards():
     [((3, 4), 6), ((3, 5), 8), ((4, 7), 3), ((2, 3), 2), ((1,), 1)],
     ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else "r%d" % v,
 )
-def test_cell_matrix_windows_need_no_truncation_guard(gens, r_max):
-    """Every window [r, r + 2δ) for r from 0 to 4 past the family's
-    truncation either gives a matrix or raises CardinalityMismatch.  A
-    window ending past the truncation lies inside S and holds 2δ orders,
-    so every window that gives a matrix ends within the truncation, unless
-    δ = 0 and the matrix is empty."""
+def test_cell_matrix_windows_past_both_conductors_are_refused(gens, r_max):
+    """Every window [r, r + 2δ) for r up to c(S) + c(Γ) + 2δ + 4 either
+    gives a matrix or raises CardinalityMismatch.  A window starting at or
+    above both conductors lies inside S and holds 2δ orders, not δ, so it
+    is refused unless δ = 0 and the matrix is empty.  In a matrix, the row
+    of each order at or above c(S), which the family does not store, is
+    the unit row of the bare t^s."""
     sg = NumericalSemigroup(gens)
     dd = 2 * sg.delta
+    one = ParamPoly.one()
     for colength in range(r_max + 1):
         for m in enumerate_colength(sg, colength):
             f = canonical_family(sg, m)
-            for r in range(f.truncation + 5):
+            start = max(m.conductor, sg.conductor)
+            for r in range(m.conductor + sg.conductor + dd + 5):
                 try:
-                    rows, _ = cell_matrix(f, r)
+                    rows, pivots = cell_matrix(f, r)
                 except CardinalityMismatch:
                     continue
-                assert r + dd <= f.truncation or rows == [], (m.gap_set, r)
+                assert r < start or sg.delta == 0, (m.gap_set, r)
+                for row, p in zip(rows, pivots):
+                    if p + r >= m.conductor:
+                        assert row == {p: one}, (m.gap_set, r, p)
 
 
 @pytest.mark.parametrize(
@@ -413,13 +436,16 @@ def test_unit_rows_keep_support_and_term_order(cells_of, gens, r):
 def test_cell_matrix_pivot_guards(tamper, message):
     """Each ``PivotLoss`` guard of ``cell_matrix`` fires on normal forms
     tampered to break it: row 1's pivot entry is not 1, it has an entry
-    below its pivot, or it reaches row 2's pivot column."""
+    below its pivot, or it reaches row 2's pivot column.  Row 1's order is
+    at or above the module's conductor, so its normal form, the bare t^s,
+    is not stored: the tampered one is inserted."""
     family = canonical_family(E8, GammaModule(E8, (0, 3, 5)))
     r = 3
     _, pivots = cell_matrix(family, r)
     s, t = pivots[1] + r, pivots[2] + r
     assert s - 1 > pivots[0] + r
-    nf = family.normal_forms[s]
+    assert s >= family.module.conductor and s not in family.normal_forms
+    nf = TruncSeries(r + 2 * E8.delta, {s: ParamPoly.one()})
     family.normal_forms[s] = TruncSeries(nf.trunc, {**nf.coeffs, **tamper(s, t)})
     with pytest.raises(PivotLoss, match=message.replace("%d", str(t - r))):
         cell_matrix(family, r)

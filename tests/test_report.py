@@ -227,6 +227,24 @@ def test_benchmark_worker_passes(workload, digest, mode):
     assert out["digest"] == digest
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_library_block_prints_its_comments():
+    """The README's Library block runs, and each ``print`` line with a
+    ``# value`` comment prints that value: the reprs of its arguments,
+    separated by spaces."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    comments = [line.partition("  # ")[2] for line in block.splitlines() if line.startswith("print(")]
+    printed = []
+    exec(block, {"print": lambda *args: printed.append(" ".join(map(repr, args)))})
+    assert len(printed) == len(comments)
+    pairs = [(got, want) for got, want in zip(printed, comments) if want]
+    assert len(pairs) == 6
+    assert [got for got, _ in pairs] == [want.strip() for _, want in pairs]
+
+
 def test_report_schema():
     rep = analyze(E6, r_max=2)
     d = rep.to_dict()

@@ -67,6 +67,19 @@ def test_empty_and_nonpositive_rejected():
         NumericalSemigroup((-2, 3))
 
 
+@pytest.mark.parametrize("gens", [[3.9, 4], [3.0, 4], ["3", "4"], [True, 2]], ids=repr)
+def test_non_int_generators_rejected(gens):
+    """A generator that is not an int is refused, not coerced: [3.9, 4] is
+    not ⟨3,4⟩, nor is [True, 2] ⟨1⟩."""
+    with pytest.raises(ValueError, match="must be ints"):
+        NumericalSemigroup(gens)
+
+
+def test_int_generators_unchanged():
+    assert NumericalSemigroup([4, 3, 4]).gens == (3, 4)
+    assert NumericalSemigroup(iter((3, 5))).gaps == (1, 2, 4, 7)
+
+
 def test_membership_matches_reachability():
     sg = NumericalSemigroup((3, 5))
     reachable = {0}
