@@ -426,9 +426,10 @@ def _nonzero_minor(grad):
     is none, i.e. the rows are dependent over the function field.
 
     The minors are tried up to the first nonzero one.  Each is expanded
-    along its first row, memoised on the columns left (as in
-    ``ideal_cells.plucker_point``), so the minors share their sub-minors and
-    only those the tried minors reach are built.
+    along its first row, memoised on the columns left, so the minors share
+    their sub-minors and only those the tried minors reach are built.  It
+    stays lazy and top-down: one minor is wanted, and a bottom-up sweep
+    would build all C(k, m) of them, many times the work on a wide chart.
     """
     m = len(grad)
     k = len(grad[0]) if grad else 0
@@ -652,16 +653,20 @@ def replay_certificate(src, dst, certificate, seed=None):
     keys ``gaps`` and ``links``) replays when its gap set is that of a
     third cell of the stratum, of colength r, and both links replay through
     that cell (``_replay_chain``).  Anything but a dict with the five
-    fields, replacements that name a chart and a list of ``int`` exponents,
-    or a well-formed chain, replays False.  ``seed`` is accepted for old
+    fields, replacements that name a chart, lists of ``int`` exponents and
+    target pivots and a dict of ``int`` witness values, or a well-formed
+    chain, replays False.  The types are checked exactly, before the
+    comparison, since 1.0 == 1 == True.  ``seed`` is accepted for old
     callers and ignored: nothing in a certificate depends on one.
     """
     if isinstance(certificate, dict) and certificate.keys() == CHAIN_KEYS:
         return _replay_chain(src, dst, certificate)
     if not isinstance(certificate, dict) or any(key not in certificate for key in CERTIFICATE_KEYS):
         return False
-    exponents = certificate["exponents"]
-    if not isinstance(exponents, list) or any(type(e) is not int for e in exponents):
+    exponents, pivots, witness = (certificate[key] for key in ("exponents", "target_pivots", "witness"))
+    if not (isinstance(exponents, list) and isinstance(pivots, list) and isinstance(witness, dict)):
+        return False
+    if any(type(v) is not int for v in (*exponents, *pivots, *witness.values())):
         return False
     system = _recorded_chart(src, certificate["replacements"])
     evec = tuple(exponents)

@@ -11,12 +11,13 @@ structure are eliminated symbolically; the survivors are free coordinates
 on the cell.  The family keeps the normal forms of the orders of S below
 its conductor c(S), modulo t^{c(S)}; above, they are the bare t^s.  Each
 row of its δ × 2δ cell matrix keeps only its nonzero entries, as a dict
-{column: entry} (``cell_matrix``), and its Plücker point is computed from
-sparse chart minors over them, in lexicographic column-set order (``plucker_point``).
+{column: entry} (``cell_matrix``).  Its Plücker point is grown bottom-up,
+one row at a time: the column sets the rows can take with distinct columns
+(``minor_support``), then the minors on them (``plucker_point``), each
+extending the sets or minors of the rows below by the next row's entries.
 """
 
 from fractions import Fraction
-from functools import cache
 
 from .errors import CardinalityMismatch, NonTriangularRelation, PivotLoss
 from .symcalc import ParamPoly, TruncSeries
@@ -291,63 +292,51 @@ def cell_matrix(family, r):
 
 def minor_support(rows):
     """Column sets, in lexicographic order, on which the δ×δ minor of the
-    sparse ``rows`` has a nonzero term.  A unit row, whose only entry is its
-    pivot, takes that column in every such set; a DFS over the other rows'
-    keys, memoised on (row, columns used), picks the rest.  Its cost grows
-    with the support, not with δ or the matchings.
+    sparse ``rows`` has a nonzero term.  A sweep from the bottom row up
+    keeps the column sets, as bitmasks, that the rows swept so far can take
+    with distinct columns, and extends each by a free key of the next row.
+    Its cost grows with the support, not with δ or the matchings.
     """
-    unit = 0
-    for row in rows:
-        if len(row) == 1:
-            unit |= 1 << next(iter(row))
-    rest = [row for row in rows if len(row) > 1]
-
-    @cache
-    def tails(i, used):
-        # bitmasks of the columns that rows i, i+1, ... of ``rest`` can take besides ``used``
-        if i == len(rest):
-            return {0}
-        return {
-            1 << c | t
-            for c in rest[i]
-            if not used >> c & 1
-            for t in tails(i + 1, used | 1 << c)
-        }
-
-    masks = (unit | m for m in tails(0, unit))
+    masks = {0}
+    for row in reversed(rows):
+        masks = {m | 1 << c for c in row for m in masks if not m >> c & 1}
     return sorted(tuple(c for c in range(m.bit_length()) if m >> c & 1) for m in masks)
 
 
 def plucker_point(rows, pivots, support):
     """The δ×δ minors of the sparse cell matrix ``rows`` (from
     ``cell_matrix``) on the column sets ``support`` (from ``minor_support``),
-    in that order; one can still cancel to zero.
+    in that order; one can still cancel to zero, and a set outside the
+    support gives zero.
 
-    No other row reaches a pivot column, so a row whose pivot is in the set
-    must take it.  In a nonzero minor it is also the least column left, as
-    the rows below start right of it: the minor is that of the rows below
-    on the other columns, with sign + and no arithmetic, which is all a
-    unit row costs.  Any other row is expanded over its stored entries,
-    memoised on the columns left, so the minors share their sub-minors.
+    A sweep from the bottom row up keeps, for each column set the rows
+    swept so far can take, their minor on it, and expands the next row
+    along its stored entries in column order: the minor on a set is the
+    signed sum of entry × minor below on the set without that column, the
+    sign counting the set's columns left of it.  The pivot entry is 1 and
+    its sign +, as no row below reaches left of it, so it costs no
+    arithmetic.  Each minor sums its terms in the order of a top-down
+    Laplace expansion along the first row.
     """
-    @cache
-    def minor(cols):
-        # minor of the last popcount(cols) rows on the columns in the bitmask
-        if not cols:
-            return ParamPoly.one()
-        i = len(rows) - cols.bit_count()
-        p = pivots[i]
-        if cols >> p & 1:
-            return minor(cols ^ 1 << p)
-        total = ParamPoly.zero()
-        for c, q in rows[i].items():
+    level = {0: ParamPoly.one()}
+    for row, p in zip(reversed(rows), reversed(pivots)):
+        grown = {}
+        for c, q in row.items():
             bit = 1 << c
-            if cols & bit:
-                term = q * minor(cols ^ bit)
-                total = total - term if (cols & (bit - 1)).bit_count() & 1 else total + term
-        return total
-
-    return tuple(minor(sum(1 << c for c in cols)) for cols in support)
+            for m, v in level.items():
+                if m & bit:
+                    continue
+                if c == p:
+                    term = v
+                else:
+                    term = q * v
+                    if (m & (bit - 1)).bit_count() & 1:
+                        term = -term
+                key = m | bit
+                grown[key] = grown[key] + term if key in grown else term
+        level = grown
+    zero = ParamPoly.zero()
+    return tuple(level.get(sum(1 << c for c in cols), zero) for cols in support)
 
 
 def reduce_against(rows, pivots, vector):

@@ -122,8 +122,9 @@ def _reference_match(limit, dst):
 
 
 def _reference_minor_support(rows):
-    """``ideal_cells.minor_support`` as it was before unit rows were split
-    off, kept verbatim as the reference: a DFS over every row's keys."""
+    """The reference for ``ideal_cells.minor_support``: a top-down DFS
+    over every row's keys, memoised on (row, columns used), which the
+    package used before its bottom-up sweep."""
     @cache
     def tails(i, used):
         if i == len(rows):
@@ -139,8 +140,10 @@ def _reference_minor_support(rows):
 
 
 def _reference_plucker_point(rows, pivots, support):
-    """``ideal_cells.plucker_point`` as it was before rows whose pivot is in
-    the set skipped their arithmetic, kept verbatim as the reference."""
+    """The reference for ``ideal_cells.plucker_point``: a top-down Laplace
+    expansion along the first of the rows left, memoised on the columns left, in
+    which a row whose pivot is in the set takes it, with the arithmetic of
+    the unit entry; the package used it before its bottom-up sweep."""
     @cache
     def minor(cols):
         if not cols:

@@ -82,7 +82,9 @@ def test_e6_r6_needs_adapted_coordinates(cells_of):
 def test_replay_rejects_malformed_certificates(cells_of):
     """A replay re-derives the whole certificate: an exponent list of the
     wrong length, replacements that name no chart of the source, an extra
-    key or any other recorded field changed certifies nothing."""
+    key or any other recorded field changed certifies nothing.  Nor does a
+    float or bool exponent, target pivot or witness value, though it
+    compares equal to the int."""
     cells = cells_of(E6, 6)
     src, dst = cells[4], cells[2]
     cert = cell_closure_contains(src, dst).certificate
@@ -110,9 +112,17 @@ def test_replay_rejects_malformed_certificates(cells_of):
         {"exponents": [-1, True, -3]},
         {"exponents": (-1, -1, -3)},
         {"exponents": "-1,-1,-3"},
+        {"target_pivots": [2.0, 3.0, 5.0]},
+        {"target_pivots": (2, 3, 5)},
+        {"witness": {u: float(x) for u, x in cert["witness"].items()}},
+        {"witness": list(cert["witness"].items())},
     ] + [{"replacements": bad} for bad in unnamed]
     for bad in malformed:
         assert not replay_certificate(src, dst, dict(cert, **bad)), bad
+    # target pivot 1 written as True
+    low = cell_closure_contains(src, cells[3]).certificate
+    assert low["target_pivots"] == [1, 4, 5] and replay_certificate(src, cells[3], low)
+    assert not replay_certificate(src, cells[3], dict(low, target_pivots=[True, 4, 5]))
     # a certificate read from outside may lack fields or not be a mapping
     for key in cert:
         assert not replay_certificate(src, dst, {k: v for k, v in cert.items() if k != key}), key

@@ -407,14 +407,17 @@ def test_cell_matrix_windows_past_both_conductors_are_refused(gens, r_max):
     + [((4, 5), r) for r in range(1, 9)]
     + [((3, 7), r) for r in range(1, 9)]
     + [((4, 7), r) for r in range(1, 5)]
-    + [((5, 6), r) for r in range(1, 5)],
+    + [((5, 6), r) for r in range(1, 5)]
+    + [((3, 4, 5), r) for r in range(1, 7)]
+    + [((4, 5), 12), ((3, 7), 12), ((4, 7), 10), ((2, 13), 12)],
     ids=lambda v: "r%d" % v if isinstance(v, int) else "x".join(map(str, v)),
 )
 def test_unit_rows_keep_support_and_term_order(cells_of, gens, r):
-    """Splitting off the unit rows and skipping the arithmetic of rows
-    whose pivot is in the set changes nothing: the all-rows DFS and
-    expansion give the same column sets, and each coordinate the same
-    terms in the same order, so every chart's vector indices stay."""
+    """The bottom-up sweeps, in which a unit row or any pivot entry costs
+    no arithmetic, give what the top-down DFS and Laplace expansion over
+    all rows give: the same column sets, and each coordinate the same
+    terms in the same order, so every chart's vector indices stay.  A
+    column set outside the support gives zero."""
     for cell in cells_of(gens, r):
         support = minor_support(cell.rows)
         assert support == _reference_minor_support(cell.rows), cell.module.gap_set
@@ -422,6 +425,9 @@ def test_unit_rows_keep_support_and_term_order(cells_of, gens, r):
         want = _reference_plucker_point(cell.rows, cell.pivots, support)
         for cols, p, q in zip(support, got, want):
             assert list(p.terms.items()) == list(q.terms.items()), (cell.module.gap_set, cols)
+        inside = set(support)
+        cols = next(c for c in combinations(range(2 * len(cell.rows)), len(cell.rows)) if c not in inside)
+        assert plucker_point(cell.rows, cell.pivots, [cols]) == (ParamPoly.zero(),)
 
 
 @pytest.mark.parametrize(

@@ -199,6 +199,27 @@ def test_wide_report_is_pinned(capsys):
     assert capsys.readouterr().out == text
 
 
+def test_frontier_output_is_pinned():
+    """sha256 of the ⟨4,7⟩ r=10 and ⟨2,13⟩ r=12 reports and of every
+    closure verdict, certificates included.  Their widest cells have the
+    most Plücker coordinates of any pin, so the order of each minor's
+    terms, which sets every chart's vector indices, shows here first."""
+    text = hashlib.sha256()
+    rows = []
+    reasons = Counter()
+    for gens, r in (((4, 7), 10), ((2, 13), 12)):
+        report = analyze(NumericalSemigroup(gens), rs=[r])
+        text.update(report.to_json().encode())
+        for s in report.sections:
+            for (i, j), v in sorted(s.verdicts.items()):
+                reasons[v.reason] += 1
+                rows.append((s.r, i, j, v.to_dict()))
+    assert text.hexdigest() == "beae95f8606a98c9a813007fd50c6b57b312147fa8954d9b4393f06ecaaabdea"
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == "0f93843292627a5862d363781678cf4fe86b3c8e8acca3db35d41a3af6d47fc2"
+    assert reasons == {"dimension": 215, "degeneration": 39, "chain": 99, "support": 16, "no_face": 15}
+
+
 WORKER = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
 
 
