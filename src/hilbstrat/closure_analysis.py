@@ -11,10 +11,11 @@ The limit along e depends only on the face of the source's Newton polytope
 (the convex hull of the exponents of its Plücker coordinates, in one
 coordinate system) on which e is minimal: its initial form.  A coordinate
 system is one table of exponent vectors: the distinct vectors of its
-substituted Plücker coordinates, and per coordinate its terms as (vector
-index, coefficient).  The polytope's dimension and its facets, each with
-a normal minimal exactly on it (``newton``), are built on the chart's first
-use and kept on it; there is no face lattice.  A face is a candidate for
+substituted Plücker coordinates, each monomial of the Plücker point
+substituted once, and per coordinate its terms as (vector index,
+coefficient).  The polytope's dimension and its facets, each with a normal
+minimal exactly on it (``newton``), are built on the chart's first use and
+kept on it; there is no face lattice.  A face is a candidate for
 the target when it meets the exponents of every coordinate of the
 target's support (the limit at a coordinate is the sum of the terms on
 the face, and a dominant map hits points where every such coordinate is
@@ -53,9 +54,9 @@ already contained, (i, j) is recorded as contained with reason ``chain``
 and the certificate {"gaps": gap set of the least such cell k, "links":
 the certificates of (i, k) and (k, j)}.  Its replay needs no outside
 context: it rebuilds cell k from the gap set, which must be Γ-closed, of
-colength r and neither the source's nor the target's, and replays both
-links through it.  An ``unknown`` therefore remains only where no chain of
-certified containments settles the pair.
+colength r and of dimension strictly between the source's and the
+target's, and replays both links through it.  An ``unknown`` therefore
+remains only where no chain of certified containments settles the pair.
 
 Non-containment is decided by two closed obstructions: dimension
 comparison and, reason ``support``, a coordinate of the target's support
@@ -70,11 +71,11 @@ from itertools import combinations, islice
 from operator import add, mul, or_
 
 from .errors import HilbstratError
-from .gamma_modules import GammaModule, delta_set
+from .gamma_modules import GammaModule
 from .ideal_cells import canonical_family, cell_matrix, minor_support, plucker_point
 from .newton import facets
 from .schubert import schubert_index
-from .symcalc import ParamPoly, limit_s_to_zero
+from .symcalc import ParamPoly, _add_into, limit_s_to_zero
 
 CONTAINED = "contained"
 NOT_CONTAINED = "not_contained"
@@ -106,7 +107,8 @@ class ClosureVerdict:
 
 
 class StratCell:
-    """One cell of a stratum M_r with its Grassmannian data precomputed."""
+    """One cell of a stratum M_r, all read off its module S: r is the colength
+    of S, and ``delta``, the Δ-set, is the pivot set of the cell matrix ``rows``."""
 
     __slots__ = (
         "label",
@@ -116,7 +118,6 @@ class StratCell:
         "delta",
         "schubert",
         "rows",
-        "pivots",
         "plucker",
         "dim",
         "entry_minors",
@@ -127,17 +128,18 @@ class StratCell:
         return "StratCell(r=%d, S=%r)" % (self.r, self.module)
 
 
-def build_cell(sg, module, r):
+def build_cell(module):
+    """The cell J(S) in the stratum of the colength of S; its rows and Δ-set
+    come from ``cell_matrix``, which reads the window through ``delta_set``."""
     cell = StratCell.__new__(StratCell)
     cell.label = None
-    cell.r = r
+    cell.r = module.colength
     cell.module = module
-    cell.family = canonical_family(sg, module)
-    cell.delta = delta_set(module, r)
+    cell.family = canonical_family(module)
+    cell.rows, cell.delta = cell_matrix(cell.family)
     cell.schubert = schubert_index(cell.delta)
-    cell.rows, cell.pivots = cell_matrix(cell.family, r)
     support = minor_support(cell.rows)
-    minors = zip(support, plucker_point(cell.rows, cell.pivots, support))
+    minors = zip(support, plucker_point(cell.rows, cell.delta, support))
     cell.plucker = {cols: p for cols, p in minors if not p.is_zero()}
     cell.dim = cell.family.dimension
     cell.entry_minors = _entry_minors(cell)
@@ -151,10 +153,10 @@ def _entry_minors(cell):
     minor sign * entry.  Each free parameter is a bare entry in the row it
     was seeded on; a zero entry's column set vanishes on the cell."""
     out = []
-    for ri, (row, pivot) in enumerate(zip(cell.rows, cell.pivots)):
+    for ri, (row, pivot) in enumerate(zip(cell.rows, cell.delta)):
         for col, entry in row.items():
             if col != pivot:
-                cols = tuple(sorted(set(cell.pivots) - {pivot} | {col}))
+                cols = tuple(sorted(set(cell.delta) - {pivot} | {col}))
                 out.append((cols, (-1) ** (ri + cols.index(col)), entry))
     return out
 
@@ -278,7 +280,10 @@ def _chart(cell, pairs):
     """The coordinate system that replaces each parameter of ``pairs`` by its
     derived coordinate; None when the replacements do not compose.  Vector
     indices follow the substituted terms' order, which fixes the masks and
-    so the order of the candidate faces."""
+    so the order of the candidate faces.  Each monomial of the Plücker point
+    is substituted once (``images``) and each substituted one read into a
+    vector once (``slot``); a coordinate sums c * image over its terms as
+    ``ParamPoly.subs`` does, so its terms keep that order."""
     mapping = _compose_replacements(pairs) if pairs else {}
     if mapping is None:
         return None
@@ -288,18 +293,19 @@ def _chart(cell, pairs):
     replaced = {param: wname for param, _, wname in pairs}
     sysm.coords = [replaced.get(p, p) for p in free]
     sysm.uvars = ["u%02d" % j for j in range(len(free))]
-    index = {}
+    images, slot = {}, {}
     sysm.terms, sysm.masks = {}, {}
     for cols, p in cell.plucker.items():
-        q = p.subs(mapping) if mapping else p
-        items, mask = [], 0
-        for key, c in q.terms.items():
-            exps = dict(key)
-            j = index.setdefault(tuple(exps.get(nm, 0) for nm in sysm.coords), len(index))
-            items.append((j, c))
-            mask |= 1 << j
-        sysm.terms[cols], sysm.masks[cols] = items, mask
-    sysm.uniq_exps = list(index)
+        q = p.terms
+        if mapping:
+            q = {}
+            for key, c in p.terms.items():
+                if key not in images:
+                    images[key] = ParamPoly({key: 1}).subs(mapping).terms
+                _add_into(q, {k: c * v for k, v in images[key].items()})
+        sysm.terms[cols] = [(slot.setdefault(key, len(slot)), c) for key, c in q.items()]
+        sysm.masks[cols] = sum(1 << j for j, _ in sysm.terms[cols])
+    sysm.uniq_exps = [tuple(dict(key).get(nm, 0) for nm in sysm.coords) for key in slot]
     sysm.dim = sysm.facets = sysm.normals = None
     return sysm
 
@@ -360,7 +366,7 @@ def _match_target(limit, dst):
     checked as sign * limit * q^(D-1) against the entry homogenised at n and
     q to degree D = max(1, d).
     """
-    q = limit[dst.pivots]
+    q = limit[dst.delta]
     n = {}
     for cols, sign, entry in dst.entry_minors:
         names = entry.variables()
@@ -520,7 +526,7 @@ def _judge(dst, system, face):
     the coordinates ``_match_target`` reads are written in the u-variables,
     each with its terms on the face.
     """
-    read = [dst.pivots] + [cols for cols, _, _ in dst.entry_minors]
+    read = [dst.delta] + [cols for cols, _, _ in dst.entry_minors]
     limit = {cols: _polynomial(system, system.terms[cols], face) for cols in read}
     matched = _match_target(limit, dst)
     if matched is None:
@@ -548,7 +554,7 @@ def _certify(src, dst, system, judged, evec):
         "replacements": [_describe(pair, src.family) for pair in system.replacements],
         "exponents": list(evec),
         "substitution": subst,
-        "target_pivots": list(dst.pivots),
+        "target_pivots": list(dst.delta),
         "witness": _dominance_witness(minor, q, dst, system.uvars),
     }
 
@@ -625,19 +631,20 @@ def _replay_chain(src, dst, certificate):
     """Replay a ``chain`` certificate: rebuild the middle cell from its
     recorded gap set (sorted, as recorded) and replay both links through
     it.  Building a cell takes no setting, so the rebuilt cell is the one
-    the original run used."""
+    the original run used.  Distinct cells drop strictly in dimension along
+    closure, so the middle cell's must lie strictly between the ends', which
+    also makes it a third cell and bounds the nesting by src.dim."""
     gaps, links = certificate["gaps"], certificate["links"]
     if not isinstance(gaps, list) or not isinstance(links, list) or len(links) != 2:
         return False
-    sg = src.module.ambient
     try:
-        module = GammaModule(sg, gaps)
+        module = GammaModule(src.module.ambient, gaps)
         if list(module.gap_set) != gaps or module.colength != src.r:
             return False
-        if module.gap_set in (src.module.gap_set, dst.module.gap_set):
-            return False
-        mid = build_cell(sg, module, src.r)
+        mid = build_cell(module)
     except HilbstratError:
+        return False
+    if not src.dim > mid.dim > dst.dim:
         return False
     return replay_certificate(src, mid, links[0]) and replay_certificate(mid, dst, links[1])
 
@@ -650,13 +657,13 @@ def replay_certificate(src, dst, certificate, seed=None):
     (``_recorded_chart``).  The recorded vector's face is where it is
     minimal over ``uniq_exps``; the face must be a viable candidate, and
     the witness is re-derived there.  A ``chain`` certificate (exactly the
-    keys ``gaps`` and ``links``) replays when its gap set is that of a
-    third cell of the stratum, of colength r, and both links replay through
-    that cell (``_replay_chain``).  Anything but a dict with the five
-    fields, replacements that name a chart, lists of ``int`` exponents and
-    target pivots and a dict of ``int`` witness values, or a well-formed
-    chain, replays False.  The types are checked exactly, before the
-    comparison, since 1.0 == 1 == True.  ``seed`` is accepted for old
+    keys ``gaps`` and ``links``) replays when its gap set is that of a cell
+    of the stratum of dimension strictly between the ends', and both links
+    replay through that cell (``_replay_chain``).  Anything but a dict with
+    the five fields, replacements that name a chart, lists of ``int``
+    exponents and target pivots and a dict of ``int`` witness values, or a
+    well-formed chain, replays False.  The types are checked exactly, before
+    the comparison, since 1.0 == 1 == True.  ``seed`` is accepted for old
     callers and ignored: nothing in a certificate depends on one.
     """
     if isinstance(certificate, dict) and certificate.keys() == CHAIN_KEYS:

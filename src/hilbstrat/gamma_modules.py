@@ -67,14 +67,12 @@ class GammaModule:
         return [n for n in self.ambient.members_below(bound) if n not in absent]
 
 
-def delta_set(module, r):
-    """Δ = {s − r | s ∈ S, s − r < 2δ}, the shifted order set below 2δ, as a
-    sorted tuple: δ elements of [0, 2δ) whose union with [2δ, ∞) is Γ-closed."""
+def delta_set(module):
+    """Δ = {s − r | s ∈ S, s − r < 2δ} at r = the colength of S, as a sorted
+    tuple: δ elements of [0, 2δ) whose union with [2δ, ∞) is Γ-closed.  It
+    is the one reader of the window [r, r + 2δ), for the cell matrix too."""
     sg = module.ambient
-    if module.colength != r:
-        raise CardinalityMismatch(
-            "module has colength %d, expected r=%d" % (module.colength, r)
-        )
+    r = module.colength
     dd = 2 * sg.delta
     members = module.members_below(r + dd)
     if members and members[0] < r:

@@ -19,7 +19,8 @@ extending the sets or minors of the rows below by the next row's entries.
 
 from fractions import Fraction
 
-from .errors import CardinalityMismatch, NonTriangularRelation, PivotLoss
+from .errors import NonTriangularRelation, PivotLoss
+from .gamma_modules import delta_set
 from .symcalc import ParamPoly, TruncSeries
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -198,8 +199,8 @@ def _solve_relation(poly):
     return name, rest * (Fraction(-1) / c)
 
 
-def canonical_family(sg, module):
-    """Construct the affine cell J(S) over Γ = sg.
+def canonical_family(module):
+    """Construct the affine cell J(S) over Γ, the module's ambient semigroup.
 
     Seeds unknowns at every gap of S above each minimal generator, closes
     under the Γ-action, cancels leading terms pairwise, and eliminates any
@@ -212,9 +213,6 @@ def canonical_family(sg, module):
     The family stores the normal forms of the orders below the conductor
     only, each modulo t^conductor.
     """
-    if module.ambient is not sg and module.ambient.gens != sg.gens:
-        raise CardinalityMismatch("module does not live over the given semigroup")
-
     eliminated = {}
     while True:
         seeds = _build_seeds(module, eliminated)
@@ -252,32 +250,26 @@ def canonical_family(sg, module):
     return CanonicalFamily(module, dict(sorted(reduced.items())), free, eliminated)
 
 
-def cell_matrix(family, r):
-    """Reduced unit-pivot echelon basis of t^{-r}·I modulo t^{2δ}, as sparse rows.
-
-    Row i is the normal form of the i-th order s of S ∩ [r, r+2δ), shifted
-    down by r and read off the family's coefficients: a dict {column: entry}
-    holding only the nonzero entries, in ascending column order; an order at
-    or above the module's conductor (not stored) gives the unit row {s − r: 1}.
-    Its first key is its pivot s − r, with entry 1, and no other row has that
-    column; the pivots are the Δ-set columns.
+def cell_matrix(family):
+    """(rows, pivots) at r = the colength of S: the reduced unit-pivot echelon
+    basis of t^{-r}·I modulo t^{2δ} as sparse rows, and its pivots, the Δ-set
+    (``delta_set``, the one reader of the window [r, r + 2δ)).  Row i is the
+    normal form of the order r + pivot i, shifted down by r and read off the
+    family's coefficients: a dict {column: entry} holding only the nonzero
+    entries, in ascending column order; an order s at or above the module's
+    conductor (not stored) gives the unit row {s − r: 1}.  Its first key is
+    its pivot, with entry 1, and no other row has that column.
     """
     module = family.module
-    sg = module.ambient
-    dd = 2 * sg.delta
-    orders = [s for s in module.members_below(r + dd) if s >= r]
-    if len(orders) != sg.delta:
-        raise CardinalityMismatch(
-            "window [%d, %d) holds %d orders, expected δ=%d"
-            % (r, r + dd, len(orders), sg.delta)
-        )
-    end = r + dd
+    r = module.colength
+    pivots = delta_set(module)
+    end = r + 2 * module.ambient.delta
     one = ParamPoly.one()
     rows = []
-    for s in orders:
+    for p in pivots:
+        s = p + r
         coeffs = family.normal_forms[s].coeffs if s in family.normal_forms else {s: one}
         rows.append({e - r: coeffs[e] for e in sorted(coeffs) if e < end})
-    pivots = tuple(s - r for s in orders)
     pivot_set = set(pivots)
     for i, (row, p) in enumerate(zip(rows, pivots)):
         if row.get(p) != one:

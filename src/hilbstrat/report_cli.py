@@ -56,7 +56,7 @@ def canonical_delta_labels(sg, r_max=None, modules=None):
     modules = modules or {}
     for r in range(1, top + 1):
         for module in modules.get(r) or enumerate_colength(sg, r):
-            d = delta_set(module, r)
+            d = delta_set(module)
             if d not in seen:
                 seen.add(d)
                 labels.append(d)
@@ -120,7 +120,7 @@ def stratify(sg, r, labels=None, modules=None):
     label_of = {d: "Δ_%d" % (i + 1) for i, d in enumerate(labels)}
     cells = []
     for module in modules:
-        cell = build_cell(sg, module, r)
+        cell = build_cell(module)
         cell.label = label_of.get(cell.delta, "Δ_?")
         cells.append(cell)
     verdicts = closure_verdicts(cells)
@@ -337,7 +337,7 @@ def specialization_diff(sg, r):
     """Cells of ℳ_r whose random specializations miss their order set."""
     mismatches = []
     for module in enumerate_colength(sg, r):
-        family = canonical_family(sg, module)
+        family = canonical_family(module)
         expected = tuple(module.members_below(module.conductor + 1))
         rng = random.Random("%s:%s:%d:%s" % (ORACLE_SEED, sg.gens, r, module.gap_set))
         for _ in range(ORACLE_SAMPLES):

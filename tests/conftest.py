@@ -38,7 +38,7 @@ def cells_of():
         if key not in _CELL_CACHE:
             sg = NumericalSemigroup(gens)
             mods = enumerate_colength(sg, r)
-            _CELL_CACHE[key] = [build_cell(sg, m, r) for m in mods]
+            _CELL_CACHE[key] = [build_cell(m) for m in mods]
         return _CELL_CACHE[key]
 
     return get
@@ -96,16 +96,16 @@ def _reference_match(limit, dst):
     """
     if any(cols not in dst.plucker for cols in limit):
         return None
-    q = limit.get(dst.pivots)
+    q = limit.get(dst.delta)
     if q is None:
         return None
     zero = ParamPoly.zero()
     n = {}
     for name in dst.family.free_params:
         gi, c = _param_index(name)
-        ri = dst.pivots.index(dst.module.min_generators[gi] - dst.r)
+        ri = dst.delta.index(dst.module.min_generators[gi] - dst.r)
         col = c - dst.r
-        cols = tuple(sorted([p for k, p in enumerate(dst.pivots) if k != ri] + [col]))
+        cols = tuple(sorted([p for k, p in enumerate(dst.delta) if k != ri] + [col]))
         val = limit.get(cols, zero)
         n[name] = val if (ri + cols.index(col)) % 2 == 0 else -val
     D = max(1, max(p.total_degree() for p in dst.plucker.values()))

@@ -101,13 +101,13 @@ def test_criterion_5_family_fixtures():
     e8 = NumericalSemigroup((3, 5))
     checks = []
 
-    f33 = canonical_family(e6, GammaModule(e6, (0, 4, 8)))
+    f33 = canonical_family(GammaModule(e6, (0, 4, 8)))
     checks.append(f33.format_generators()[1] == "t^6 - a^2*t^8")
 
-    f65 = canonical_family(e6, enumerate_colength(e6, 6)[-1])
+    f65 = canonical_family(enumerate_colength(e6, 6)[-1])
     checks.append(f65.format_generators()[1] == "t^9 + (b - a^2)*t^11")
 
-    f87 = canonical_family(e8, enumerate_colength(e8, 8)[-1])
+    f87 = canonical_family(enumerate_colength(e8, 8)[-1])
     gens87 = f87.format_generators()
     checks.append("(c - b^2 + a^2*b)*t^15" in gens87[1])
     checks.append("(b - a^2)*t^15" in gens87[2])
@@ -135,7 +135,7 @@ def test_criterion_6_schubert_labels():
         seen = set()
         for r in range(1, 2 * sg.delta + 1):
             for m in enumerate_colength(sg, r):
-                seen.add(schubert_index(delta_set(m, r)))
+                seen.add(schubert_index(delta_set(m)))
         ok = ok and seen == want
     assert verdict(6, ok, "E6 and E8 W-label sets")
 
@@ -159,8 +159,8 @@ def test_criterion_8_property_suites():
         sg = NumericalSemigroup(gens)
         for r in range(1, 2 * sg.delta + 1):
             for m in enumerate_colength(sg, r):
-                f = canonical_family(sg, m)
-                rows, pivots = cell_matrix(f, r)
+                f = canonical_family(m)
+                rows, pivots = cell_matrix(f)
                 good = good and is_good_subspace(rows, pivots, sg)
     parts.append(("goodness", good))
 
@@ -173,7 +173,7 @@ def test_criterion_8_property_suites():
         for r in range(1, 2 * sg.delta + 1):
             for m in enumerate_colength(sg, r):
                 c = m.conductor
-                forms = canonical_family(sg, m).normal_forms
+                forms = canonical_family(m).normal_forms
                 stable = stable and list(forms) == m.members_below(c)
                 for s, nf in forms.items():
                     stable = stable and all(s <= e < c for e in nf.coeffs)
@@ -190,7 +190,7 @@ def test_criterion_8_property_suites():
     rng = random.Random(12345)
     sound = True
     for sg, m in fixtures:
-        f = canonical_family(sg, m)
+        f = canonical_family(m)
         want = tuple(m.members_below(m.gap_set[-1] + 2))
         for _ in range(20):
             assign = {
@@ -210,7 +210,7 @@ def test_criterion_8_property_suites():
             members = set(combo)
             if all(e + g in members or e + g >= dd for e in combo for g in sg.gens):
                 valid.add(combo)
-        cells = {tuple(delta_set(m, dd)) for m in enumerate_colength(sg, dd)}
+        cells = {tuple(delta_set(m)) for m in enumerate_colength(sg, dd)}
         saturated = saturated and cells == valid and len(valid) == count
     parts.append(("delta-saturation", saturated))
 

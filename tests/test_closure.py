@@ -1,5 +1,6 @@
 """Closure verdicts, degeneration certificates, component assembly."""
 
+import hashlib
 import json
 from itertools import product
 from types import SimpleNamespace
@@ -53,7 +54,7 @@ def test_e6_r2_degeneration(cells_of):
 def test_e6_r2_limit_lands_on_target(cells_of):
     src, dst = cells_of(E6, 2)[1], cells_of(E6, 2)[0]
     lim = degeneration_limit(src, [], [-1])
-    assert lim == {dst.pivots: ParamPoly.variable("u00")}
+    assert lim == {dst.delta: ParamPoly.variable("u00")}
 
 
 def test_e6_r3_dimension_reject(cells_of):
@@ -135,6 +136,16 @@ def test_replay_rejects_malformed_certificates(cells_of):
     for bad in unnamed:
         with pytest.raises(ValueError):
             degeneration_limit(src, bad, [-1, -1, -3])
+    # a chain nested 1000 deep, each level through the third of cells 0, 1
+    # and 2 of E8 r=8 (dimensions 0, 1, 2): the second level, (2, 1) through
+    # cell 0, has no middle cell of dimension between its ends, so the replay
+    # is False there instead of recursing through every level
+    top = cells_of(E8, 8)
+    nested = {}
+    for level in reversed(range(1000)):  # level 0, outermost, is (2, 0) through 1
+        mid = 1 - level % 2
+        nested = {"gaps": list(top[mid].module.gap_set), "links": [nested, {}]}
+    assert not replay_certificate(top[2], top[0], nested)
 
 
 def test_replay_rejects_replacements_that_do_not_compose():
@@ -142,7 +153,7 @@ def test_replay_rejects_replacements_that_do_not_compose():
     chart, do not compose, so no search builds their chart.  A certificate
     naming them replays False and has no limit.  Only the cell is built."""
     sg = NumericalSemigroup((4, 5))
-    src = build_cell(sg, enumerate_colength(sg, 7)[8], 7)
+    src = build_cell(enumerate_colength(sg, 7)[8])
     named = [
         {"parameter": "b", "coordinate": "w01", "expression": "-b + a^2"},
         {"parameter": "c", "coordinate": "w02", "expression": "b*d + a*b*c - a^2*d"},
@@ -176,7 +187,7 @@ def test_e6_r6_adapted_limit_respects_target_zeros(cells_of):
     cells = cells_of(E6, 6)
     src, dst = cells[4], cells[2]
     lim = degeneration_limit(src, B_BY_W01, [-1, -1, -3])
-    assert not lim[dst.pivots].is_zero()
+    assert not lim[dst.delta].is_zero()
     # every coordinate that vanishes on the target vanishes in the limit
     assert set(lim) <= set(dst.plucker)
 
@@ -202,7 +213,7 @@ def test_e8_r5_pivot_coordinate_reject(cells_of):
     assert v.status == NOT_CONTAINED
     assert v.reason == "support"
     # the rejection is forced: the source point never charges the target pivot
-    assert dst.pivots not in src.plucker
+    assert dst.delta not in src.plucker
 
 
 def test_e8_r8_top_cell_containments(cells_of):
@@ -241,6 +252,27 @@ def test_systems_rename_like_substitution(cells_of, gens, r_max):
                 assert system.uniq_exps == seen
 
 
+def test_charts_are_pinned(cells_of):
+    """sha256 over every coordinate system of E8 r=8, <4,5> r=8 and <4,5>
+    r=12: each chart's gap set, replacements as a certificate records them,
+    distinct exponent vectors and terms, in order.  The vector indices and
+    the term order fix the order of the candidate faces, so a chart that is
+    built another way must give this table exactly."""
+    records = []
+    replaced = 0
+    for gens, r in ((E8, 8), ((4, 5), 8), ((4, 5), 12)):
+        for cell in cells_of(gens, r):
+            for system in closure_analysis._systems(cell):
+                replaced += bool(system.replacements)
+                described = [closure_analysis._describe(pair, cell.family) for pair in system.replacements]
+                terms = [[list(cols), [[j, str(c)] for j, c in items]] for cols, items in system.terms.items()]
+                vectors = [list(v) for v in system.uniq_exps]
+                records.append([list(gens), r, list(cell.module.gap_set), described, vectors, terms])
+    assert (len(records), replaced) == (106, 74)
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == "0bedb343c1dbffa1d07a212307280c60148455c8a75f39d3141e73a1f3d0178b"
+
+
 @pytest.mark.parametrize(
     "gens,r,i,j,reason",
     [
@@ -263,7 +295,7 @@ def test_support_separates_exactly_where_a_target_coordinate_vanishes_on_the_sou
     two cells of each pair are built."""
     sg = NumericalSemigroup(gens)
     mods = enumerate_colength(sg, r)
-    src, dst = (build_cell(sg, mods[k], r) for k in (i, j))
+    src, dst = (build_cell(mods[k]) for k in (i, j))
     v = cell_closure_contains(src, dst)
     assert v.reason == reason
     assert v.status == (NOT_CONTAINED if reason == "support" else UNKNOWN)
@@ -275,14 +307,14 @@ def test_schubert_reject():
     target's pivot minor vanishes on the source."""
     sg = NumericalSemigroup((4, 5))
     mods = enumerate_colength(sg, 6)
-    src = build_cell(sg, mods[7], 6)
-    dst = build_cell(sg, mods[5], 6)
+    src = build_cell(mods[7])
+    dst = build_cell(mods[5])
     assert dst.dim < src.dim
     assert not all(y >= x for x, y in zip(src.schubert, dst.schubert))
     v = cell_closure_contains(src, dst)
     assert v.status == NOT_CONTAINED
     assert v.reason == "support"
-    assert dst.pivots not in src.plucker
+    assert dst.delta not in src.plucker
 
 
 def test_each_face_is_matched_once(monkeypatch):
@@ -292,7 +324,7 @@ def test_each_face_is_matched_once(monkeypatch):
     twelve faces over six systems.  Only the two cells are built."""
     sg = NumericalSemigroup((4, 7))
     mods = enumerate_colength(sg, 10)
-    src, dst = (build_cell(sg, mods[k], 10) for k in (18, 6))
+    src, dst = (build_cell(mods[k]) for k in (18, 6))
     calls = []
     current = []
     search = closure_analysis._search_system
@@ -359,12 +391,12 @@ def test_match_rejects_a_point_off_the_target(cells_of, gens, r_max, altered):
             for ri, row in enumerate(dst.rows):
                 for col, entry in row.items():
                     names = entry.variables()
-                    if col == dst.pivots[ri] or (len(names) == 1 and entry == ParamPoly.variable(names[0])):
+                    if col == dst.delta[ri] or (len(names) == 1 and entry == ParamPoly.variable(names[0])):
                         continue
                     rows = [dict(other) for other in dst.rows]
                     rows[ri][col] = entry + 1
                     support = minor_support(rows)
-                    minors = zip(support, plucker_point(rows, dst.pivots, support))
+                    minors = zip(support, plucker_point(rows, dst.delta, support))
                     limit = {cols: p for cols, p in minors if not p.is_zero()}
                     assert closure_analysis._match_target(limit, dst) is None, (r, ri, col)
                     assert _reference_match(limit, dst) is None, (r, ri, col)
@@ -498,7 +530,7 @@ def test_limit_depends_only_on_face(cells_of):
     lim1 = degeneration_limit(src, named, e1)
     lim2 = degeneration_limit(src, named, e2)
     assert lim1 == lim2
-    assert not lim1[dst.pivots].is_zero()
+    assert not lim1[dst.delta].is_zero()
     # the search certifies in the same system, along e_F of its first viable face
     cert = cell_closure_contains(src, dst).certificate
     assert cert["replacements"] == named
@@ -731,7 +763,7 @@ def test_certificates_replay_on_fresh_cells(cells_of, gens, r_max, monkeypatch):
         for (i, j), v in verdicts[r].items():
             if v.status != CONTAINED:
                 continue
-            src, dst = (build_cell(sg, GammaModule(sg, cells[k].module.gap_set), r) for k in (i, j))
+            src, dst = (build_cell(GammaModule(sg, cells[k].module.gap_set)) for k in (i, j))
             assert replay_certificate(src, dst, json.loads(json.dumps(v.certificate))), (r, i, j)
             replayed += 1
     assert replayed == {E6: 23, E8: 62}[gens]
@@ -750,11 +782,11 @@ def test_support_lies_at_or_above_the_pivots(cells_of, gens, r_max):
         cells = cells_of(gens, r)
         for cell in cells:
             for cols in cell.plucker:
-                assert all(c >= p for c, p in zip(cols, cell.pivots)), (r, cell.module.gap_set, cols)
+                assert all(c >= p for c, p in zip(cols, cell.delta)), (r, cell.module.gap_set, cols)
         for src in cells:
             for dst in cells:
                 if src is not dst and not all(y >= x for x, y in zip(src.schubert, dst.schubert)):
-                    assert dst.pivots not in src.plucker, (r, src.module.gap_set, dst.module.gap_set)
+                    assert dst.delta not in src.plucker, (r, src.module.gap_set, dst.module.gap_set)
 
 
 @pytest.mark.parametrize(

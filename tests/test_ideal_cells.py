@@ -19,8 +19,8 @@ from hilbstrat import (
     is_good_subspace,
     plucker_point,
 )
-from hilbstrat import closure_analysis, ideal_cells
-from hilbstrat.errors import CardinalityMismatch, PivotLoss
+from hilbstrat import closure_analysis, gamma_modules, ideal_cells
+from hilbstrat.errors import PivotLoss
 from hilbstrat.ideal_cells import minor_support
 from hilbstrat.report_cli import specialized_orders
 from hilbstrat.symcalc import TruncSeries
@@ -38,7 +38,7 @@ def raw(family, letter):
 
 def test_s33_family():
     m = GammaModule(E6, (0, 4, 8))
-    f = canonical_family(E6, m)
+    f = canonical_family(m)
     assert m.min_generators == (3,)
     assert f.dimension == 2
     assert f.format_generators() == ["t^3 + a*t^4 + b*t^8", "t^6 - a^2*t^8"]
@@ -50,7 +50,7 @@ def test_s33_family():
 def test_s65_family():
     m = enumerate_colength(E6, 6)[-1]
     assert m.gap_set == (0, 3, 4, 7, 8, 11)
-    f = canonical_family(E6, m)
+    f = canonical_family(m)
     assert f.dimension == 3
     assert f.format_generators() == [
         "t^6 + a*t^7 + b*t^8 + c*t^11",
@@ -63,7 +63,7 @@ def test_s65_family():
 def test_s87_family():
     m = enumerate_colength(E8, 8)[-1]
     assert m.min_generators == (8,)
-    f = canonical_family(E8, m)
+    f = canonical_family(m)
     assert f.dimension == 4
     assert f.format_generators() == [
         "t^8 + a*t^9 + b*t^10 + c*t^12 + d*t^15",
@@ -77,13 +77,13 @@ def test_s87_family():
 
 def test_monomial_cell_s31():
     m = GammaModule(E6, (0, 3, 4))
-    f = canonical_family(E6, m)
+    f = canonical_family(m)
     assert f.dimension == 0
     assert f.format_generators() == ["t^6", "t^7", "t^8"]
 
 
 def test_monomial_cell_s21():
-    f = canonical_family(E6, GammaModule(E6, (0, 3)))
+    f = canonical_family(GammaModule(E6, (0, 3)))
     assert f.format_generators() == ["t^4", "t^6"]
 
 
@@ -106,8 +106,8 @@ def test_cell_dimension_is_jacobian_rank(sg, r):
     S, found by row reduction over the rationals, not by the elimination."""
     rng = random.Random("jacobian-%s-%d" % (sg.gens, r))
     for m in enumerate_colength(sg, r):
-        f = canonical_family(sg, m)
-        rows, _ = cell_matrix(f, r)
+        f = canonical_family(m)
+        rows, _ = cell_matrix(f)
         entries = [e for row in rows for e in row.values()]
         grad = [[e.derivative(p) for p in f.free_params] for e in entries]
         ranks = []
@@ -122,14 +122,14 @@ def test_cell_dimension_is_jacobian_rank(sg, r):
 
 
 def test_cell_dimensions():
-    assert canonical_family(E6, GammaModule(E6, (0,))).dimension == 0
-    assert canonical_family(E6, enumerate_colength(E6, 6)[-1]).dimension == 3
-    assert canonical_family(E6, GammaModule(E6, (0, 4, 8))).dimension == 2
+    assert canonical_family(GammaModule(E6, (0,))).dimension == 0
+    assert canonical_family(enumerate_colength(E6, 6)[-1]).dimension == 3
+    assert canonical_family(GammaModule(E6, (0, 4, 8))).dimension == 2
     # E8 module generated by 5 alone
     s55 = GammaModule(E8, (0, 3, 6, 9, 12))
     assert s55.min_generators == (5,)
-    assert canonical_family(E8, s55).dimension == 3
-    assert canonical_family(E8, enumerate_colength(E8, 8)[-1]).dimension == 4
+    assert canonical_family(s55).dimension == 3
+    assert canonical_family(enumerate_colength(E8, 8)[-1]).dimension == 4
 
 
 def test_families_with_eliminations_are_pinned():
@@ -152,7 +152,7 @@ def test_families_with_eliminations_are_pinned():
         for r in range(1, r_max + 1):
             for m in enumerate_colength(sg, r):
                 c = m.conductor
-                f = canonical_family(sg, m)
+                f = canonical_family(m)
                 eliminating += bool(f.eliminated)
                 assert list(f.normal_forms) == m.members_below(c), (gens, m.gap_set)
                 for nf in f.normal_forms.values():
@@ -179,7 +179,7 @@ def test_genuine_elimination_45():
     sg = NumericalSemigroup((4, 5))
     m = GammaModule(sg, (0, 4, 5, 10, 15))
     assert m.min_generators == (8, 9)
-    f = canonical_family(sg, m)
+    f = canonical_family(m)
     assert f.dimension == 3
     assert f.eliminated_display() == [
         {"generator": 0, "exponent": 10, "expression": "-b^2"}
@@ -196,7 +196,7 @@ def test_genuine_elimination_37():
     sg = NumericalSemigroup((3, 7))
     m = GammaModule(sg, (0, 3, 7, 14))
     assert m.min_generators == (6, 10)
-    f = canonical_family(sg, m)
+    f = canonical_family(m)
     assert f.dimension == 2
     assert f.eliminated_display() == [
         {"generator": 0, "exponent": 7, "expression": "0"}
@@ -206,35 +206,37 @@ def test_genuine_elimination_37():
 
 def test_plucker_monomial_cell():
     m = GammaModule(E6, (0, 3, 4))
-    f = canonical_family(E6, m)
-    rows, pivots = cell_matrix(f, 3)
+    f = canonical_family(m)
+    rows, pivots = cell_matrix(f)
     assert plucker_point(rows, pivots, minor_support(rows)) == (ParamPoly.one(),)
-    assert build_cell(E6, m, 3).plucker == {(3, 4, 5): ParamPoly.one()}
+    assert build_cell(m).plucker == {(3, 4, 5): ParamPoly.one()}
 
 
 def test_build_cell_makes_one_pass(monkeypatch):
-    """``build_cell`` computes the cell matrix and the minor support once
-    per cell, whichever module the second call would come from."""
+    """``build_cell`` computes the Δ-set, the cell matrix and the minor
+    support once per cell, whichever module the second call would come
+    from: the window [r, r + 2δ) is read once, by ``delta_set``."""
     calls = []
-    for name in ("cell_matrix", "minor_support"):
+    for name in ("cell_matrix", "delta_set", "minor_support"):
         original = getattr(ideal_cells, name)
 
         def spy(*args, _name=name, _original=original):
             calls.append(_name)
             return _original(*args)
 
-        monkeypatch.setattr(ideal_cells, name, spy)
-        monkeypatch.setattr(closure_analysis, name, spy)
+        for module in (gamma_modules, ideal_cells, closure_analysis):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy)
     mods = enumerate_colength(E8, 5)
     for m in mods:
-        build_cell(E8, m, 5)
-    assert sorted(calls) == ["cell_matrix"] * len(mods) + ["minor_support"] * len(mods)
+        build_cell(m)
+    assert sorted(calls) == ["cell_matrix"] * len(mods) + ["delta_set"] * len(mods) + ["minor_support"] * len(mods)
 
 
 def test_plucker_degeneration_of_s22():
     """At a = 0 the one-dimensional cell lands on the monomial point of Δ_3."""
     m = GammaModule(E6, (0, 4))
-    cell = build_cell(E6, m, 2)
+    cell = build_cell(m)
     name = raw(cell.family, "a").format()
     vals = {cols: p.evaluate({name: Fraction(0)}) for cols, p in cell.plucker.items()}
     assert {cols: v for cols, v in vals.items() if v} == {(1, 4, 5): 1}
@@ -308,7 +310,7 @@ def test_sparse_rows_match_dense_construction(cells_of, gens, r):
         bare = {s: TruncSeries(s + 1, {s: ParamPoly.one()}) for s in orders}
         forms = [family.normal_forms[s] if s < cell.module.conductor else bare[s] for s in orders]
         dense = [[nf.shift(-r).coeff(e) for e in range(dd)] for nf in forms]
-        assert cell.pivots == tuple(s - r for s in orders)
+        assert cell.delta == tuple(s - r for s in orders)
         assert len(cell.rows) == len(dense)
         for row, ref in zip(cell.rows, dense):
             assert list(row) == sorted(row), (cell.module.gap_set, list(row))
@@ -332,7 +334,7 @@ def test_wide_cells_store_only_nonzero_minors(cells_of):
     for cell in cells_of((5, 6), 4):
         assert cell.plucker
         assert all(not p.is_zero() for p in cell.plucker.values())
-        assert cell.pivots in cell.plucker
+        assert cell.delta in cell.plucker
 
 
 @pytest.mark.parametrize(
@@ -344,30 +346,18 @@ def test_wide_cells_store_only_nonzero_minors(cells_of):
     ],
 )
 def test_goodness_of_fixture_cells(sg, gaps, r):
-    f = canonical_family(sg, GammaModule(sg, gaps))
-    rows, pivots = cell_matrix(f, r)
+    f = canonical_family(GammaModule(sg, gaps))
+    rows, pivots = cell_matrix(f)
     assert is_good_subspace(rows, pivots, sg)
 
 
 def test_tampered_rows_are_not_good():
-    f = canonical_family(E6, GammaModule(E6, (0, 3, 4)))
-    rows, pivots = cell_matrix(f, 3)
+    f = canonical_family(GammaModule(E6, (0, 3, 4)))
+    rows, pivots = cell_matrix(f)
     assert is_good_subspace(rows, pivots, E6)
     assert 0 not in rows[0]
     bad = [{0: ParamPoly.one(), **rows[0]}] + rows[1:]
     assert not is_good_subspace(bad, pivots, E6)
-
-
-def test_family_rejects_foreign_module():
-    m = GammaModule(E6, (0, 4, 8))
-    with pytest.raises(CardinalityMismatch):
-        canonical_family(E8, m)
-
-
-def test_cell_matrix_window_guards():
-    m = GammaModule(E6, (0, 4, 8))
-    with pytest.raises(CardinalityMismatch):
-        cell_matrix(canonical_family(E6, m), 7)
 
 
 @pytest.mark.parametrize(
@@ -376,28 +366,21 @@ def test_cell_matrix_window_guards():
     ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else "r%d" % v,
 )
 def test_cell_matrix_windows_past_both_conductors_are_refused(gens, r_max):
-    """Every window [r, r + 2δ) for r up to c(S) + c(Γ) + 2δ + 4 either
-    gives a matrix or raises CardinalityMismatch.  A window starting at or
-    above both conductors lies inside S and holds 2δ orders, not δ, so it
-    is refused unless δ = 0 and the matrix is empty.  In a matrix, the row
-    of each order at or above c(S), which the family does not store, is
+    """The cell matrix reads only the window at r = the colength of S, so a
+    window past both conductors cannot be asked for.  In that matrix the
+    row of each order at or above c(S), which the family does not store, is
     the unit row of the bare t^s."""
     sg = NumericalSemigroup(gens)
-    dd = 2 * sg.delta
     one = ParamPoly.one()
-    for colength in range(r_max + 1):
-        for m in enumerate_colength(sg, colength):
-            f = canonical_family(sg, m)
-            start = max(m.conductor, sg.conductor)
-            for r in range(m.conductor + sg.conductor + dd + 5):
-                try:
-                    rows, pivots = cell_matrix(f, r)
-                except CardinalityMismatch:
-                    continue
-                assert r < start or sg.delta == 0, (m.gap_set, r)
-                for row, p in zip(rows, pivots):
-                    if p + r >= m.conductor:
-                        assert row == {p: one}, (m.gap_set, r, p)
+    unit = 0
+    for r in range(r_max + 1):
+        for m in enumerate_colength(sg, r):
+            rows, pivots = cell_matrix(canonical_family(m))
+            for row, p in zip(rows, pivots):
+                if p + r >= m.conductor:
+                    assert row == {p: one}, (m.gap_set, p)
+                    unit += 1
+    assert unit or sg.delta == 0
 
 
 @pytest.mark.parametrize(
@@ -421,13 +404,13 @@ def test_unit_rows_keep_support_and_term_order(cells_of, gens, r):
     for cell in cells_of(gens, r):
         support = minor_support(cell.rows)
         assert support == _reference_minor_support(cell.rows), cell.module.gap_set
-        got = plucker_point(cell.rows, cell.pivots, support)
-        want = _reference_plucker_point(cell.rows, cell.pivots, support)
+        got = plucker_point(cell.rows, cell.delta, support)
+        want = _reference_plucker_point(cell.rows, cell.delta, support)
         for cols, p, q in zip(support, got, want):
             assert list(p.terms.items()) == list(q.terms.items()), (cell.module.gap_set, cols)
         inside = set(support)
         cols = next(c for c in combinations(range(2 * len(cell.rows)), len(cell.rows)) if c not in inside)
-        assert plucker_point(cell.rows, cell.pivots, [cols]) == (ParamPoly.zero(),)
+        assert plucker_point(cell.rows, cell.delta, [cols]) == (ParamPoly.zero(),)
 
 
 @pytest.mark.parametrize(
@@ -445,13 +428,13 @@ def test_cell_matrix_pivot_guards(tamper, message):
     below its pivot, or it reaches row 2's pivot column.  Row 1's order is
     at or above the module's conductor, so its normal form, the bare t^s,
     is not stored: the tampered one is inserted."""
-    family = canonical_family(E8, GammaModule(E8, (0, 3, 5)))
+    family = canonical_family(GammaModule(E8, (0, 3, 5)))
     r = 3
-    _, pivots = cell_matrix(family, r)
+    _, pivots = cell_matrix(family)
     s, t = pivots[1] + r, pivots[2] + r
     assert s - 1 > pivots[0] + r
     assert s >= family.module.conductor and s not in family.normal_forms
     nf = TruncSeries(r + 2 * E8.delta, {s: ParamPoly.one()})
     family.normal_forms[s] = TruncSeries(nf.trunc, {**nf.coeffs, **tamper(s, t)})
     with pytest.raises(PivotLoss, match=message.replace("%d", str(t - r))):
-        cell_matrix(family, r)
+        cell_matrix(family)

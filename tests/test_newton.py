@@ -324,7 +324,7 @@ def _reference_candidates(dst, system):
     """The reference lattice's faces under the candidate tests, and the faces
     that only the support test drops, as bitmasks."""
     terms = system.terms
-    pivot = {j for j, _ in terms.get(dst.pivots, ())}
+    pivot = {j for j, _ in terms.get(dst.delta, ())}
     forced = {j for cols, items in terms.items() if cols not in dst.plucker for j, _ in items}
     support = [{j for j, _ in terms.get(cols, ())} for cols in dst.plucker]
     kept, dropped = set(), []

@@ -369,14 +369,14 @@ def test_reference_enumeration_agrees():
 
 
 def test_specialized_orders_fixture():
-    f = canonical_family(E6, GammaModule(E6, (0, 4, 8)))
+    f = canonical_family(GammaModule(E6, (0, 4, 8)))
     inv = {v: k for k, v in f.display_names.items()}
     orders = specialized_orders(f, {inv["a"]: Fraction(2), inv["b"]: Fraction(3)})
     assert tuple(orders) == (3, 6, 7, 9)
 
 
 def test_specialized_orders_rejects_symbolic_assignment():
-    f = canonical_family(E6, GammaModule(E6, (0, 4)))
+    f = canonical_family(GammaModule(E6, (0, 4)))
     inv = {v: k for k, v in f.display_names.items()}
     from hilbstrat import ParamPoly
 

@@ -21,7 +21,7 @@ def test_index_fixtures():
 def test_accepts_delta_set_objects():
     sg = NumericalSemigroup((3, 4))
     m = enumerate_colength(sg, 2)[1]
-    assert schubert_index(delta_set(m, 2)) == (3, 3, 1)
+    assert schubert_index(delta_set(m)) == (3, 3, 1)
 
 
 def test_malformed_delta_rejected():
@@ -60,7 +60,7 @@ def test_all_stratum_indices(gens, rmax, expected):
     seen = set()
     for r in range(1, rmax + 1):
         for m in enumerate_colength(sg, r):
-            seen.add(schubert_index(delta_set(m, r)))
+            seen.add(schubert_index(delta_set(m)))
     assert seen == expected
 
 

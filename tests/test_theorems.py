@@ -50,7 +50,7 @@ def test_catalan_cells_at_twice_delta(gens):
     areas = dyck_areas(n, m)
     assert len(areas) == len(modules)
     assert all(0 <= a <= delta for a in areas)
-    dims = sorted(canonical_family(sg, mod).dimension for mod in modules)
+    dims = sorted(canonical_family(mod).dimension for mod in modules)
     assert dims == sorted(delta - a for a in areas)
 
 
@@ -68,7 +68,7 @@ def test_strata_stabilize_beyond_twice_delta(gens, count):
 
     def cells(r):
         return sorted(
-            (delta_set(mod, r), canonical_family(sg, mod).dimension)
+            (delta_set(mod), canonical_family(mod).dimension)
             for mod in enumerate_colength(sg, r)
         )
 
