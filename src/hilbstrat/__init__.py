@@ -41,7 +41,7 @@ from .report_cli import (
 )
 from .schubert import schubert_index
 from .semigroup_core import NumericalSemigroup
-from .symcalc import ParamPoly, TruncSeries
+from .symcalc import ParamPoly
 
 __version__ = "0.1.0"
 
@@ -55,7 +55,6 @@ __all__ = [
     "ReportConfig",
     "StratCell",
     "StratReport",
-    "TruncSeries",
     "analyze",
     "build_cell",
     "canonical_delta_labels",

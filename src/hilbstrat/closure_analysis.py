@@ -268,9 +268,9 @@ def _candidate_replacements(src):
         cands.append((target, p, "w%02d" % position[target]))
 
     for s, nf in zip(src.family.generator_orders, src.family.generators):
-        for e in sorted(nf.coeffs):
+        for e in sorted(nf):
             if e != s:
-                consider(nf.coeffs[e])
+                consider(nf[e])
     for p in src.plucker.values():
         consider(p)
     return cands

@@ -14,7 +14,7 @@ class NonCoprime(HilbstratError):
 
 
 class ShiftUnderflow(HilbstratError):
-    """A series shift would move a nonzero coefficient below exponent 0."""
+    """``delta_set``'s shift of a module by −r would move an order below 0."""
 
 
 class CardinalityMismatch(HilbstratError):
@@ -23,10 +23,6 @@ class CardinalityMismatch(HilbstratError):
 
 class MalformedDelta(HilbstratError):
     """A delta set is not a subset of range(2*delta) of size delta."""
-
-
-class TruncationMismatch(HilbstratError):
-    """Arithmetic was attempted on series with different truncation orders."""
 
 
 class IdenticallyZeroVector(HilbstratError):

@@ -8,11 +8,13 @@ Each cell is the set of ideals I ⊆ k[[Γ]] whose order set is a prescribed
 one per minimal generator g_i of S, with c running over the gaps of S
 (elements of Γ∖S) above g_i.  Coefficient relations forced by the module
 structure are eliminated symbolically; the survivors are free coordinates
-on the cell.  The family keeps the normal forms of the orders of S below
-its conductor c(S), modulo t^{c(S)}; above, they are the bare t^s.  Each
-row of its δ × 2δ cell matrix keeps only its nonzero entries, as a dict
-{column: entry} (``cell_matrix``).  Its Plücker point is grown bottom-up,
-one row at a time: the column sets the rows can take with distinct columns
+on the cell.  A series is a map {exponent: nonzero ParamPoly}.  S contains
+every order at or above its conductor c(S), so the construction runs
+modulo t^{c(S)}, and the family keeps the normal forms of the orders of S
+below c(S); above, they are the bare t^s.  Each row of its δ × 2δ cell
+matrix keeps only its nonzero entries, as a dict {column: entry}
+(``cell_matrix``).  Its Plücker point is grown bottom-up, one row at a
+time: the column sets the rows can take with distinct columns
 (``minor_support``), then the minors on them (``plucker_point``), each
 extending the sets or minors of the rows below by the next row's entries.
 """
@@ -21,7 +23,7 @@ from fractions import Fraction
 
 from .errors import NonTriangularRelation, PivotLoss
 from .gamma_modules import delta_set
-from .symcalc import ParamPoly, TruncSeries
+from .symcalc import ParamPoly, format_series
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -40,8 +42,9 @@ class CanonicalFamily:
     """The affine cell J(S): parametrized generators plus elimination data.
 
     ``normal_forms`` maps exactly the orders of S below the module's conductor
-    c(S) to their normal forms modulo t^{c(S)}.  ``generators`` is the
-    displayed family: the minimal-generator series (t^s at or above c(S))
+    c(S) to their normal forms modulo t^{c(S)}, each a map {exponent: nonzero
+    ParamPoly}.  ``generators`` is the displayed family: the
+    minimal-generator series ({s: 1}, the bare t^s, at or above c(S))
     together with any derived normal forms carrying a coefficient that is
     neither zero nor a bare free parameter (these are the informative
     redundant generators the case analyses print, e.g. t^6 - a^2 t^8).
@@ -70,7 +73,7 @@ class CanonicalFamily:
         }
         self.generator_orders = self._displayed_orders()
         self.generators = [
-            normal_forms[s] if s in normal_forms else TruncSeries(s + 1, {s: ParamPoly.one()})
+            normal_forms[s] if s in normal_forms else {s: ParamPoly.one()}
             for s in self.generator_orders
         ]
 
@@ -83,7 +86,7 @@ class CanonicalFamily:
                 orders.append(s)
                 continue
             informative = False
-            for e, p in self.normal_forms[s].coeffs.items():
+            for e, p in self.normal_forms[s].items():
                 if e == s:
                     continue
                 if len(p.terms) == 1:
@@ -97,7 +100,7 @@ class CanonicalFamily:
         return orders
 
     def format_generators(self):
-        return [g.format(rename=self.display_names) for g in self.generators]
+        return [format_series(g, self.display_names) for g in self.generators]
 
     def eliminated_display(self):
         out = []
@@ -113,8 +116,27 @@ class CanonicalFamily:
         return out
 
 
-def _build_seeds(module, eliminated):
-    cut = module.conductor
+def _shift(series, k, cut):
+    """t^k · series modulo t^cut."""
+    return {e + k: p for e, p in series.items() if e + k < cut}
+
+
+def _sub(a, b, c):
+    """a − c·b, each coefficient summed as q + -(p * c) with b's coefficient
+    p on the left, which fixes the order of the terms; zero coefficients
+    are dropped."""
+    out = dict(a)
+    for e, p in b.items():
+        q = out.get(e)
+        v = -(p * c) if q is None else q + -(p * c)
+        if v.is_zero():
+            del out[e]
+        else:
+            out[e] = v
+    return out
+
+
+def _build_seeds(module, eliminated, cut):
     seeds = []
     for i, g in enumerate(module.min_generators):
         if g >= cut:  # it and those after it have no parameter and reach no order below cut
@@ -128,22 +150,21 @@ def _build_seeds(module, eliminated):
                     p = ParamPoly.variable(name)
                 if not p.is_zero():
                     coeffs[c] = p
-        seeds.append(TruncSeries(cut, coeffs))
+        seeds.append(coeffs)
     return seeds
 
 
-def _primaries(module, seeds):
-    """Monic element of each order s ∈ S below the module's conductor,
-    truncated there and taken from the first minimal generator that
+def _primaries(module, seeds, cut):
+    """Monic element of each order s ∈ S below the module's conductor
+    ``cut``, modulo t^cut and taken from the first minimal generator that
     reaches s."""
     gens = module.min_generators
-    cut = module.conductor
     prim = {}
     owners = {}
     for s in module.members_below(cut):
         for i, g in enumerate(gens):
             if (s - g) in module.ambient:
-                prim[s] = seeds[i].shift(s - g, trunc=cut)
+                prim[s] = _shift(seeds[i], s - g, cut)
                 owners[s] = i
                 break
         else:  # pragma: no cover - every s ∈ S is g_i + γ for some i
@@ -151,7 +172,7 @@ def _primaries(module, seeds):
     return prim, owners
 
 
-def _scan_relations(module, seeds, primaries, owners):
+def _scan_relations(module, seeds, primaries, owners, cut):
     """Reduce every leading-term-cancelling pair; collect forced relations.
 
     Returns a list of (forbidden_order, ParamPoly) for combinations whose
@@ -160,23 +181,23 @@ def _scan_relations(module, seeds, primaries, owners):
 
     Every order of a series lies in Γ, and Γ and S agree at and above the
     module's conductor, so no relation appears there.  The pairs at orders
-    s below the conductor are reduced modulo t^conductor: reducing a term
-    only changes the terms above it, so the orders below are exact.
+    s below the conductor are reduced modulo t^conductor (``cut``): reducing
+    a term only changes the terms above it, so the orders below are exact.
     """
     gens = module.min_generators
-    cut = module.conductor
+    one = ParamPoly.one()
     found = []
     for s in sorted(primaries):
         for j, g in enumerate(gens):
             if j == owners[s] or (s - g) not in module.ambient:
                 continue
-            d = primaries[s] - seeds[j].shift(s - g, trunc=cut)
-            while not d.is_zero():
-                o = d.generic_order()
+            d = _sub(primaries[s], _shift(seeds[j], s - g, cut), one)
+            while d:
+                o = min(d)
                 if o in module:
-                    d = d - primaries[o].scale(d.coeff(o))
+                    d = _sub(d, primaries[o], d[o])
                 else:
-                    found.append((o, d.coeff(o)))
+                    found.append((o, d[o]))
                     break
     return found
 
@@ -207,17 +228,18 @@ def canonical_family(module):
     coefficient whose survival would put a forbidden order into the ideal.
     Repeats to a fixpoint; remaining parameters are free coordinates.
 
-    Every gap lies below the module's conductor, and every order of Γ at or
-    above it is in S.  So the computation runs modulo t^conductor, and the
-    normal form of each order s at or above the conductor is the bare t^s.
-    The family stores the normal forms of the orders below the conductor
-    only, each modulo t^conductor.
+    Every gap lies below the module's conductor c(S), and every order of Γ
+    at or above it is in S.  So the computation runs modulo t^{c(S)}, on
+    series that are maps {exponent: nonzero ParamPoly}, and the normal form
+    of each order s at or above c(S) is the bare t^s.  The family stores
+    the normal forms of the orders below c(S) only.
     """
+    cut = module.conductor
     eliminated = {}
     while True:
-        seeds = _build_seeds(module, eliminated)
-        primaries, owners = _primaries(module, seeds)
-        relations = _scan_relations(module, seeds, primaries, owners)
+        seeds = _build_seeds(module, eliminated, cut)
+        primaries, owners = _primaries(module, seeds, cut)
+        relations = _scan_relations(module, seeds, primaries, owners, cut)
         if not relations:
             break
         relations.sort(key=lambda item: item[0])
@@ -238,12 +260,12 @@ def canonical_family(module):
     for s in sorted(primaries, reverse=True):
         d = primaries[s]
         while True:
-            inside = [e for e in d.support() if e > s and e in module]
+            inside = [e for e in d if e > s and e in module]
             if not inside:
                 break
             e = min(inside)
-            d = d - reduced[e].scale(d.coeff(e))
-        if d.coeff(s) != ParamPoly.one():
+            d = _sub(d, reduced[e], d[e])
+        if d.get(s) != ParamPoly.one():
             raise PivotLoss("normal form at order %d lost its unit leading term" % s)
         reduced[s] = d
 
@@ -268,7 +290,7 @@ def cell_matrix(family):
     rows = []
     for p in pivots:
         s = p + r
-        coeffs = family.normal_forms[s].coeffs if s in family.normal_forms else {s: one}
+        coeffs = family.normal_forms[s] if s in family.normal_forms else {s: one}
         rows.append({e - r: coeffs[e] for e in sorted(coeffs) if e < end})
     pivot_set = set(pivots)
     for i, (row, p) in enumerate(zip(rows, pivots)):

@@ -288,17 +288,19 @@ def specialized_orders(family, assignment):
     specialized family.
 
     Row-reduces every semigroup shift t^γ·g_i over the exponent window
-    [0, c]; the pivot exponents are exactly the attained orders.
+    [0, c]; the pivot exponents are exactly the attained orders.  Only a
+    generator's coefficients in that window are specialized.
     """
     module = family.module
     sg = module.ambient
     upto = module.conductor + 1
     pivots = {}
     for gen in family.generators:
-        sp = gen.subs(assignment)
         coeffs = {}
-        for e in range(min(sp.trunc, upto)):
-            p = sp.coeff(e)
+        for e, p in gen.items():
+            if e >= upto:
+                continue
+            p = p.subs(assignment)
             if not p.is_constant():
                 raise ValueError("assignment must give every parameter a value")
             v = p.constant_value()

@@ -1,19 +1,19 @@
-"""Exact symbolic arithmetic: parameter polynomials and truncated t-series.
+"""Exact symbolic arithmetic: parameter polynomials and their display.
 
 Everything downstream works over the rationals.  Coefficients of ideal
 generators are polynomials in named parameters with exact coefficients: an
 integral coefficient is an ``int``, and a ``Fraction`` appears only where a
 division yields a non-integer, so integer inputs keep the arithmetic
-fraction-free.  Curve-local computations happen in truncated power series
-in t whose coefficients are such polynomials.  The series ops are add, neg, sub,
-scale (by a parameter polynomial), shift (multiply by t^k) and subs; the
-package multiplies series only by powers of t, which is a shift.
+fraction-free.  A t-series is a plain map {exponent: nonzero ParamPoly};
+the one truncation the package uses, modulo t^{c(S)}, belongs to the module
+S and is applied where the series are built (``ideal_cells``), and
+``format_series`` displays one.
 """
 
 from fractions import Fraction
 from math import lcm
 
-from .errors import IdenticallyZeroVector, ShiftUnderflow, TruncationMismatch
+from .errors import IdenticallyZeroVector
 
 # A monomial key is a tuple of (name, exponent) pairs, sorted by name,
 # with all exponents nonzero.  The empty tuple is the constant monomial.
@@ -42,6 +42,15 @@ def _add_into(terms, other):
             terms[key] = nc
         else:
             terms.pop(key, None)
+
+
+def _signed_sum(pieces):
+    """Join (sign, body) pieces as ``a - b + c``, a leading "+" left out."""
+    first_sign, first_body = pieces[0]
+    text = first_body if first_sign == "+" else "-" + first_body
+    for sign, body in pieces[1:]:
+        text += " %s %s" % (sign, body)
+    return text
 
 
 def _scalar(value):
@@ -317,136 +326,38 @@ class ParamPoly:
                 body = "%s*%s" % (abs(c), mono)
             sign = "-" if c < 0 else "+"
             pieces.append((sign, body))
-        first_sign, first_body = pieces[0]
-        text = first_body if first_sign == "+" else "-" + first_body
-        for sign, body in pieces[1:]:
-            text += " %s %s" % (sign, body)
-        return text
+        return _signed_sum(pieces)
 
 
-class TruncSeries:
-    """Power series in t truncated at a fixed order.
-
-    ``coeffs`` maps exponent -> nonzero ParamPoly for exponents in
-    [0, trunc); the constructor drops zero coefficients, so the arithmetic
-    below need not.  Exponents at or above ``trunc`` are unknown, not zero.
-    """
-
-    __slots__ = ("trunc", "coeffs")
-
-    def __init__(self, trunc, coeffs=None):
-        self.trunc = trunc
-        if coeffs:
-            coeffs = {e: p for e, p in coeffs.items() if not p.is_zero()}
-        self.coeffs = coeffs or {}
-
-    def __eq__(self, other):
-        if isinstance(other, TruncSeries):
-            return self.trunc == other.trunc and self.coeffs == other.coeffs
-        return NotImplemented
-
-    __hash__ = None
-
-    def coeff(self, exp):
-        return self.coeffs.get(exp, ParamPoly.zero())
-
-    def support(self):
-        return sorted(self.coeffs)
-
-    def generic_order(self):
-        """Smallest exponent with a nonzero coefficient, or None if none visible."""
-        return min(self.coeffs) if self.coeffs else None
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def _check_trunc(self, other):
-        if self.trunc != other.trunc:
-            raise TruncationMismatch(
-                "truncations differ: %d vs %d" % (self.trunc, other.trunc)
-            )
-
-    def __add__(self, other):
-        self._check_trunc(other)
-        coeffs = dict(self.coeffs)
-        for e, p in other.coeffs.items():
-            q = coeffs.get(e)
-            coeffs[e] = p if q is None else q + p
-        return TruncSeries(self.trunc, coeffs)
-
-    def __neg__(self):
-        return TruncSeries(self.trunc, {e: -p for e, p in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, factor):
-        """Multiply every coefficient by a ParamPoly (or number)."""
-        if not isinstance(factor, ParamPoly):
-            factor = ParamPoly.constant(factor)
-        if factor.is_zero():
-            return TruncSeries(self.trunc, {})
-        return TruncSeries(self.trunc, {e: p * factor for e, p in self.coeffs.items()})
-
-    def shift(self, k, trunc=None):
-        """Multiply by t**k (k may be negative if no coefficient drops below 0).
-
-        The natural truncation of the result is self.trunc + k; pass
-        ``trunc`` to cap it lower.
-        """
-        natural = self.trunc + k
-        if trunc is None:
-            trunc = natural
-        if trunc > natural:
-            raise TruncationMismatch(
-                "cannot extend truncation from %d to %d" % (natural, trunc)
-            )
-        out = {}
-        for e, p in self.coeffs.items():
-            ne = e + k
-            if ne < 0:
-                raise ShiftUnderflow("shift by %d drops exponent %d below 0" % (k, e))
-            if ne < trunc:
-                out[ne] = p
-        return TruncSeries(trunc, out)
-
-    def subs(self, mapping):
-        return TruncSeries(self.trunc, {e: p.subs(mapping) for e, p in self.coeffs.items()})
-
-    def format(self, rename=None):
-        if not self.coeffs:
-            return "0"
-        pieces = []
-        for e in sorted(self.coeffs):
-            p = self.coeffs[e]
-            mono = "1" if e == 0 else ("t" if e == 1 else "t^%d" % e)
-            if p.is_constant():
-                c = p.constant_value()
-                if e == 0:
-                    body = str(abs(c))
-                elif abs(c) == 1:
-                    body = mono
-                else:
-                    body = "%s*%s" % (abs(c), mono)
-                sign = "-" if c < 0 else "+"
-            elif len(p.terms) == 1:
-                ((key, c),) = p.terms.items()
-                text = ParamPoly({key: abs(c)}).format(rename)
-                body = "%s*%s" % (text, mono) if e else text
-                sign = "-" if c < 0 else "+"
+def format_series(coeffs, rename=None):
+    """Display a t-series given as a map {exponent: nonzero ParamPoly}, in
+    ascending exponent order."""
+    if not coeffs:
+        return "0"
+    pieces = []
+    for e in sorted(coeffs):
+        p = coeffs[e]
+        mono = "1" if e == 0 else ("t" if e == 1 else "t^%d" % e)
+        if p.is_constant():
+            c = p.constant_value()
+            if e == 0:
+                body = str(abs(c))
+            elif abs(c) == 1:
+                body = mono
             else:
-                text = p.format(rename)
-                body = "(%s)*%s" % (text, mono) if e else "(%s)" % text
-                sign = "+"
-            pieces.append((sign, body))
-        first_sign, first_body = pieces[0]
-        text = first_body if first_sign == "+" else "-" + first_body
-        for sign, body in pieces[1:]:
-            text += " %s %s" % (sign, body)
-        return text
-
-    def __repr__(self):
-        return "TruncSeries[<%d](%s)" % (self.trunc, self.format())
+                body = "%s*%s" % (abs(c), mono)
+            sign = "-" if c < 0 else "+"
+        elif len(p.terms) == 1:
+            ((key, c),) = p.terms.items()
+            text = ParamPoly({key: abs(c)}).format(rename)
+            body = "%s*%s" % (text, mono) if e else text
+            sign = "-" if c < 0 else "+"
+        else:
+            text = p.format(rename)
+            body = "(%s)*%s" % (text, mono) if e else "(%s)" % text
+            sign = "+"
+        pieces.append((sign, body))
+    return _signed_sum(pieces)
 
 
 def limit_s_to_zero(vec):

@@ -552,6 +552,46 @@ def test_one_component_at_twice_delta(gens):
     assert [i for i, c in enumerate(section.cells) if c.dim == sg.delta] == [component["top"]]
 
 
+def _dual_gap_set(module):
+    """Gap set of S^∨ = 4δ + (Γ − S), where Γ − S = {x : x + g ∈ Γ for every
+    minimal generator g of S}; asserts that S^∨ lies in Γ."""
+    sg = module.ambient
+    shift = 4 * sg.delta
+    gens = module.min_generators
+    # every x ≥ c(Γ) is in Γ − S, and 4δ + x in Γ
+    dual = {shift + x for x in range(-min(gens), sg.conductor) if all(x + g in sg for g in gens)}
+    assert all(y in sg for y in dual), module.gap_set
+    return tuple(y for y in range(shift + sg.conductor) if y in sg and y not in dual)
+
+
+@pytest.mark.parametrize(
+    "gens,moved,agreeing",
+    [((3, 4), 2, 20), ((3, 5), 4, 42), ((4, 5), 8, 175), ((3, 7), 8, 124)],
+    ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else str(v),
+)
+def test_gorenstein_duality_at_twice_delta(gens, moved, agreeing):
+    """For a Gorenstein branch, I ↦ t^{4δ}·(𝒪 : I) is an automorphism of
+    ℳ_{2δ}, and it carries the cell of S onto the cell of
+    S^∨ = 4δ + (Γ − S).  So S ↦ S^∨ is an involution on the gap sets that
+    keeps dimensions, and a closure verdict and its dual agree wherever
+    both are decided.  ``moved`` counts the cells with S^∨ ≠ S and
+    ``agreeing`` the decided pairs whose dual pair is decided too."""
+    sg = NumericalSemigroup(gens)
+    section = stratify(sg, 2 * sg.delta)
+    index = {c.module.gap_set: i for i, c in enumerate(section.cells)}
+    dual = [index[_dual_gap_set(c.module)] for c in section.cells]
+    assert [dual[j] for j in dual] == list(range(len(dual)))
+    assert [section.cells[j].dim for j in dual] == [c.dim for c in section.cells]
+    assert sum(j != i for i, j in enumerate(dual)) == moved
+    decided = 0
+    for (i, j), v in section.verdicts.items():
+        w = section.verdicts[dual[i], dual[j]]
+        if UNKNOWN not in (v.status, w.status):
+            assert v.status == w.status, (i, j)
+            decided += 1
+    assert decided == agreeing
+
+
 @pytest.mark.parametrize(
     "gens,count",
     [((3, 4, 5), 2), ((3, 5, 7), 2), ((4, 5, 6), 2), ((4, 5, 7), 3)],
@@ -901,7 +941,7 @@ def test_integral_coefficients_stay_int(cells_of, gens, r_max):
     point and every coordinate system's table of terms."""
     for r in range(1, r_max + 1):
         for cell in cells_of(gens, r):
-            polys = [p for nf in cell.family.normal_forms.values() for p in nf.coeffs.values()]
+            polys = [p for nf in cell.family.normal_forms.values() for p in nf.values()]
             polys += cell.plucker.values()
             kinds = {type(c) for p in polys for c in p.terms.values()}
             tables = [system.terms.values() for system in closure_analysis._systems(cell)]

@@ -23,7 +23,7 @@ from hilbstrat import closure_analysis, gamma_modules, ideal_cells
 from hilbstrat.errors import PivotLoss
 from hilbstrat.ideal_cells import minor_support
 from hilbstrat.report_cli import specialized_orders
-from hilbstrat.symcalc import TruncSeries
+from hilbstrat.symcalc import format_series
 from conftest import _reference_minor_support, _reference_plucker_point, _reference_rank
 
 E6 = NumericalSemigroup((3, 4))
@@ -43,7 +43,7 @@ def test_s33_family():
     assert f.dimension == 2
     assert f.format_generators() == ["t^3 + a*t^4 + b*t^8", "t^6 - a^2*t^8"]
     a = raw(f, "a")
-    assert f.generators[1].coeff(8) == -(a * a)
+    assert f.generators[1][8] == -(a * a)
     assert f.eliminated_display() == []
 
 
@@ -57,7 +57,7 @@ def test_s65_family():
         "t^9 + (b - a^2)*t^11",
     ]
     a, b = raw(f, "a"), raw(f, "b")
-    assert f.generators[1].coeff(11) == b - a * a
+    assert f.generators[1][11] == b - a * a
 
 
 def test_s87_family():
@@ -71,8 +71,8 @@ def test_s87_family():
         "t^13 + (b - a^2)*t^15",
     ]
     a, b, c = raw(f, "a"), raw(f, "b"), raw(f, "c")
-    assert f.generators[1].coeff(15) == c + a * a * b - b * b
-    assert f.generators[2].coeff(15) == b - a * a
+    assert f.generators[1][15] == c + a * a * b - b * b
+    assert f.generators[2][15] == b - a * a
 
 
 def test_monomial_cell_s31():
@@ -135,13 +135,13 @@ def test_cell_dimensions():
 def test_families_with_eliminations_are_pinned():
     """sha256 of every family of ⟨4,5⟩ and ⟨3,7⟩ up to r = 12, ⟨5,6⟩ up to
     r = 6, ⟨4,7⟩ up to r = 7 and ⟨3,4,5⟩ up to r = 6: free parameters,
-    eliminations, displayed orders and the stored normal forms with their
-    truncations.  19 of the 265 families eliminate a coefficient, which E6
+    eliminations, displayed orders and the stored normal forms with the
+    truncation c(S).  19 of the 265 families eliminate a coefficient, which E6
     and E8 never do.  A family stores the normal forms of exactly the
     orders of S below the module's conductor c(S), each modulo t^{c(S)};
     at and above c(S) the normal form is the bare t^s, so a displayed
     generator there reads t^s.  The second digest leaves out the
-    truncations and reads the displayed generators instead; it is the same
+    truncation and reads the displayed generators instead; it is the same
     as when every order up to c(S) + c(Γ) + 2δ was stored."""
     cases = (((4, 5), 12), ((3, 7), 12), ((5, 6), 6), ((4, 7), 7), ((3, 4, 5), 6))
     records = []
@@ -156,15 +156,15 @@ def test_families_with_eliminations_are_pinned():
                 eliminating += bool(f.eliminated)
                 assert list(f.normal_forms) == m.members_below(c), (gens, m.gap_set)
                 for nf in f.normal_forms.values():
-                    assert nf.trunc == c and max(nf.coeffs) < c, (gens, m.gap_set)
+                    assert max(nf) < c, (gens, m.gap_set)
                 for s, text in zip(f.generator_orders, f.format_generators()):
                     if s >= c:
                         assert text == "t^%d" % s, (gens, m.gap_set, s)
-                forms = [[s, nf.trunc, nf.format()] for s, nf in f.normal_forms.items()]
+                forms = [[s, c, format_series(nf)] for s, nf in f.normal_forms.items()]
                 elim = sorted((k, v.format()) for k, v in f.eliminated.items())
                 family = [list(m.gap_set), f.free_params, elim, f.generator_orders, forms]
                 records.append([list(gens), r, family])
-                forms = [[s, nf.format()] for s, nf in f.normal_forms.items()]
+                forms = [[s, format_series(nf)] for s, nf in f.normal_forms.items()]
                 family = [list(m.gap_set), f.free_params, elim, f.generator_orders, f.format_generators(), forms]
                 displayed.append([list(gens), r, family])
     assert (len(records), eliminating) == (265, 19)
@@ -172,6 +172,34 @@ def test_families_with_eliminations_are_pinned():
     assert digest == "1b9acbaf83d2aa41e53a3d3cee864343c43345c5377dbdecf4bb0e7e58557f95"
     digest = hashlib.sha256(json.dumps(displayed).encode()).hexdigest()
     assert digest == "47172949ec917dd076a4a86e609da04b4c23835982e385c26e2e3d746903f459"
+
+
+def test_family_term_order_is_pinned():
+    """sha256 of the raw term order of every family of E6 up to r = 6, E8 up
+    to r = 8, ⟨4,5⟩ and ⟨3,7⟩ up to r = 12, ⟨5,6⟩ up to r = 6, ⟨4,7⟩ up to
+    r = 7 and ⟨3,4,5⟩ up to r = 6: each eliminated coefficient's and each
+    normal form's terms in stored order, which ``format`` sorts away.  Term
+    order feeds the chart vector indices and so the order of the candidate
+    faces."""
+
+    def terms(p):
+        return [[key, str(c)] for key, c in p.terms.items()]
+
+    cases = (((3, 4), 6), ((3, 5), 8), ((4, 5), 12), ((3, 7), 12), ((5, 6), 6), ((4, 7), 7), ((3, 4, 5), 6))
+    records = []
+    forms = 0
+    for gens, r_max in cases:
+        sg = NumericalSemigroup(gens)
+        for r in range(1, r_max + 1):
+            for m in enumerate_colength(sg, r):
+                f = canonical_family(m)
+                elim = [[name, terms(f.eliminated[name])] for name in sorted(f.eliminated)]
+                nfs = [[s, [[e, terms(nf[e])] for e in sorted(nf)]] for s, nf in f.normal_forms.items()]
+                forms += len(nfs)
+                records.append([list(gens), r, list(m.gap_set), f.free_params, elim, nfs])
+    assert (len(records), forms) == (318, 723)
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == "937b5aa521f4a8a87ec7411138058a5f496cb9b0b19464f30187a3f8a30545df"
 
 
 def test_genuine_elimination_45():
@@ -307,9 +335,8 @@ def test_sparse_rows_match_dense_construction(cells_of, gens, r):
         family = cell.family
         dd = 2 * family.module.ambient.delta
         orders = [s for s in range(r, r + dd) if s in cell.module]
-        bare = {s: TruncSeries(s + 1, {s: ParamPoly.one()}) for s in orders}
-        forms = [family.normal_forms[s] if s < cell.module.conductor else bare[s] for s in orders]
-        dense = [[nf.shift(-r).coeff(e) for e in range(dd)] for nf in forms]
+        forms = [family.normal_forms[s] if s < cell.module.conductor else {s: ParamPoly.one()} for s in orders]
+        dense = [[nf.get(e + r, ParamPoly.zero()) for e in range(dd)] for nf in forms]
         assert cell.delta == tuple(s - r for s in orders)
         assert len(cell.rows) == len(dense)
         for row, ref in zip(cell.rows, dense):
@@ -434,7 +461,6 @@ def test_cell_matrix_pivot_guards(tamper, message):
     s, t = pivots[1] + r, pivots[2] + r
     assert s - 1 > pivots[0] + r
     assert s >= family.module.conductor and s not in family.normal_forms
-    nf = TruncSeries(r + 2 * E8.delta, {s: ParamPoly.one()})
-    family.normal_forms[s] = TruncSeries(nf.trunc, {**nf.coeffs, **tamper(s, t)})
+    family.normal_forms[s] = {s: ParamPoly.one(), **tamper(s, t)}
     with pytest.raises(PivotLoss, match=message.replace("%d", str(t - r))):
         cell_matrix(family)

@@ -266,6 +266,17 @@ def test_readme_library_block_prints_its_comments():
     assert [got for got, _ in pairs] == [want.strip() for _, want in pairs]
 
 
+def test_readme_json_example_is_the_report():
+    """The README's JSON block is the report of ``--gens 3,4 --r 2`` up to
+    layout, both cells included, with its label escaped as the report
+    prints it."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("```json\n", 1)[1].split("```", 1)[0]
+    report = analyze(E6, rs=[2]).to_json()
+    assert json.loads(block) == json.loads(report)
+    assert '"label": "\\u0394_2"' in block and '"label": "\\u0394_2"' in report
+
+
 def test_report_schema():
     rep = analyze(E6, r_max=2)
     d = rep.to_dict()

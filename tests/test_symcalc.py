@@ -1,34 +1,17 @@
-"""Exact arithmetic: parameter polynomials, truncated series, s->0 limits."""
+"""Exact arithmetic: parameter polynomials, series display, s->0 limits."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from hilbstrat import ParamPoly, TruncSeries
-from hilbstrat.errors import IdenticallyZeroVector, ShiftUnderflow, TruncationMismatch
-from hilbstrat.symcalc import limit_s_to_zero
+from hilbstrat import ParamPoly
+from hilbstrat.errors import IdenticallyZeroVector
+from hilbstrat.symcalc import format_series, limit_s_to_zero
 
 A = ParamPoly.variable("a")
 B = ParamPoly.variable("b")
 ONE = ParamPoly.one()
-
-
-def series(trunc, coeffs):
-    return TruncSeries(trunc, coeffs)
-
-
-def test_generic_order():
-    f = series(12, {6: ONE, 8: -(A * A)})
-    assert f.generic_order() == 6
-    assert series(12, {}).generic_order() is None
-    g = series(12, {11: B - A * A})
-    assert g.generic_order() == 11
-
-
-def test_mixed_truncations_rejected():
-    with pytest.raises(TruncationMismatch):
-        series(10, {3: ONE}) + series(9, {3: ONE})
 
 
 def test_poly_ring_axioms_randomized():
@@ -199,9 +182,9 @@ def test_format_is_unchanged_by_int_coefficients():
     fracs = ParamPoly({k: Fraction(c) for k, c in zip(keys, stored)})
     assert ints == fracs
     assert ints.format() == fracs.format() == "3 - 1/2*a - b + 4*a*b^2"
-    s_ints = TruncSeries(9, {0: ParamPoly.constant(2), 3: ints, 5: -A, 7: ParamPoly.constant(Fraction(3, 2))})
-    s_fracs = TruncSeries(9, {0: ParamPoly({(): Fraction(2)}), 3: fracs, 5: -A, 7: ParamPoly.constant(Fraction(3, 2))})
-    assert s_ints.format() == s_fracs.format() == "2 + (3 - 1/2*a - b + 4*a*b^2)*t^3 - a*t^5 + 3/2*t^7"
+    s_ints = {0: ParamPoly.constant(2), 3: ints, 5: -A, 7: ParamPoly.constant(Fraction(3, 2))}
+    s_fracs = {0: ParamPoly({(): Fraction(2)}), 3: fracs, 5: -A, 7: ParamPoly.constant(Fraction(3, 2))}
+    assert format_series(s_ints) == format_series(s_fracs) == "2 + (3 - 1/2*a - b + 4*a*b^2)*t^3 - a*t^5 + 3/2*t^7"
 
 
 def test_poly_calculus_helpers():
@@ -220,19 +203,6 @@ def test_negative_powers_only_for_monomials():
     assert inv * A * A == ONE
     with pytest.raises(ValueError):
         (ONE + A) ** -1
-
-
-def test_series_shift():
-    f = series(10, {6: ONE, 8: -(A * A)})
-    g = f.shift(-2)
-    assert g.coeff(4) == ONE
-    assert g.coeff(6) == -(A * A)
-    assert g.generic_order() == 4
-
-
-def test_negative_order_monomial_rejected():
-    with pytest.raises(ShiftUnderflow):
-        series(10, {0: ONE}).shift(-1)
 
 
 def test_limit_drops_positive_orders():
