@@ -165,7 +165,8 @@ class CoordSystem:
     """A polynomial reparametrization of the source cell used for searching.
 
     ``replacements`` substitutes selected free parameters by derived
-    displayed coefficients (e.g. B = b - a^2); the remaining parameters
+    coordinates, Plücker coordinates of the cell (e.g. B = b - a^2,
+    ``_candidate_replacements``); the remaining parameters
     keep their identity.  Any polynomial map into the cell's parameter
     space yields valid source points, so soundness never depends on the
     replacement being invertible.
@@ -240,14 +241,12 @@ def _solvable_params(p):
 
 
 def _candidate_replacements(src):
-    """Derived coordinates worth trying instead of raw parameters.
-
-    Two sources: non-bare displayed coefficients of the family's normal
-    forms, and non-monomial Plücker coordinates of the cell.  Either kind
-    is adopted by solving for one parameter of degree one.  The normal
-    forms add nothing as a set (a displayed coefficient is a cell-matrix
-    entry, so +/- a single-swap minor), but coming first they fix the
-    order that ``MAX_SYSTEMS`` cuts.
+    """Derived coordinates worth trying instead of raw parameters: the
+    non-monomial Plücker coordinates of the cell, each adopted by solving
+    for one parameter of degree one.  The single-swap ones come first, in
+    the order of ``entry_minors``, which fixes the order that
+    ``MAX_SYSTEMS`` cuts; each is read as its entry, which is the minor up
+    to a sign that the primitive part drops.
     """
     position = {p: i for i, p in enumerate(src.family.free_params)}
     cands = []
@@ -267,10 +266,8 @@ def _candidate_replacements(src):
         seen.add(sig)
         cands.append((target, p, "w%02d" % position[target]))
 
-    for s, nf in zip(src.family.generator_orders, src.family.generators):
-        for e in sorted(nf):
-            if e != s:
-                consider(nf[e])
+    for _, _, entry in src.entry_minors:
+        consider(entry)
     for p in src.plucker.values():
         consider(p)
     return cands
@@ -570,13 +567,24 @@ def _search_system(src, dst, system):
     return None
 
 
+def _same_stratum(src, dst):
+    """Whether both cells lie in one ℳ_r: the same colength over the same Γ."""
+    return src.r == dst.r and src.module.ambient.gens == dst.module.ambient.gens
+
+
 def cell_closure_contains(src, dst):
     """Decide whether the target cell lies in the closure of the source cell.
 
-    The systems of ``_systems(src)`` are searched in order
-    (``_search_system``); an unknown is ``no_face``: no system has a viable
-    face.
+    Closure is a relation inside one stratum ℳ_r, so cells of different
+    colengths or over different semigroups raise ``ValueError``.  The
+    systems of ``_systems(src)`` are searched in order (``_search_system``);
+    an unknown is ``no_face``: no system has a viable face.
     """
+    if not _same_stratum(src, dst):
+        raise ValueError(
+            "cells of different strata: r=%d over %r and r=%d over %r"
+            % (src.r, src.module.ambient, dst.r, dst.module.ambient)
+        )
     same = src.module.gap_set == dst.module.gap_set
     if not same and dst.dim >= src.dim:
         # closures of distinct cells add only strictly smaller strata
@@ -663,9 +671,13 @@ def replay_certificate(src, dst, certificate, seed=None):
     the five fields, replacements that name a chart, lists of ``int``
     exponents and target pivots and a dict of ``int`` witness values, or a
     well-formed chain, replays False.  The types are checked exactly, before
-    the comparison, since 1.0 == 1 == True.  ``seed`` is accepted for old
-    callers and ignored: nothing in a certificate depends on one.
+    the comparison, since 1.0 == 1 == True.  So does any certificate for
+    cells of different strata (``cell_closure_contains``).  ``seed`` is
+    accepted for old callers and ignored: nothing in a certificate depends
+    on one.
     """
+    if not _same_stratum(src, dst):
+        return False
     if isinstance(certificate, dict) and certificate.keys() == CHAIN_KEYS:
         return _replay_chain(src, dst, certificate)
     if not isinstance(certificate, dict) or any(key not in certificate for key in CERTIFICATE_KEYS):

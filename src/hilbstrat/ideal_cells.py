@@ -173,11 +173,13 @@ def _primaries(module, seeds, cut):
 
 
 def _scan_relations(module, seeds, primaries, owners, cut):
-    """Reduce every leading-term-cancelling pair; collect forced relations.
+    """Reduce every leading-term-cancelling pair; return the forced relation
+    of lowest order.
 
-    Returns a list of (forbidden_order, ParamPoly) for combinations whose
-    reduced generic order falls in Γ∖S.  An empty list means the current
-    parameter set is consistent.
+    A pair whose reduced generic order falls in Γ∖S forces a relation
+    (forbidden_order, ParamPoly).  The one of lowest order is returned, the
+    first found of several at that order; None means the current parameter
+    set is consistent.
 
     Every order of a series lies in Γ, and Γ and S agree at and above the
     module's conductor, so no relation appears there.  The pairs at orders
@@ -199,7 +201,7 @@ def _scan_relations(module, seeds, primaries, owners, cut):
                 else:
                     found.append((o, d[o]))
                     break
-    return found
+    return min(found, key=lambda item: item[0], default=None)
 
 
 def _solve_relation(poly):
@@ -224,27 +226,28 @@ def canonical_family(module):
     """Construct the affine cell J(S) over Γ, the module's ambient semigroup.
 
     Seeds unknowns at every gap of S above each minimal generator, closes
-    under the Γ-action, cancels leading terms pairwise, and eliminates any
-    coefficient whose survival would put a forbidden order into the ideal.
-    Repeats to a fixpoint; remaining parameters are free coordinates.
+    under the Γ-action, cancels leading terms pairwise, and eliminates the
+    coefficient that the relation of lowest order forces, one at a time,
+    until none is forced; the remaining parameters are free coordinates.
 
     Every gap lies below the module's conductor c(S), and every order of Γ
     at or above it is in S.  So the computation runs modulo t^{c(S)}, on
     series that are maps {exponent: nonzero ParamPoly}, and the normal form
     of each order s at or above c(S) is the bare t^s.  The family stores
-    the normal forms of the orders below c(S) only.
+    the normal forms of the orders below c(S) only.  They are reduced from
+    the top order down, each in one sweep over its primary's orders in S
+    above s, in increasing order: a normal form has no term in S but its
+    leading one, so a subtraction clears one such term and adds none.
     """
     cut = module.conductor
     eliminated = {}
     while True:
         seeds = _build_seeds(module, eliminated, cut)
         primaries, owners = _primaries(module, seeds, cut)
-        relations = _scan_relations(module, seeds, primaries, owners, cut)
-        if not relations:
+        relation = _scan_relations(module, seeds, primaries, owners, cut)
+        if relation is None:
             break
-        relations.sort(key=lambda item: item[0])
-        _, poly = relations[0]
-        name, expr = _solve_relation(poly)
+        name, expr = _solve_relation(relation[1])
         eliminated = {k: v.subs({name: expr}) for k, v in eliminated.items()}
         eliminated[name] = expr
 
@@ -259,12 +262,9 @@ def canonical_family(module):
     reduced = {}
     for s in sorted(primaries, reverse=True):
         d = primaries[s]
-        while True:
-            inside = [e for e in d if e > s and e in module]
-            if not inside:
-                break
-            e = min(inside)
-            d = _sub(d, reduced[e], d[e])
+        for e in sorted(d):
+            if e > s and e in module:
+                d = _sub(d, reduced[e], d[e])
         if d.get(s) != ParamPoly.one():
             raise PivotLoss("normal form at order %d lost its unit leading term" % s)
         reduced[s] = d

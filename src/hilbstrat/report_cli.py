@@ -218,21 +218,20 @@ class StratReport:
         return "\n".join(out)
 
 
-def analyze(sg, r_max=None, config=None, rs=None):
+def analyze(sg, r_max=None, config=None):
     """Full report for r = 1 … r_max (default 2δ, or 1 when δ = 0).
 
-    ``config`` is ignored; see ``ReportConfig``."""
-    if rs is None:
-        if r_max is None:
-            r_max = max(1, 2 * sg.delta)
-        if r_max < 1:
-            raise ValueError("r_max must be at least 1, got %d" % r_max)
-        rs = range(1, r_max + 1)
+    ``config`` is ignored; see ``ReportConfig``.  A single stratum's report
+    is ``StratReport(sg, [stratify(sg, r)])``."""
+    if r_max is None:
+        r_max = max(1, 2 * sg.delta)
+    if r_max < 1:
+        raise ValueError("r_max must be at least 1, got %d" % r_max)
+    rs = range(1, r_max + 1)
     # each colength is enumerated once, for the labels and the cells alike
-    modules = {r: enumerate_colength(sg, r) for r in rs if r >= 1}
-    labels = canonical_delta_labels(sg, max(rs, default=0), modules)
-    sections = [stratify(sg, r, labels, modules.get(r)) for r in rs]
-    return StratReport(sg, sections)
+    modules = {r: enumerate_colength(sg, r) for r in rs}
+    labels = canonical_delta_labels(sg, r_max, modules)
+    return StratReport(sg, [stratify(sg, r, labels, modules[r]) for r in rs])
 
 
 # -- brute-force oracle mode ------------------------------------------
@@ -437,7 +436,7 @@ def main(argv=None):
 
     try:
         if args.r is not None:
-            report = analyze(sg, rs=[args.r])
+            report = StratReport(sg, [stratify(sg, args.r)])
         else:
             report = analyze(sg, r_max=args.max_r)
     except (ValueError, HilbstratError) as exc:

@@ -57,6 +57,33 @@ def test_e6_r2_limit_lands_on_target(cells_of):
     assert lim == {dst.delta: ParamPoly.variable("u00")}
 
 
+def test_closure_is_asked_within_one_stratum(cells_of):
+    """Closure is a relation inside one ℳ_r.  A pair of cells of different
+    colengths, or over different semigroups, raises ``ValueError``, and a
+    certificate for it replays False.  The certificate below certifies
+    E6 r=3 (0,3,6) -> r=4 (0,3,4,6) when the search runs without the guard."""
+    by_gaps = {c.module.gap_set: c for r in (3, 4) for c in cells_of(E6, r)}
+    src, dst = by_gaps[0, 3, 6], by_gaps[0, 3, 4, 6]
+    searched = (closure_analysis._search_system(src, dst, system) for system in closure_analysis._systems(src))
+    cert = next(filter(None, searched))
+    assert cert == {
+        "replacements": [],
+        "exponents": [-1],
+        "substitution": {"a": "u00*s^-1"},
+        "target_pivots": [3, 4, 5],
+        "witness": {},
+    }
+    with pytest.raises(ValueError, match="different strata"):
+        cell_closure_contains(src, dst)
+    assert not replay_certificate(src, dst, cert)
+    e8 = next(c for c in cells_of(E8, 3) if c.module.gap_set == (0, 3, 6))
+    for a, b in ((src, e8), (e8, src)):
+        with pytest.raises(ValueError, match="different strata"):
+            cell_closure_contains(a, b)
+        assert not replay_certificate(a, b, cert)
+    assert cell_closure_contains(src, src).status == CONTAINED
+
+
 def test_e6_r3_dimension_reject(cells_of):
     cells = cells_of(E6, 3)
     src, dst = cells[1], cells[2]
@@ -271,6 +298,40 @@ def test_charts_are_pinned(cells_of):
     assert (len(records), replaced) == (106, 74)
     digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
     assert digest == "0bedb343c1dbffa1d07a212307280c60148455c8a75f39d3141e73a1f3d0178b"
+
+
+CANDIDATE_STRATA = (
+    [(E6, r) for r in range(1, 7)]
+    + [(E8, r) for r in range(1, 9)]
+    + [((4, 5), r) for r in range(1, 13)]
+    + [((3, 7), r) for r in range(1, 13)]
+    + [((5, 6), r) for r in range(1, 11)]
+    + [((4, 7), r) for r in range(1, 15)]
+    + [((2, 13), 12), ((2, 15), 14), ((3, 8), 14)]
+    + [((3, 4, 5), r) for r in range(1, 7)]
+)
+
+
+def test_candidate_replacements_are_pinned(cells_of):
+    """sha256 over ``_candidate_replacements`` of every cell of 71 strata:
+    each candidate's parameter, coordinate and terms, in order.
+    ``MAX_SYSTEMS`` cuts the subsets of this list, so its order decides
+    which charts are searched on every stratum, not only the few whose
+    charts ``test_charts_are_pinned`` hashes."""
+    records = []
+    count = 0
+    for gens, r in CANDIDATE_STRATA:
+        for cell in cells_of(gens, r):
+            cands = closure_analysis._candidate_replacements(cell)
+            count += len(cands)
+            described = [
+                [param, wname, [[[list(f) for f in key], str(c)] for key, c in p.terms.items()]]
+                for param, p, wname in cands
+            ]
+            records.append([list(gens), r, list(cell.module.gap_set), described])
+    assert (len(records), count) == (564, 1638)
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == "c2bfebca36705ccb21ee3c25b79698206e760c41868420bbe41e2963566f4a87"
 
 
 @pytest.mark.parametrize(

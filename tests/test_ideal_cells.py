@@ -464,3 +464,31 @@ def test_cell_matrix_pivot_guards(tamper, message):
     family.normal_forms[s] = {s: ParamPoly.one(), **tamper(s, t)}
     with pytest.raises(PivotLoss, match=message.replace("%d", str(t - r))):
         cell_matrix(family)
+
+
+@pytest.mark.parametrize(
+    "gens,r",
+    [((3, 4), r) for r in range(1, 7)]
+    + [((3, 5), r) for r in range(1, 9)]
+    + [((4, 5), r) for r in range(1, 13)]
+    + [((3, 7), r) for r in range(1, 13)]
+    + [((3, 4, 5), r) for r in range(1, 7)],
+    ids=lambda v: "r%d" % v if isinstance(v, int) else "x".join(map(str, v)),
+)
+def test_normal_forms_are_untruncated_rows_and_single_swap_minors(cells_of, gens, r):
+    """What lets the closure search take its candidates from the Plücker
+    point alone.  The largest gap x of S is below r + 2δ: every y ∈ Γ with
+    x − y ∈ Γ is a gap of S, and at most 2δ values of y in [0, x] fail
+    that.  With min S ≥ r, every stored normal form is then the whole
+    cell-matrix row at its order, shifted down by r, its coefficients in
+    ascending order of exponent.  And each off-pivot entry, times its
+    sign, is its single-swap Plücker coordinate, term for term in order."""
+    for cell in cells_of(gens, r):
+        module, family = cell.module, cell.family
+        assert max(module.gap_set) < r + 2 * module.ambient.delta, module.gap_set
+        row_at = {p + r: row for p, row in zip(cell.delta, cell.rows)}
+        for s, nf in family.normal_forms.items():
+            assert list(row_at[s].items()) == [(e - r, nf[e]) for e in sorted(nf)], (module.gap_set, s)
+        for cols, sign, entry in cell.entry_minors:
+            got = list((entry * sign).terms.items())
+            assert got == list(cell.plucker[cols].terms.items()), (module.gap_set, cols)

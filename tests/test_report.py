@@ -13,6 +13,7 @@ import pytest
 from hilbstrat import (
     GammaModule,
     NumericalSemigroup,
+    StratReport,
     analyze,
     canonical_delta_labels,
     canonical_family,
@@ -87,10 +88,8 @@ def _count_calls(monkeypatch):
         (E6, {}, range(1, 7)),
         (E8, {}, range(1, 9)),
         (E6, {"r_max": 8}, range(1, 9)),
-        (E8, {"rs": [5]}, range(1, 6)),
-        (E8, {"rs": [10, 3]}, range(1, 9)),
     ],
-    ids=["3x4", "3x5", "3x4-r8", "3x5-r5", "3x5-r10,3"],
+    ids=["3x4", "3x5", "3x4-r8"],
 )
 def test_analyze_enumerates_each_colength_once(monkeypatch, sg, kwargs, colengths):
     """``analyze`` enumerates each colength that its labels or its cells
@@ -99,7 +98,7 @@ def test_analyze_enumerates_each_colength_once(monkeypatch, sg, kwargs, colength
     expected = [s.to_dict() for s in analyze(sg, **kwargs).sections]
     enumerated, labelled = _count_calls(monkeypatch)
     report = analyze(sg, **kwargs)
-    assert sorted(enumerated) == sorted(set(colengths) | set(kwargs.get("rs", ())))
+    assert sorted(enumerated) == list(colengths)
     assert len(labelled) == 1
     assert [s.to_dict() for s in report.sections] == expected
 
@@ -208,7 +207,8 @@ def test_frontier_output_is_pinned():
     rows = []
     reasons = Counter()
     for gens, r in (((4, 7), 10), ((2, 13), 12)):
-        report = analyze(NumericalSemigroup(gens), rs=[r])
+        sg = NumericalSemigroup(gens)
+        report = StratReport(sg, [stratify(sg, r)])
         text.update(report.to_json().encode())
         for s in report.sections:
             for (i, j), v in sorted(s.verdicts.items()):
@@ -272,7 +272,7 @@ def test_readme_json_example_is_the_report():
     prints it."""
     text = README.read_text(encoding="utf-8")
     block = text.split("```json\n", 1)[1].split("```", 1)[0]
-    report = analyze(E6, rs=[2]).to_json()
+    report = StratReport(E6, [stratify(E6, 2)]).to_json()
     assert json.loads(block) == json.loads(report)
     assert '"label": "\\u0394_2"' in block and '"label": "\\u0394_2"' in report
 
