@@ -167,8 +167,10 @@ class CoordSystem:
     ``replacements`` substitutes selected free parameters by derived
     coordinates, Plücker coordinates of the cell (e.g. B = b - a^2,
     ``_candidate_replacements``); the remaining parameters
-    keep their identity.  Any polynomial map into the cell's parameter
-    space yields valid source points, so soundness never depends on the
+    keep their identity.  Each coordinate w equals its expression at the
+    mapping ``_compose_replacements`` solves where the expression is affine
+    in its parameter.  Any polynomial map into the cell's parameter space
+    yields valid source points, so soundness never depends on the
     replacement being invertible.
 
     The chart is one table of exponent vectors: ``uniq_exps``, the distinct
@@ -190,34 +192,30 @@ def _describe(pair, family):
 
 
 def _compose_replacements(pairs):
+    """Each replaced parameter in the chart's coordinates, or None when the
+    replacements do not compose.  The solve runs from the last parameter to
+    the first: each expression, with the solved ones substituted, must be
+    affine in its parameter (every term holds it to the power 0 or 1) with a
+    monomial coefficient c, and gives param = (w - rest) / c.  A value names
+    only parameters solved after it, so one back-substitution pass resolves
+    the mapping, and each coordinate w equals its expression there.  A
+    parameter named twice has no term left at its second solve."""
     mapping = {}
     for param, expr, wname in sorted(pairs, key=lambda t: t[0], reverse=True):
         e = expr.subs(mapping)
-        if e.degree_in(param) != 1:
-            return None
         c = e.coeff_of(param, 1)
-        if c.is_zero() or len(c.terms) != 1:
+        if any(dict(key).get(param, 0) not in (0, 1) for key in e.terms) or len(c.terms) != 1:
             return None
-        rest = e.coeff_of(param, 0)
-        # c is a (Laurent) monomial, so it is invertible; the solved
-        # parameter may pick up negative powers of other parameters,
-        # which restricts the reparametrized chart to a dense open set
-        mapping[param] = (ParamPoly.variable(wname) - rest) * c ** (-1)
-    replaced = set(mapping)
+        # c is a Laurent monomial, so the chart is a dense open subset
+        mapping[param] = (ParamPoly.variable(wname) - e.coeff_of(param, 0)) * c ** (-1)
     try:
-        for _ in range(len(mapping) + 1):
-            dirty = False
-            for p, v in list(mapping.items()):
-                if any(nm in replaced for nm in v.variables()):
-                    mapping[p] = v.subs(mapping)
-                    dirty = True
-            if not dirty:
-                return mapping
+        for p in reversed(list(mapping)):
+            mapping[p] = mapping[p].subs(mapping)
     except ValueError:
         # a substituted parameter sits under a negative power and its
         # replacement is not a monomial; this combination has no chart
         return None
-    return None
+    return mapping
 
 
 def _primitive_part(p):
@@ -281,7 +279,7 @@ def _chart(cell, pairs):
     is substituted once (``images``) and each substituted one read into a
     vector once (``slot``); a coordinate sums c * image over its terms as
     ``ParamPoly.subs`` does, so its terms keep that order."""
-    mapping = _compose_replacements(pairs) if pairs else {}
+    mapping = _compose_replacements(pairs)
     if mapping is None:
         return None
     free = cell.family.free_params
@@ -341,16 +339,15 @@ def _systems(cell):
 
 def _recorded_chart(src, replacements):
     """The chart that recorded ``replacements`` name, each entry matched to
-    the candidate of ``_candidate_replacements(src)`` that describes as it;
-    None when one matches none, two replace one parameter (no search does)
-    or the chart does not compose."""
+    the candidate of ``_candidate_replacements(src)`` that describes as it,
+    so each coordinate of the chart equals the expression its entry names;
+    None when one matches none or the chart does not compose (one parameter
+    replaced twice does not)."""
     if not isinstance(replacements, list):
         return None
     described = [(_describe(pair, src.family), pair) for pair in _candidate_replacements(src)]
     pairs = [next((pair for d, pair in described if d == entry), None) for entry in replacements]
-    if None in pairs or len({pair[0] for pair in pairs}) != len(pairs):
-        return None
-    return _chart(src, pairs)
+    return None if None in pairs else _chart(src, pairs)
 
 
 def _match_target(limit, dst):
