@@ -196,15 +196,17 @@ def _compose_replacements(pairs):
     replacements do not compose.  The solve runs from the last parameter to
     the first: each expression, with the solved ones substituted, must be
     affine in its parameter (every term holds it to the power 0 or 1) with a
-    monomial coefficient c, and gives param = (w - rest) / c.  A value names
-    only parameters solved after it, so one back-substitution pass resolves
-    the mapping, and each coordinate w equals its expression there.  A
-    parameter named twice has no term left at its second solve."""
+    monomial coefficient c and name no parameter solved before it, and gives
+    param = (w - rest) / c.  So the mapping is triangular, one
+    back-substitution pass resolves it, and each coordinate w equals its
+    expression there.  A parameter named twice has no term left at its
+    second solve."""
     mapping = {}
     for param, expr, wname in sorted(pairs, key=lambda t: t[0], reverse=True):
         e = expr.subs(mapping)
         c = e.coeff_of(param, 1)
-        if any(dict(key).get(param, 0) not in (0, 1) for key in e.terms) or len(c.terms) != 1:
+        affine = all(dict(key).get(param, 0) in (0, 1) for key in e.terms) and len(c.terms) == 1
+        if not affine or not mapping.keys().isdisjoint(e.variables()):
             return None
         # c is a Laurent monomial, so the chart is a dense open subset
         mapping[param] = (ParamPoly.variable(wname) - e.coeff_of(param, 0)) * c ** (-1)

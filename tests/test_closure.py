@@ -175,6 +175,22 @@ def test_replay_rejects_malformed_certificates(cells_of):
     assert not replay_certificate(top[2], top[0], nested)
 
 
+def test_replacements_that_name_a_solved_parameter_do_not_compose():
+    """c via w0 = c + b, b via w1 = b + a^2 and a via w2 = a + c^2 solve in
+    the order c, b, a, and a's value names b through c's: the mapping is not
+    triangular, and back-substitution would leave a in every value.  Such a
+    list does not compose; its two-entry sublists do."""
+    a, b, c = (ParamPoly.variable(nm) for nm in "abc")
+    pairs = [("c", c + b, "w0"), ("b", b + a**2, "w1"), ("a", a + c**2, "w2")]
+    assert closure_analysis._compose_replacements(pairs) is None
+    for k in range(3):
+        sub = pairs[:k] + pairs[k + 1 :]
+        mapping = closure_analysis._compose_replacements(sub)
+        assert not set(mapping) & {nm for v in mapping.values() for nm in v.variables()}
+        for _, expr, wname in sub:
+            assert expr.subs(mapping) == ParamPoly.variable(wname)
+
+
 def test_replay_rejects_replacements_that_do_not_compose():
     """⟨4,5⟩ r=7, cell 8: two of its candidate replacements, each alone a
     chart, do not compose, so no search builds their chart.  A certificate
@@ -265,7 +281,7 @@ def test_systems_rename_like_substitution(cells_of, gens, r_max):
             if cell is cells_of(E8, 8)[6]:  # the top cell of E8 r=8
                 assert len(systems) == 8
             for system in systems:
-                mapping = closure_analysis._compose_replacements(system.replacements) if system.replacements else {}
+                mapping = closure_analysis._compose_replacements(system.replacements)
                 to_u = {c: ParamPoly.variable(u) for c, u in zip(system.coords, system.uvars)}
                 assert list(system.terms) == list(system.masks) == list(cell.plucker)
                 seen = []
@@ -894,21 +910,32 @@ def test_chains_settle_the_transitive_closure(cells_of, gens, r):
     assert components(cells, verdicts).components == components(cells, _verdicts(cells)).components
 
 
-@pytest.mark.parametrize("gens,r_max", [(E6, 6), (E8, 8)], ids=["3x4", "3x5"])
-def test_certificates_replay_on_fresh_cells(cells_of, gens, r_max, monkeypatch):
+REPLAY_STRATA = [
+    (E6, range(1, 7), (23, 1)),
+    (E8, range(1, 9), (62, 4)),
+    ((4, 5), [*range(1, 9), 12], (187, 17)),
+    ((3, 7), range(1, 9), (87, 9)),
+]
+
+
+@pytest.mark.parametrize("gens,rs,counts", REPLAY_STRATA, ids=["3x4", "3x5", "4x5", "3x7"])
+def test_certificates_replay_on_fresh_cells(cells_of, gens, rs, counts, monkeypatch):
     """A certificate stands alone: the source and target of every contained
     pair, rebuilt from their gap sets, replay it after a JSON round trip
     without the search's list of coordinate systems.  A degeneration builds
-    only the chart its replacements name, and a chain only its middle cell."""
+    only the chart its replacements name, and a chain only its middle cell.
+    ``counts`` is (replayed, certified in a replacement chart): on ⟨4,5⟩
+    and ⟨3,7⟩ a fifth of the degenerations use one, so the replay rebuilds
+    those charts from their recorded replacements."""
     sg = NumericalSemigroup(gens)
-    verdicts = {r: _chain_verdicts(cells_of, gens, r) for r in range(1, r_max + 1)}
+    verdicts = {r: _chain_verdicts(cells_of, gens, r) for r in rs}
 
     def unreachable(cell):
         raise AssertionError("a replay built the search's coordinate systems")
 
     monkeypatch.setattr(closure_analysis, "_systems", unreachable)
-    replayed = 0
-    for r in range(1, r_max + 1):
+    replayed = in_replacement_chart = 0
+    for r in rs:
         cells = cells_of(gens, r)
         for (i, j), v in verdicts[r].items():
             if v.status != CONTAINED:
@@ -916,28 +943,8 @@ def test_certificates_replay_on_fresh_cells(cells_of, gens, r_max, monkeypatch):
             src, dst = (build_cell(GammaModule(sg, cells[k].module.gap_set)) for k in (i, j))
             assert replay_certificate(src, dst, json.loads(json.dumps(v.certificate))), (r, i, j)
             replayed += 1
-    assert replayed == {E6: 23, E8: 62}[gens]
-
-
-def test_replacement_chart_certificates_replay_on_fresh_cells(cells_of):
-    """Every contained pair of ⟨4,5⟩ and ⟨3,7⟩ up to r = 8, and of ⟨4,5⟩
-    r = 12, replays on cells rebuilt from their gap sets.  Here a fifth of
-    the degenerations are certified in a replacement chart, against 5 of 48
-    on E6 and E8, so the replay rebuilds those charts from their recorded
-    replacements."""
-    strata = [((4, 5), r) for r in range(1, 9)] + [((3, 7), r) for r in range(1, 9)] + [((4, 5), 12)]
-    replayed = in_replacement_chart = 0
-    for gens, r in strata:
-        sg = NumericalSemigroup(gens)
-        cells = cells_of(gens, r)
-        for (i, j), v in _chain_verdicts(cells_of, gens, r).items():
-            if v.status != CONTAINED:
-                continue
-            src, dst = (build_cell(GammaModule(sg, cells[k].module.gap_set)) for k in (i, j))
-            assert replay_certificate(src, dst, json.loads(json.dumps(v.certificate))), (gens, r, i, j)
-            replayed += 1
             in_replacement_chart += bool(v.certificate.get("replacements"))
-    assert (replayed, in_replacement_chart) == (274, 26)
+    assert (replayed, in_replacement_chart) == counts
 
 
 @pytest.mark.parametrize(
