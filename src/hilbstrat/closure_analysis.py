@@ -611,7 +611,9 @@ def closure_verdicts(cells):
     certificate records the gap set of cell k and the two links'
     certificates;
     otherwise (i, j) is searched (``cell_closure_contains``).  One pass thus
-    settles every pair that a chain of certified containments implies.
+    settles every pair that a chain of certified containments implies: the
+    contained pairs returned are closed under composition, so whenever
+    (i, k) and (k, j) are contained so is (i, j), as ``components`` needs.
     """
     n = len(cells)
     order = sorted(range(n), key=lambda i: (cells[i].dim, i))
@@ -721,51 +723,36 @@ class ComponentAnalysis:
 
 
 def components(cells, verdicts):
-    """Irreducible components of the stratum from pairwise closure verdicts.
+    """Irreducible components of the stratum from its closure verdicts.
 
-    The Contained relation is closed transitively (a chain of closures is a
-    closure); tops are the cells contained in no other cell's closure, and
-    each component collects the cells certified inside its top's closure.
+    ``verdicts`` must be closed: whenever (i, k) and (k, j) are contained,
+    so is (i, j), as ``closure_verdicts`` guarantees.  A cell's certified
+    closure is then its row, the cell and every cell it contains.  Tops are
+    the cells in no other cell's row, each component is its top's row,
+    sorted, and the singular candidates are the cells in two or more tops'
+    rows.
     """
     n = len(cells)
-    cont = [[i == j for j in range(n)] for i in range(n)]
+    rows = [{i} for i in range(n)]
     for (i, j), v in verdicts.items():
         if v.status == CONTAINED:
-            cont[i][j] = True
-    for k in range(n):
-        for i in range(n):
-            if cont[i][k]:
-                row = cont[i]
-                rowk = cont[k]
-                for j in range(n):
-                    if rowk[j]:
-                        row[j] = True
-    tops = [i for i in range(n) if not any(j != i and cont[j][i] for j in range(n))]
-    comps = []
-    for t in tops:
-        members = [j for j in range(n) if cont[t][j]]
-        comps.append(
-            {
-                "top": t,
-                "members": members,
-                "pd_pattern": pd_pattern([cells[j] for j in members], cont, members),
-            }
-        )
+            rows[i].add(j)
+    tops = [t for t in range(n) if not any(t in rows[i] for i in range(n) if i != t)]
     out = ComponentAnalysis.__new__(ComponentAnalysis)
-    out.components = comps
-    membership = {i: sum(i in c["members"] for c in comps) for i in range(n)}
-    out.singular_candidates = [i for i in range(n) if membership[i] >= 2]
+    out.components = []
+    for t in tops:
+        members = sorted(rows[t])
+        out.components.append({"top": t, "members": members, "pd_pattern": pd_pattern(cells, rows, members)})
+    out.singular_candidates = [i for i in range(n) if sum(i in rows[t] for t in tops) >= 2]
     return out
 
 
-def pd_pattern(member_cells, cont, indices):
-    """True iff the cells look like the affine stratification of P^d:
-    dimensions are exactly 0..d once each and closures form a chain."""
-    dims = sorted(c.dim for c in member_cells)
-    if dims != list(range(len(member_cells))):
+def pd_pattern(cells, rows, members):
+    """True iff the member cells look like the affine stratification of P^d:
+    dimensions are exactly 0..d once each and closures form a chain, every
+    higher member's row (``components``' closed rows) holding every lower
+    member."""
+    dims = sorted(cells[m].dim for m in members)
+    if dims != list(range(len(members))):
         return False
-    for pa, a in enumerate(indices):
-        for pb, b in enumerate(indices):
-            if member_cells[pa].dim > member_cells[pb].dim and not cont[a][b]:
-                return False
-    return True
+    return all(b in rows[a] for a in members for b in members if cells[a].dim > cells[b].dim)

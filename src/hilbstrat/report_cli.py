@@ -84,23 +84,21 @@ class StratumSection:
                     "eliminated": fam.eliminated_display(),
                 }
             )
-        comps = [
-            {"top": comp["top"], "members": list(comp["members"]), "pd_pattern": comp["pd_pattern"]}
-            for comp in self.analysis.components
-        ]
         return {
             "r": self.r,
             "cells": cells,
             "dim": self.dim,
-            "components": comps,
+            "components": self.analysis.components,
             "irreducible": self.irreducible(),
             "pd_pattern": self.pd_pattern(),
-            "singular_candidates": list(self.analysis.singular_candidates),
+            "singular_candidates": self.analysis.singular_candidates,
             "unknowns": self.unknowns,
         }
 
     def irreducible(self):
-        return len(self.analysis.components) == 1 and self.unknowns == 0
+        """One top: every other cell then lies in its certified closure, so
+        ℳ_r is that closure, whatever the unknown pairs."""
+        return len(self.analysis.components) == 1
 
     def pd_pattern(self):
         comps = self.analysis.components
@@ -175,8 +173,6 @@ class StratReport:
         out.append("-" * len(header))
         for s in self.sections:
             irr = "yes" if s.irreducible() else "no"
-            if len(s.analysis.components) == 1 and s.unknowns:
-                irr = "unverified"
             sing = ",".join(s.cells[i].label or str(i) for i in s.analysis.singular_candidates)
             out.append(
                 "%2d | %5d | %3d | %5d | %-11s | %-3s | %-8s | %d"

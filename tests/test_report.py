@@ -23,6 +23,7 @@ from hilbstrat import (
     stratify,
 )
 from hilbstrat import report_cli
+from hilbstrat.closure_analysis import CONTAINED, UNKNOWN, ClosureVerdict, components
 from hilbstrat.report_cli import (
     enumerate_colength_reference,
     main,
@@ -214,6 +215,10 @@ def test_frontier_output_is_pinned():
             for (i, j), v in sorted(s.verdicts.items()):
                 reasons[v.reason] += 1
                 rows.append((s.r, i, j, v.to_dict()))
+            # ``components`` reads the contained pairs as a closed relation,
+            # here on strata whose relation has unknowns
+            cont = {pair for pair, v in s.verdicts.items() if v.status == CONTAINED}
+            assert all((i, j) in cont for i, k in cont for m, j in cont if k == m)
     assert text.hexdigest() == "beae95f8606a98c9a813007fd50c6b57b312147fa8954d9b4393f06ecaaabdea"
     digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
     assert digest == "0f93843292627a5862d363781678cf4fe86b3c8e8acca3db35d41a3af6d47fc2"
@@ -326,6 +331,27 @@ def test_e6_r2_section():
     assert d["irreducible"] is True
     assert d["pd_pattern"] is True
     assert [c["label"] for c in d["cells"]] == ["Δ_2", "Δ_3"]
+
+
+def test_one_component_is_irreducible_whatever_its_unknowns():
+    """With one top, every other cell lies in the top's certified closure,
+    so an unknown pair cannot add a component.  Turning a contained pair of
+    E6 r=6 that no cell links, between two cells other than the top, into
+    an unknown keeps the relation closed and ℳ_6 irreducible."""
+    sec = stratify(E6, 6)
+    n, top = len(sec.cells), sec.analysis.components[0]["top"]
+    cont = {pair for pair, v in sec.verdicts.items() if v.status == CONTAINED}
+    i, j = next(
+        (i, j)
+        for i, j in sorted(cont)
+        if top not in (i, j) and not any((i, k) in cont and (k, j) in cont for k in range(n))
+    )
+    sec.verdicts[i, j] = ClosureVerdict(UNKNOWN, "no_face")
+    sec.analysis = components(sec.cells, sec.verdicts)
+    sec.unknowns = 1
+    d = sec.to_dict()
+    assert (d["unknowns"], len(d["components"]), d["irreducible"]) == (1, 1, True)
+    assert " 6 |     5 |   3 |     1 | yes " in StratReport(E6, [sec]).render_table()
 
 
 def test_e6_r4_two_components_each_projective_like():
