@@ -11,11 +11,11 @@ The limit along e depends only on the face of the source's Newton polytope
 (the convex hull of the exponents of its Plücker coordinates, in one
 coordinate system) on which e is minimal: its initial form.  A coordinate
 system is one table of exponent vectors: the distinct vectors of its
-substituted Plücker coordinates, each monomial of the Plücker point
-substituted once, and per coordinate its terms as (vector index,
-coefficient).  The polytope's dimension and its facets, each with a normal
-minimal exactly on it (``newton``), are built on the chart's first use and
-kept on it; there is no face lattice.  A face is a candidate for
+Plücker coordinates, substituted in one ``symcalc.substitute`` call, and
+per coordinate its terms as (vector index, coefficient).  The polytope's
+dimension and its facets, each with a normal minimal exactly on it
+(``newton``), are built on the chart's first use and kept on it; there is
+no face lattice.  A face is a candidate for
 the target when it meets the exponents of every coordinate of the
 target's support (the limit at a coordinate is the sum of the terms on
 the face, and a dominant map hits points where every such coordinate is
@@ -75,7 +75,7 @@ from .gamma_modules import GammaModule
 from .ideal_cells import canonical_family, cell_matrix, minor_support, plucker_point
 from .newton import facets
 from .schubert import schubert_index
-from .symcalc import ParamPoly, _add_into, limit_s_to_zero
+from .symcalc import ParamPoly, limit_s_to_zero, substitute
 
 CONTAINED = "contained"
 NOT_CONTAINED = "not_contained"
@@ -173,9 +173,9 @@ class CoordSystem:
     yields valid source points, so soundness never depends on the
     replacement being invertible.
 
-    The chart is one table of exponent vectors: ``uniq_exps``, the distinct
-    vectors over ``coords`` in order of first appearance, and per column
-    set its ``terms`` as (vector index, coefficient) and its ``masks``.
+    The chart is one table of exponent vectors read off ``substitute``:
+    ``uniq_exps``, the distinct vectors over ``coords`` in order of first
+    appearance, and per column set its ``terms`` and ``masks``.
     Its hull, ``dim``, ``facets`` and ``normals``, is None until
     ``_candidate_faces`` first needs it (``_hull``).
     """
@@ -275,12 +275,10 @@ def _candidate_replacements(src):
 
 def _chart(cell, pairs):
     """The coordinate system that replaces each parameter of ``pairs`` by its
-    derived coordinate; None when the replacements do not compose.  Vector
-    indices follow the substituted terms' order, which fixes the masks and
-    so the order of the candidate faces.  Each monomial of the Plücker point
-    is substituted once (``images``) and each substituted one read into a
-    vector once (``slot``); a coordinate sums c * image over its terms as
-    ``ParamPoly.subs`` does, so its terms keep that order."""
+    derived coordinate; None when the replacements do not compose.  Its
+    coordinates are the Plücker point under one ``substitute`` call, and
+    vector indices follow their terms' order, which fixes the masks and so
+    the order of the candidate faces."""
     mapping = _compose_replacements(pairs)
     if mapping is None:
         return None
@@ -290,19 +288,12 @@ def _chart(cell, pairs):
     replaced = {param: wname for param, _, wname in pairs}
     sysm.coords = [replaced.get(p, p) for p in free]
     sysm.uvars = ["u%02d" % j for j in range(len(free))]
-    images, slot = {}, {}
+    slot = {}
     sysm.terms, sysm.masks = {}, {}
-    for cols, p in cell.plucker.items():
-        q = p.terms
-        if mapping:
-            q = {}
-            for key, c in p.terms.items():
-                if key not in images:
-                    images[key] = ParamPoly({key: 1}).subs(mapping).terms
-                _add_into(q, {k: c * v for k, v in images[key].items()})
-        sysm.terms[cols] = [(slot.setdefault(key, len(slot)), c) for key, c in q.items()]
+    for cols, q in zip(cell.plucker, substitute(cell.plucker.values(), mapping)):
+        sysm.terms[cols] = [(slot.setdefault(key, len(slot)), c) for key, c in q.terms.items()]
         sysm.masks[cols] = sum(1 << j for j, _ in sysm.terms[cols])
-    sysm.uniq_exps = [tuple(dict(key).get(nm, 0) for nm in sysm.coords) for key in slot]
+    sysm.uniq_exps = [tuple(exps.get(nm, 0) for nm in sysm.coords) for exps in map(dict, slot)]
     sysm.dim = sysm.facets = sysm.normals = None
     return sysm
 
@@ -714,7 +705,7 @@ def degeneration_limit(src, replacements, exponents):
         raise ValueError("%d exponents for %d coordinates" % (len(exponents), len(system.uvars)))
     svar = ParamPoly.variable("s")
     subs = {u: ParamPoly.variable(u) * svar ** e for u, e in zip(system.uvars, exponents)}
-    vec = limit_s_to_zero([_polynomial(system, items, -1).subs(subs) for items in system.terms.values()])
+    vec = limit_s_to_zero(substitute([_polynomial(system, items, -1) for items in system.terms.values()], subs))
     return {cols: p for cols, p in zip(system.terms, vec) if not p.is_zero()}
 
 

@@ -116,24 +116,22 @@ def enumerate_colength(sg, r):
     members = set(pool)
     # the t − a ∈ Γ of each candidate t; all lie below t, hence in the pool
     below = [[t - a for a in sg.gens if t - a in members] for t in pool]
-    out = []
-    prefix = []
-    chosen = set()
-
-    def extend(start):
-        if len(prefix) == r:
-            out.append(GammaModule(sg, tuple(prefix)))
-            return
-        remaining = r - len(prefix)
-        for idx in range(start, len(pool) - remaining + 1):
-            if not chosen.issuperset(below[idx]):
+    # the prefix as pool indices on an explicit stack, so the walk's depth
+    # is not bounded by the recursion limit
+    out, stack, chosen, idx = [], [], set(), 0
+    while True:
+        last = len(pool) - (r - len(stack))
+        while idx <= last and not chosen.issuperset(below[idx]):
+            idx += 1
+        if idx <= last:
+            stack.append(idx)
+            chosen.add(pool[idx])
+            if len(stack) < r:
+                idx += 1
                 continue
-            t = pool[idx]
-            prefix.append(t)
-            chosen.add(t)
-            extend(idx + 1)
-            prefix.pop()
-            chosen.discard(t)
-
-    extend(0)
-    return out
+            out.append(GammaModule(sg, tuple(pool[i] for i in stack)))
+        elif not stack:
+            return out
+        idx = stack.pop()
+        chosen.discard(pool[idx])
+        idx += 1

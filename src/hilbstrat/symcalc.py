@@ -7,7 +7,7 @@ division yields a non-integer, so integer inputs keep the arithmetic
 fraction-free.  A t-series is a plain map {exponent: nonzero ParamPoly};
 the one truncation the package uses, modulo t^{c(S)}, belongs to the module
 S and is applied where the series are built (``ideal_cells``), and
-``format_series`` displays one.
+``format_series`` displays one.  ``substitute`` is the one substitution.
 """
 
 from fractions import Fraction
@@ -184,15 +184,15 @@ class ParamPoly:
     def __pow__(self, n):
         if not isinstance(n, int):
             raise TypeError("exponent must be an int")
+        base = self
         if n < 0:
             # Only a nonzero monomial can be inverted.
             if len(self.terms) != 1:
                 raise ValueError("negative power of a non-monomial")
             ((key, c),) = self.terms.items()
-            inv = ParamPoly({tuple((nm, -e) for nm, e in key): _scalar(Fraction(1) / c)})
-            return inv ** (-n)
+            base = ParamPoly({tuple((nm, -e) for nm, e in key): _scalar(Fraction(1) / c)})
+            n = -n
         result = ParamPoly.one()
-        base = self
         while n:
             if n & 1:
                 result = result * base
@@ -216,26 +216,8 @@ class ParamPoly:
     # -- substitution and calculus -------------------------------------
 
     def subs(self, mapping):
-        """Substitute variables; values may be ParamPoly, Fraction or int.
-
-        Variables not mentioned in ``mapping`` are left alone.  A negative
-        exponent requires the replacement to be invertible (a constant or
-        a single-term polynomial).  Each power of a replacement is computed
-        once per call.  Kept variables enter a term as one monomial, which
-        relabels terms one to one, so the order of the terms is unchanged.
-        """
-        out = {}
-        powers = {}
-        for key, c in self.terms.items():
-            term = ParamPoly({tuple((name, e) for name, e in key if name not in mapping): c})
-            for name, e in key:
-                if name in mapping:
-                    if (name, e) not in powers:
-                        rep = mapping[name]
-                        powers[name, e] = (rep if isinstance(rep, ParamPoly) else ParamPoly.constant(rep)) ** e
-                    term = term * powers[name, e]
-            _add_into(out, term.terms)
-        return ParamPoly(out)
+        """The one-polynomial case of ``substitute``."""
+        return substitute([self], mapping)[0]
 
     def evaluate(self, assign):
         """Evaluate to a Fraction; every variable must get a value.
@@ -327,6 +309,34 @@ class ParamPoly:
             sign = "-" if c < 0 else "+"
             pieces.append((sign, body))
         return _signed_sum(pieces)
+
+
+def substitute(polys, mapping):
+    """Each polynomial of ``polys`` with the variables of ``mapping``, valued
+    ParamPoly, Fraction or int, substituted; other variables are left alone.
+    A negative exponent needs an invertible value (a constant or one term),
+    else ValueError.  Over the whole list each distinct monomial is imaged
+    once and each power of a value computed once.  A polynomial sums
+    c * image over its terms in their order; kept variables enter an image
+    as one monomial, so terms relabel one to one and keep their order."""
+    if not mapping:
+        return list(polys)
+    powers, images, out = {}, {}, []
+    for p in polys:
+        terms = {}
+        for key, c in p.terms.items():
+            if key not in images:
+                image = ParamPoly({tuple((name, e) for name, e in key if name not in mapping): 1})
+                for name, e in key:
+                    if name in mapping:
+                        if (name, e) not in powers:
+                            rep = mapping[name]
+                            powers[name, e] = (rep if isinstance(rep, ParamPoly) else ParamPoly.constant(rep)) ** e
+                        image = image * powers[name, e]
+                images[key] = image.terms
+            _add_into(terms, {k: c * v for k, v in images[key].items()})
+        out.append(ParamPoly(terms))
+    return out
 
 
 def format_series(coeffs, rename=None):

@@ -1,5 +1,7 @@
 """Enumeration of Γ-modules by colength, minimal generators, Δ-sets."""
 
+import sys
+
 import pytest
 
 from hilbstrat import (
@@ -31,6 +33,20 @@ def test_e6_colength_six_table():
         (0, 3, 4, 6, 8, 9),
         (0, 3, 4, 7, 8, 11),
     ]
+
+
+def test_enumeration_depth_is_not_bounded_by_recursion():
+    """E6 at r = 300 under a recursion limit of 200: the five modules, in
+    lexicographic order, each Γ ∩ [0, 299) and four more gaps."""
+    head = (0, 3, 4) + tuple(range(6, 299))
+    tails = [(299, 300, 301, 302), (299, 300, 301, 303), (299, 300, 301, 304), (299, 300, 302, 303), (299, 301, 302, 305)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        mods = enumerate_colength(E6, 300)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [m.gap_set for m in mods] == [head + tail for tail in tails]
 
 
 def test_e8_colength_eight_count():

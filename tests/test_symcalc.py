@@ -7,7 +7,7 @@ import pytest
 
 from hilbstrat import ParamPoly
 from hilbstrat.errors import IdenticallyZeroVector
-from hilbstrat.symcalc import format_series, limit_s_to_zero
+from hilbstrat.symcalc import format_series, limit_s_to_zero, substitute
 
 A = ParamPoly.variable("a")
 B = ParamPoly.variable("b")
@@ -156,6 +156,45 @@ def test_subs_matches_accumulation_by_sums():
         want = _subs_by_sums(p, mapping)
         assert list(got.terms.items()) == list(want.terms.items())
         assert [type(c) for c in got.terms.values()] == [type(c) for c in want.terms.values()]
+
+
+def test_substitute_images_a_list_once():
+    """A list whose polynomials share monomials and carry negative powers:
+    the same terms, in the same order and of the same types, as one ``subs``
+    per polynomial and as the accumulation by sums, with each power of a
+    value computed once over the whole list."""
+    C = ParamPoly.variable("c")
+    polys = [
+        A ** -2 * B + 3 * A * C ** 2 - B,
+        A ** -2 * B - A * B ** -1 + Fraction(1, 2) * C,
+        3 * A * C ** 2 + A ** -1 * C + ONE,
+        B * C - Fraction(2, 3) * A ** -2 * B,
+    ]
+    mapping = {"a": -2 * B ** -1 * C, "c": A - B, "b": Fraction(3, 2)}
+    # each (variable, exponent) of a mapped variable over the list, once
+    powers = {(n, e) for p in polys for key in p.terms for n, e in key if n in mapping}
+    calls = []
+    power = ParamPoly.__pow__
+
+    def counted(self, n):
+        calls.append(n)
+        return power(self, n)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ParamPoly, "__pow__", counted)
+        got = substitute(polys, mapping)
+    assert len(calls) == len(powers) == 7
+    for g, p in zip(got, polys):
+        for want in (p.subs(mapping), _subs_by_sums(p, mapping)):
+            assert list(g.terms.items()) == list(want.terms.items())
+            assert [type(c) for c in g.terms.values()] == [type(c) for c in want.terms.values()]
+    # a non-monomial under a negative power has no image, as in subs
+    with pytest.raises(ValueError):
+        substitute([B, A ** -1 * B], {"a": A + B})
+    with pytest.raises(ValueError):
+        (A ** -1 * B).subs({"a": A + B})
+    assert substitute(polys, {}) == polys
+    assert substitute([], mapping) == []
 
 
 def test_integral_coefficients_are_ints():
