@@ -194,22 +194,22 @@ def _describe(pair, family):
 def _compose_replacements(pairs):
     """Each replaced parameter in the chart's coordinates, or None when the
     replacements do not compose.  The solve runs from the last parameter to
-    the first: each expression, with the solved ones substituted, must be
-    affine in its parameter (every term holds it to the power 0 or 1) with a
-    monomial coefficient c and name no parameter solved before it, and gives
-    param = (w - rest) / c.  So the mapping is triangular, one
-    back-substitution pass resolves it, and each coordinate w equals its
-    expression there.  A parameter named twice has no term left at its
-    second solve."""
+    the first: each expression, with the solved ones substituted, must split
+    as c*param + rest (``ParamPoly.affine_in``: every term holds param to
+    the power 0 or 1 and c is a monomial) and name no parameter solved
+    before it, and gives param = (w - rest) / c.  So the mapping is
+    triangular, one back-substitution pass resolves it, and each coordinate
+    w equals its expression there.  A parameter named twice has no term
+    left at its second solve."""
     mapping = {}
     for param, expr, wname in sorted(pairs, key=lambda t: t[0], reverse=True):
         e = expr.subs(mapping)
-        c = e.coeff_of(param, 1)
-        affine = all(dict(key).get(param, 0) in (0, 1) for key in e.terms) and len(c.terms) == 1
-        if not affine or not mapping.keys().isdisjoint(e.variables()):
+        split = e.affine_in(param)
+        if split is None or not mapping.keys().isdisjoint(e.variables()):
             return None
         # c is a Laurent monomial, so the chart is a dense open subset
-        mapping[param] = (ParamPoly.variable(wname) - e.coeff_of(param, 0)) * c ** (-1)
+        c, rest = split
+        mapping[param] = (ParamPoly.variable(wname) - rest) * c ** (-1)
     try:
         for p in reversed(list(mapping)):
             mapping[p] = mapping[p].subs(mapping)
@@ -235,16 +235,12 @@ def _primitive_part(p):
     return p
 
 
-def _solvable_params(p):
-    """Parameters of degree one in p whose coefficient is a monomial."""
-    return [nm for nm in p.variables() if p.degree_in(nm) == 1 and len(p.coeff_of(nm, 1).terms) == 1]
-
-
 def _candidate_replacements(src):
     """Derived coordinates worth trying instead of raw parameters: the
     non-monomial Plücker coordinates of the cell, each adopted by solving
-    for one parameter of degree one.  The single-swap ones come first, in
-    the order of ``entry_minors``, which fixes the order that
+    for the latest parameter in which it is affine with a monomial
+    coefficient (``ParamPoly.affine_in``).  The single-swap ones come
+    first, in the order of ``entry_minors``, which fixes the order that
     ``MAX_SYSTEMS`` cuts; each is read as its entry, which is the minor up
     to a sign that the primitive part drops.
     """
@@ -256,7 +252,7 @@ def _candidate_replacements(src):
         if len(p.terms) == 1:
             return
         p = _primitive_part(p)
-        solvable = _solvable_params(p)
+        solvable = [nm for nm in p.variables() if p.affine_in(nm)]
         if not solvable:
             return
         target = max(solvable)

@@ -160,26 +160,25 @@ def _primaries(module, seeds, cut):
     reaches s."""
     gens = module.min_generators
     prim = {}
-    owners = {}
     for s in module.members_below(cut):
         for i, g in enumerate(gens):
             if (s - g) in module.ambient:
                 prim[s] = _shift(seeds[i], s - g, cut)
-                owners[s] = i
                 break
         else:  # pragma: no cover - every s ∈ S is g_i + γ for some i
             raise PivotLoss("no generator reaches order %d" % s)
-    return prim, owners
+    return prim
 
 
-def _scan_relations(module, seeds, primaries, owners, cut):
+def _scan_relations(module, seeds, primaries, cut):
     """Reduce every leading-term-cancelling pair; return the forced relation
     of lowest order.
 
     A pair whose reduced generic order falls in Γ∖S forces a relation
     (forbidden_order, ParamPoly).  The one of lowest order is returned, the
     first found of several at that order; None means the current parameter
-    set is consistent.
+    set is consistent.  The first generator that reaches s gave s its
+    primary (``_primaries``), so that pair is identically zero and skipped.
 
     Every order of a series lies in Γ, and Γ and S agree at and above the
     module's conductor, so no relation appears there.  The pairs at orders
@@ -188,38 +187,32 @@ def _scan_relations(module, seeds, primaries, owners, cut):
     """
     gens = module.min_generators
     one = ParamPoly.one()
-    found = []
+    lowest = None
     for s in sorted(primaries):
-        for j, g in enumerate(gens):
-            if j == owners[s] or (s - g) not in module.ambient:
-                continue
-            d = _sub(primaries[s], _shift(seeds[j], s - g, cut), one)
+        reach = [j for j, g in enumerate(gens) if (s - g) in module.ambient]
+        for j in reach[1:]:
+            d = _sub(primaries[s], _shift(seeds[j], s - gens[j], cut), one)
             while d:
                 o = min(d)
                 if o in module:
                     d = _sub(d, primaries[o], d[o])
                 else:
-                    found.append((o, d[o]))
+                    if lowest is None or o < lowest[0]:
+                        lowest = (o, d[o])
                     break
-    return min(found, key=lambda item: item[0], default=None)
+    return lowest
 
 
 def _solve_relation(poly):
-    """Pick the lexicographically latest parameter that occurs linearly with
-    a constant coefficient and express it through the others."""
-    candidates = []
-    for name in poly.variables():
-        if poly.degree_in(name) != 1:
-            continue
-        c = poly.coeff_of(name, 1)
-        if c.is_constant() and not c.is_zero():
-            candidates.append(name)
-    if not candidates:
-        raise NonTriangularRelation("relation %s is not linear in any parameter" % poly.format())
-    name = max(candidates)
-    c = poly.coeff_of(name, 1).constant_value()
-    rest = poly.coeff_of(name, 0)
-    return name, rest * (Fraction(-1) / c)
+    """Pick the lexicographically latest parameter in which the relation is
+    affine (``ParamPoly.affine_in``) with a constant coefficient, and
+    express it through the others."""
+    for name in reversed(poly.variables()):
+        split = poly.affine_in(name)
+        if split is not None and split[0].is_constant():
+            c, rest = split
+            return name, rest * (Fraction(-1) / c.constant_value())
+    raise NonTriangularRelation("relation %s is not linear in any parameter" % poly.format())
 
 
 def canonical_family(module):
@@ -243,8 +236,8 @@ def canonical_family(module):
     eliminated = {}
     while True:
         seeds = _build_seeds(module, eliminated, cut)
-        primaries, owners = _primaries(module, seeds, cut)
-        relation = _scan_relations(module, seeds, primaries, owners, cut)
+        primaries = _primaries(module, seeds, cut)
+        relation = _scan_relations(module, seeds, primaries, cut)
         if relation is None:
             break
         name, expr = _solve_relation(relation[1])

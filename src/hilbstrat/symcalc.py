@@ -7,11 +7,12 @@ division yields a non-integer, so integer inputs keep the arithmetic
 fraction-free.  A t-series is a plain map {exponent: nonzero ParamPoly};
 the one truncation the package uses, modulo t^{c(S)}, belongs to the module
 S and is applied where the series are built (``ideal_cells``), and
-``format_series`` displays one.  ``substitute`` is the one substitution.
+``format_series`` displays one.  ``substitute`` is the one substitution,
+and ``ParamPoly.affine_in`` the one solve: it splits p = c*v + rest where
+p is affine in v with a monomial coefficient c.
 """
 
 from fractions import Fraction
-from math import lcm
 
 from .errors import IdenticallyZeroVector
 
@@ -123,14 +124,25 @@ class ParamPoly:
                 names.add(name)
         return sorted(names)
 
-    def degree_in(self, name):
-        """Highest exponent of ``name`` appearing (0 if absent or zero poly)."""
-        best = None
-        for key in self.terms:
-            for n, e in key:
-                if n == name and (best is None or e > best):
-                    best = e
-        return 0 if best is None else best
+    def affine_in(self, name):
+        """(c, rest) with self = c*name + rest, when every term holds ``name``
+        to the power 0 or 1 and c is one monomial; else None, also when
+        ``name`` does not occur.  One pass over the terms; each part keeps
+        self's term order, so the parts equal ``coeff_of(name, 1)`` and
+        ``coeff_of(name, 0)`` key for key."""
+        c, rest = {}, {}
+        for key, v in self.terms.items():
+            for i, (n, e) in enumerate(key):
+                if n == name:
+                    if e != 1:
+                        return None
+                    c[key[:i] + key[i + 1 :]] = v
+                    break
+            else:
+                rest[key] = v
+        if len(c) != 1:
+            return None
+        return ParamPoly(c), ParamPoly(rest)
 
     def total_degree(self):
         best = 0
@@ -220,39 +232,21 @@ class ParamPoly:
         return substitute([self], mapping)[0]
 
     def evaluate(self, assign):
-        """Evaluate to a Fraction; every variable must get a value.
-
-        The terms are summed as integers over one common denominator: the
-        lcm of the coefficients' denominators, times each variable's
-        denominator to its highest power in the polynomial and its
-        numerator to its most negative power.
-        """
-        high, low = {}, {}
-        for key in self.terms:
-            for name, e in key:
-                if e > 0:
-                    high[name] = max(high.get(name, 0), e)
-                else:
-                    low[name] = max(low.get(name, 0), -e)
-        common = lcm(*(c.denominator for c in self.terms.values()))
-        den = common
-        # x = n/d to the power e, times the variable's share n^lo * d^hi of
-        # the denominator, is n^(lo+e) * d^(hi-e)
-        powers = []
-        for name in sorted(high.keys() | low.keys()):
-            x = _scalar(assign[name])
-            n, d = x.numerator, x.denominator
-            hi, lo = high.get(name, 0), low.get(name, 0)
-            den *= n**lo * d**hi
-            powers.append((name, {e: n ** (lo + e) * d ** (hi - e) for e in range(-lo, hi + 1)}))
-        total = 0
+        """Evaluate to a Fraction; every variable must get a value, an
+        ``int`` or a Fraction.  Each term is one quotient of integers, its
+        coefficient times its positive powers over its negative ones; the
+        quotients are summed as integer pairs and reduced once."""
+        num, den = 0, 1
         for key, c in self.terms.items():
-            num = c.numerator * (common // c.denominator)
-            exps = dict(key)
-            for name, table in powers:
-                num *= table[exps.get(name, 0)]
-            total += num
-        return Fraction(total, den)
+            n, d = c.numerator, c.denominator
+            for name, e in key:
+                x = assign[name]
+                if e > 0:
+                    n, d = n * x.numerator**e, d * x.denominator**e
+                else:
+                    n, d = n * x.denominator**-e, d * x.numerator**-e
+            num, den = num * d + n * den, den * d
+        return Fraction(num, den)
 
     def derivative(self, name):
         out = {}
@@ -375,33 +369,11 @@ def limit_s_to_zero(vec):
 
     Each entry is a ParamPoly, possibly with negative powers of s.
     Rescale the whole vector by s**(-m), where m is the minimal
-    s-exponent over all entries, then set s to 0.  Raises
-    IdenticallyZeroVector when every entry is the zero polynomial.
+    s-exponent over all entries, then set s to 0: each entry's coefficient
+    of s^m.  Raises IdenticallyZeroVector when every entry is the zero
+    polynomial.
     """
-    m = None
-    for p in vec:
-        for key in p.terms:
-            e = 0
-            for name, ex in key:
-                if name == "s":
-                    e = ex
-                    break
-            if m is None or e < m:
-                m = e
+    m = min((dict(key).get("s", 0) for p in vec for key in p.terms), default=None)
     if m is None:
         raise IdenticallyZeroVector("all %d entries vanish identically" % len(vec))
-    out = []
-    for p in vec:
-        terms = {}
-        for key, c in p.terms.items():
-            e = 0
-            rest = []
-            for name, ex in key:
-                if name == "s":
-                    e = ex
-                else:
-                    rest.append((name, ex))
-            if e == m:
-                terms[tuple(rest)] = c
-        out.append(ParamPoly(terms))
-    return out
+    return [p.coeff_of("s", m) for p in vec]

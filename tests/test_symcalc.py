@@ -230,7 +230,8 @@ def test_poly_calculus_helpers():
     p = A * A * B + A
     assert p.derivative("a") == ParamPoly.constant(2) * A * B + ONE
     assert p.coeff_of("a", 2) == B
-    assert p.degree_in("a") == 2
+    assert p.affine_in("a") is None
+    assert p.affine_in("b") == (A * A, A)
     assert p.total_degree() == 3
     assert p.evaluate({"a": Fraction(2), "b": Fraction(1, 2)}) == Fraction(4)
     assert p.subs({"a": B}) == B * B * B + B
@@ -238,10 +239,34 @@ def test_poly_calculus_helpers():
 
 def test_negative_powers_only_for_monomials():
     inv = A ** -2
-    assert inv.degree_in("a") == -2
+    assert inv.affine_in("a") is None
     assert inv * A * A == ONE
     with pytest.raises(ValueError):
         (ONE + A) ** -1
+
+
+def test_affine_in_splits_only_affine_monomial_coefficients():
+    """``affine_in`` rejects every other exponent of the name, not only a
+    higher maximum, a non-monomial coefficient and an absent name; its
+    parts are ``coeff_of(name, 1)`` and ``coeff_of(name, 0)`` key for key,
+    in the same order and with the same values."""
+    C = ParamPoly.variable("c")
+    assert (A + A ** -1 * B).affine_in("a") is None
+    assert (A * A + B).affine_in("a") is None
+    assert ((B + C) * A + ONE).affine_in("a") is None
+    assert (B + C).affine_in("a") is None
+    assert ParamPoly.zero().affine_in("a") is None
+    for p, name in [
+        (A * B ** -1 - Fraction(3, 2) * A ** -2 * B + 2 * A * B * C + 7, "c"),
+        (Fraction(5, 3) * A ** -1 * C ** 2 + A * B * C ** -1 - 2 * C ** 3 + ONE, "b"),
+        (A ** -1 * B * C + C, "b"),
+        (B, "b"),
+    ]:
+        c, rest = p.affine_in(name)
+        for part, want in ((c, p.coeff_of(name, 1)), (rest, p.coeff_of(name, 0))):
+            assert list(part.terms.items()) == list(want.terms.items())
+            assert [type(v) for v in part.terms.values()] == [type(v) for v in want.terms.values()]
+        assert c * ParamPoly.variable(name) + rest == p
 
 
 def test_limit_drops_positive_orders():
