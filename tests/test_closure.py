@@ -371,6 +371,10 @@ def test_candidate_replacements_are_pinned(cells_of):
             ]
             records.append([list(gens), r, list(cell.module.gap_set), described])
     assert (len(records), count) == (564, 1638)
+    # the same records with each candidate's terms sorted: the list and its order, not the term order
+    unordered = [rec[:3] + [[[param, wname, sorted(terms)] for param, wname, terms in rec[3]]] for rec in records]
+    digest = hashlib.sha256(json.dumps(unordered).encode()).hexdigest()
+    assert digest == "50f8619be48073ebb5ba0d9d94fce4b01018ed253e98767133f3e6d4dcbde235"
     digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
     assert digest == "c2bfebca36705ccb21ee3c25b79698206e760c41868420bbe41e2963566f4a87"
 
@@ -395,6 +399,10 @@ def test_compositions_are_pinned(cells_of, monkeypatch):
             mapping = [[p, [[[list(f) for f in key], str(c)] for key, c in v.terms.items()]] for p, v in mapping.items()]
         records.append([list(cell.module.ambient.gens), cell.r, list(cell.module.gap_set), mapping])
     assert (len(records), sum(m is None for *_, m in records)) == (2072, 80)
+    # the same records with each value's terms sorted: the mappings, not their term order
+    unordered = [rec[:3] + [rec[3] and [[p, sorted(terms)] for p, terms in rec[3]]] for rec in records]
+    digest = hashlib.sha256(json.dumps(unordered).encode()).hexdigest()
+    assert digest == "de3bffa1ab00100fa5cdd9fc94f3aa0701ac0720d48af2bceaac1335e9eec7d4"
     digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
     assert digest == "4cb123633bcbbeb63030a1fd998a9b11ebc965a0653fa61c18729751d3258ef7"
 

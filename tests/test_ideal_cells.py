@@ -20,7 +20,7 @@ from hilbstrat import (
     plucker_point,
 )
 from hilbstrat import closure_analysis, gamma_modules, ideal_cells
-from hilbstrat.errors import PivotLoss
+from hilbstrat.errors import NonTriangularRelation, PivotLoss
 from hilbstrat.ideal_cells import minor_support
 from hilbstrat.report_cli import specialized_orders
 from hilbstrat.symcalc import format_series
@@ -200,6 +200,77 @@ def test_family_term_order_is_pinned():
     assert (len(records), forms) == (318, 723)
     digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
     assert digest == "937b5aa521f4a8a87ec7411138058a5f496cb9b0b19464f30187a3f8a30545df"
+
+
+def test_families_are_pinned_free_of_term_order():
+    """sha256 of every family of ⟨4,7⟩ up to r = 18, ⟨5,6⟩ up to r = 20 and
+    ⟨5,7⟩ up to r = 14: generators, gaps, free parameters, eliminations and
+    normal forms, each printed by ``format``, which sorts the terms.  174
+    of the 1,016 families eliminate a coefficient, so this pins which
+    relations are forced and how they are solved, whatever order a
+    reduction leaves the terms in."""
+    records = []
+    eliminating = 0
+    for gens, r_max in (((4, 7), 18), ((5, 6), 20), ((5, 7), 14)):
+        sg = NumericalSemigroup(gens)
+        for r in range(1, r_max + 1):
+            for m in enumerate_colength(sg, r):
+                f = canonical_family(m)
+                eliminating += bool(f.eliminated)
+                elim = sorted((k, v.format()) for k, v in f.eliminated.items())
+                forms = [[s, format_series(nf)] for s, nf in f.normal_forms.items()]
+                records.append([list(gens), list(m.gap_set), f.free_params, elim, forms])
+    assert (len(records), eliminating) == (1016, 174)
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == "7a104b8c32e985febf807df1540106ceee4c1ebbdc3d9c487233e955df5fb3c7"
+
+
+@pytest.mark.parametrize(
+    "gaps,expected",
+    [
+        ((0, 5, 6, 10, 11, 12, 18, 24), [(0, 18, "c^3"), (1, 18, "-c^2")]),
+        ((0, 5, 6, 10, 11, 12, 15, 20, 25), [(1, 20, "0"), (2, 20, "0")]),
+    ],
+)
+def test_tied_relations_are_solved_lowest_order_first(gaps, expected):
+    """Over ⟨5,6⟩ two cancelling pairs force different relations at the same
+    lowest order: q00x018 + q01x018·q02x018 and q01x018 + q02x018² at t^24
+    in the first module, −q01x020 and −q02x020 at t^25 in the second.  The
+    pair of least order s, then least generator, is solved first, and the
+    other relation is forced on the next round."""
+    f = canonical_family(GammaModule(NumericalSemigroup((5, 6)), gaps))
+    shown = [(d["generator"], d["exponent"], d["expression"]) for d in f.eliminated_display()]
+    assert shown == expected
+
+
+@pytest.mark.parametrize(
+    "gens,gaps,relation",
+    [
+        ((4, 9), (0, 4, 8, 9, 13, 18, 27), "-q00x013*q01x018 + q01x018^2"),
+        (
+            (4, 9),
+            (0, 4, 8, 9, 12, 13, 17, 18, 22, 27, 31),
+            "-q00x017*q01x022 + q00x017*q02x027 - q01x022*q02x027 + q01x022^2",
+        ),
+        ((4, 9), (0, 4, 8, 9, 12, 13, 16, 18, 20, 24, 28, 32), "q00x018*q02x028"),
+        (
+            (6, 7),
+            (0, 6, 7, 12, 13, 14, 20, 21, 28, 35),
+            "-q00x020*q01x021 + q01x021^2 + q00x020*q01x020*q02x028 - q00x020*q02x028^2"
+            " - q01x020*q01x021*q02x028 - q01x020^2*q01x021 + q01x021*q02x028^2"
+            " - q01x020^2*q02x028^2 + q01x020^3*q02x028",
+        ),
+        ((6, 7), (0, 6, 7, 12, 13, 14, 18, 21, 24, 30, 36), "q00x021*q02x030 + q01x021^2*q02x030"),
+    ],
+)
+def test_relation_linear_in_no_parameter_is_refused(gens, gaps, relation):
+    """The only modules of ⟨4,9⟩ up to r = 14 and ⟨6,7⟩ up to r = 12 whose
+    forced relation is affine with a constant coefficient in no parameter:
+    the family is refused with that relation, not built wrong."""
+    m = GammaModule(NumericalSemigroup(gens), gaps)
+    with pytest.raises(NonTriangularRelation) as info:
+        canonical_family(m)
+    assert str(info.value) == "relation %s is not linear in any parameter" % relation
 
 
 def test_genuine_elimination_45():
