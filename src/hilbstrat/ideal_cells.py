@@ -8,10 +8,12 @@ Each cell is the set of ideals I ⊆ k[[Γ]] whose order set is a prescribed
 one per minimal generator g_i of S, with c running over the gaps of S
 (elements of Γ∖S) above g_i.  Coefficient relations forced by the module
 structure are eliminated symbolically; the survivors are free coordinates
-on the cell.  A series is a map {exponent: nonzero ParamPoly}.  S contains
-every order at or above its conductor c(S), so the construction runs
-modulo t^{c(S)}, and the family keeps the normal forms of the orders of S
-below c(S); above, they are the bare t^s.  Each row of its δ × 2δ cell
+on the cell.  One top-down sweep over the orders of S reduces each order's
+normal form, and each relation, against the normal forms above it.  A
+series is a map {exponent: nonzero ParamPoly}.  S contains every order at
+or above its conductor c(S), so the construction runs modulo t^{c(S)},
+and the family keeps the normal forms of the orders of S below c(S);
+above, they are the bare t^s.  Each row of its δ × 2δ cell
 matrix keeps only its nonzero entries, as a dict {column: entry}
 (``cell_matrix``).  Its Plücker point is grown bottom-up, one row at a
 time: the column sets the rows can take with distinct columns
@@ -23,7 +25,7 @@ from fractions import Fraction
 
 from .errors import NonTriangularRelation, PivotLoss
 from .gamma_modules import delta_set
-from .symcalc import ParamPoly, format_series
+from .symcalc import ParamPoly, format_series, substitute
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -145,62 +147,58 @@ def _build_seeds(module, eliminated, cut):
         for c in module.gap_set:
             if c > g:
                 name = _param_name(i, c)
-                p = eliminated.get(name)
-                if p is None:
-                    p = ParamPoly.variable(name)
+                p = eliminated[name] if name in eliminated else ParamPoly.variable(name)
                 if not p.is_zero():
                     coeffs[c] = p
         seeds.append(coeffs)
     return seeds
 
 
-def _primaries(module, seeds, cut):
-    """Monic element of each order s ∈ S below the module's conductor
-    ``cut``, modulo t^cut and taken from the first minimal generator that
-    reaches s."""
-    gens = module.min_generators
-    prim = {}
-    for s in module.members_below(cut):
-        for i, g in enumerate(gens):
-            if (s - g) in module.ambient:
-                prim[s] = _shift(seeds[i], s - g, cut)
-                break
-        else:  # pragma: no cover - every s ∈ S is g_i + γ for some i
-            raise PivotLoss("no generator reaches order %d" % s)
-    return prim
+def _reduce(d, forms):
+    """d − forms[e]·d[e] for each key e of d that has a normal form, in
+    increasing order of e.  A normal form has no term in S but its leading
+    one, so each subtraction clears its key and adds no term in S."""
+    for e in sorted(d):
+        if e in forms:
+            d = _sub(d, forms[e], d[e])
+    return d
 
 
-def _scan_relations(module, seeds, primaries, cut):
-    """Reduce every leading-term-cancelling pair; return the forced relation
-    of lowest order.
+def _sweep(module, seeds, cut):
+    """(normal forms, relation): the normal form of each order s ∈ S below
+    the module's conductor ``cut``, modulo t^cut, and the forced relation
+    of least (o, s, j), or None when the parameters are consistent.
 
-    A pair whose reduced generic order falls in Γ∖S forces a relation
-    (forbidden_order, ParamPoly).  The one of lowest order is returned, the
-    first found of several at that order; None means the current parameter
-    set is consistent.  The first generator that reaches s gave s its
-    primary (``_primaries``), so that pair is identically zero and skipped.
+    The orders are swept from the top down.  At s, the primary, the seed
+    of the first minimal generator that reaches s shifted to s, reduced
+    against the normal forms above s (``_reduce``) is the normal form of s.
+    For each other generator j that reaches s, the normal form minus j's
+    seed shifted to s, reduced against the same forms, keeps terms at gaps
+    only; its lowest, at a gap o, is a forced relation.  The least (o, s, j)
+    wins: the lowest order, then the first pair in increasing s and generator.
 
     Every order of a series lies in Γ, and Γ and S agree at and above the
-    module's conductor, so no relation appears there.  The pairs at orders
-    s below the conductor are reduced modulo t^conductor (``cut``): reducing
-    a term only changes the terms above it, so the orders below are exact.
+    module's conductor, so no relation appears there.  Reducing a term only
+    changes the terms above it, so the orders below ``cut`` are exact.
     """
     gens = module.min_generators
     one = ParamPoly.one()
-    lowest = None
-    for s in sorted(primaries):
+    forms = {}
+    lowest = (cut,), None  # every relation's order o lies below cut
+    for s in reversed(module.members_below(cut)):
         reach = [j for j, g in enumerate(gens) if (s - g) in module.ambient]
+        if not reach:  # pragma: no cover - every s ∈ S is g_i + γ for some i
+            raise PivotLoss("no generator reaches order %d" % s)
+        nf = _reduce(_shift(seeds[reach[0]], s - gens[reach[0]], cut), forms)
+        if nf.get(s) != one:
+            raise PivotLoss("normal form at order %d lost its unit leading term" % s)
         for j in reach[1:]:
-            d = _sub(primaries[s], _shift(seeds[j], s - gens[j], cut), one)
-            while d:
-                o = min(d)
-                if o in module:
-                    d = _sub(d, primaries[o], d[o])
-                else:
-                    if lowest is None or o < lowest[0]:
-                        lowest = (o, d[o])
-                    break
-    return lowest
+            d = _reduce(_sub(nf, _shift(seeds[j], s - gens[j], cut), one), forms)
+            o = min(d, default=cut)
+            if (o, s, j) < lowest[0]:
+                lowest = (o, s, j), d[o]
+        forms[s] = nf
+    return dict(reversed(forms.items())), lowest[1]
 
 
 def _solve_relation(poly):
@@ -218,30 +216,27 @@ def _solve_relation(poly):
 def canonical_family(module):
     """Construct the affine cell J(S) over Γ, the module's ambient semigroup.
 
-    Seeds unknowns at every gap of S above each minimal generator, closes
-    under the Γ-action, cancels leading terms pairwise, and eliminates the
-    coefficient that the relation of lowest order forces, one at a time,
-    until none is forced; the remaining parameters are free coordinates.
+    Seeds unknowns at every gap of S above each minimal generator and
+    sweeps the orders of S from the top down (``_sweep``): each order's
+    normal form, and each relation a leading-term-cancelling pair forces,
+    is reduced against the normal forms above it.  The relation of lowest
+    order eliminates one coefficient, and the sweep runs again, until none
+    is forced; the remaining parameters are free coordinates.
 
     Every gap lies below the module's conductor c(S), and every order of Γ
     at or above it is in S.  So the computation runs modulo t^{c(S)}, on
     series that are maps {exponent: nonzero ParamPoly}, and the normal form
     of each order s at or above c(S) is the bare t^s.  The family stores
-    the normal forms of the orders below c(S) only.  They are reduced from
-    the top order down, each in one sweep over its primary's orders in S
-    above s, in increasing order: a normal form has no term in S but its
-    leading one, so a subtraction clears one such term and adds none.
+    the last sweep's normal forms, those of the orders below c(S).
     """
     cut = module.conductor
     eliminated = {}
     while True:
-        seeds = _build_seeds(module, eliminated, cut)
-        primaries = _primaries(module, seeds, cut)
-        relation = _scan_relations(module, seeds, primaries, cut)
+        forms, relation = _sweep(module, _build_seeds(module, eliminated, cut), cut)
         if relation is None:
             break
-        name, expr = _solve_relation(relation[1])
-        eliminated = {k: v.subs({name: expr}) for k, v in eliminated.items()}
+        name, expr = _solve_relation(relation)
+        eliminated = dict(zip(eliminated, substitute(eliminated.values(), {name: expr})))
         eliminated[name] = expr
 
     params = [
@@ -251,18 +246,7 @@ def canonical_family(module):
         if c > g
     ]
     free = [p for p in params if p not in eliminated]
-
-    reduced = {}
-    for s in sorted(primaries, reverse=True):
-        d = primaries[s]
-        for e in sorted(d):
-            if e > s and e in module:
-                d = _sub(d, reduced[e], d[e])
-        if d.get(s) != ParamPoly.one():
-            raise PivotLoss("normal form at order %d lost its unit leading term" % s)
-        reduced[s] = d
-
-    return CanonicalFamily(module, dict(sorted(reduced.items())), free, eliminated)
+    return CanonicalFamily(module, forms, free, eliminated)
 
 
 def cell_matrix(family):

@@ -105,12 +105,20 @@ class StratumSection:
         return len(comps) == 1 and comps[0]["pd_pattern"]
 
 
+def _check_colength(name, r):
+    """Refuse a colength that is not an int of at least 1; the exact type,
+    so a bool is refused too."""
+    if type(r) is not int:
+        raise ValueError("%s must be an int, got %r" % (name, r))
+    if r < 1:
+        raise ValueError("%s must be at least 1, got %d" % (name, r))
+
+
 def stratify(sg, r, labels=None, modules=None):
     """Compute one report section: cells, closure verdicts, components.
     ``modules`` are the Γ-modules of colength r (``enumerate_colength``),
     enumerated here when not given."""
-    if r < 1:
-        raise ValueError("r must be at least 1, got %d" % r)
+    _check_colength("r", r)
     if modules is None:
         modules = enumerate_colength(sg, r)
     if labels is None:
@@ -221,8 +229,7 @@ def analyze(sg, r_max=None, config=None):
     is ``StratReport(sg, [stratify(sg, r)])``."""
     if r_max is None:
         r_max = max(1, 2 * sg.delta)
-    if r_max < 1:
-        raise ValueError("r_max must be at least 1, got %d" % r_max)
+    _check_colength("r_max", r_max)
     rs = range(1, r_max + 1)
     # each colength is enumerated once, for the labels and the cells alike
     modules = {r: enumerate_colength(sg, r) for r in rs}
@@ -361,8 +368,7 @@ def oracle_check(sg, r_max=None):
     """
     if r_max is None:
         r_max = max(1, 2 * sg.delta)
-    if r_max < 1:
-        raise ValueError("r_max must be at least 1, got %d" % r_max)
+    _check_colength("r_max", r_max)
     strata = {}
     ok = True
     for r in range(1, r_max + 1):
@@ -421,7 +427,7 @@ def main(argv=None):
     if args.oracle_check:
         try:
             diff = oracle_check(sg, r_max=args.r if args.r is not None else args.max_r)
-        except ValueError as exc:
+        except (ValueError, HilbstratError) as exc:
             print("hilbstrat: %s" % exc, file=sys.stderr)
             return 2
         sys.stdout.write(json.dumps(diff, indent=2) + "\n")

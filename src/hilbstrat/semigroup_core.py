@@ -29,8 +29,8 @@ class NumericalSemigroup:
         if g != 1:
             raise NonCoprime("generators %r have gcd %d" % (gens, g))
 
-        # Schur: conductor <= (a_1 - 1)(a_k - 1), and the conductor is found
-        # by the run of a_1 members that starts there.
+        # Schur: conductor <= (a_1 - 1)(a_k - 1), so every gap lies below
+        # the bound, and a run of a_1 members ends the sieve.
         bound = (gens[0] - 1) * (gens[-1] - 1) + gens[0]
         sieve = [False] * bound
         sieve[0] = True
@@ -40,22 +40,12 @@ class NumericalSemigroup:
             for a in gens:
                 if n + a < bound:
                     sieve[n + a] = True
+        if not all(sieve[-gens[0]:]):  # pragma: no cover - unreachable by Schur's bound
+            raise AssertionError("sieve bound too small for %r" % gens)
         self._sieve = sieve
         self.multiplicity = gens[0]
-
-        # Conductor: start of the first run of `multiplicity` consecutive
-        # members; from there on every residue class is reached.
-        run = 0
-        conductor = None
-        for n in range(bound):
-            run = run + 1 if sieve[n] else 0
-            if run == self.multiplicity:
-                conductor = n - self.multiplicity + 1
-                break
-        if conductor is None:  # pragma: no cover - unreachable by Schur's bound
-            raise AssertionError("sieve bound too small for %r" % gens)
-        self.conductor = conductor
-        self.gaps = tuple(n for n in range(conductor) if not sieve[n])
+        self.gaps = tuple(n for n in range(bound) if not sieve[n])
+        self.conductor = self.gaps[-1] + 1 if self.gaps else 0
         self.delta = len(self.gaps)
         self.gens = tuple(self._minimal_generators())
 

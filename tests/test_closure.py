@@ -358,7 +358,9 @@ def test_candidate_replacements_are_pinned(cells_of):
     each candidate's parameter, coordinate and terms, in order.
     ``MAX_SYSTEMS`` cuts the subsets of this list, so its order decides
     which charts are searched on every stratum, not only the few whose
-    charts ``test_charts_are_pinned`` hashes."""
+    charts ``test_charts_are_pinned`` hashes.  The first digest sorts each
+    candidate's terms, so a family stored in another term order moves only
+    the second."""
     records = []
     count = 0
     for gens, r in CANDIDATE_STRATA:
@@ -376,7 +378,7 @@ def test_candidate_replacements_are_pinned(cells_of):
     digest = hashlib.sha256(json.dumps(unordered).encode()).hexdigest()
     assert digest == "50f8619be48073ebb5ba0d9d94fce4b01018ed253e98767133f3e6d4dcbde235"
     digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
-    assert digest == "c2bfebca36705ccb21ee3c25b79698206e760c41868420bbe41e2963566f4a87"
+    assert digest == "17adf0012810c41769134fae330dc3de68d0f43f9e0740e4f2e96c832f63caee"
 
 
 def test_compositions_are_pinned(cells_of, monkeypatch):
@@ -384,7 +386,9 @@ def test_compositions_are_pinned(cells_of, monkeypatch):
     ``_systems`` passes to ``_chart`` on the 71 candidate strata: each
     mapping's parameters and their values' terms, in order, or None.  The
     term order sets a chart's vector indices, and ``test_charts_are_pinned``
-    hashes the charts of only three strata."""
+    hashes the charts of only three strata.  The first digest sorts each
+    value's terms, so a family stored in another term order moves only
+    the second."""
     passed = []
     monkeypatch.setattr(closure_analysis, "_chart", lambda cell, pairs: passed.append((cell, pairs)))
     for gens, r in CANDIDATE_STRATA:
@@ -404,7 +408,7 @@ def test_compositions_are_pinned(cells_of, monkeypatch):
     digest = hashlib.sha256(json.dumps(unordered).encode()).hexdigest()
     assert digest == "de3bffa1ab00100fa5cdd9fc94f3aa0701ac0720d48af2bceaac1335e9eec7d4"
     digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
-    assert digest == "4cb123633bcbbeb63030a1fd998a9b11ebc965a0653fa61c18729751d3258ef7"
+    assert digest == "d81b71f1420098d26ce99b152afcb80933dcbe949e329f5d801dd7769e3c0df2"
 
 
 @pytest.mark.parametrize(

@@ -399,6 +399,15 @@ def test_stratify_rejects_bad_r():
         stratify(E6, 0)
 
 
+@pytest.mark.parametrize("r", [True, 2.0, Fraction(2), "2"], ids=repr)
+def test_colengths_that_are_not_ints_are_refused(r):
+    """A colength is exactly an ``int``: ``True`` would be reported as
+    ``"r": true``, and ``2.0`` would fail inside ``range``."""
+    for call in (lambda: stratify(E6, r), lambda: analyze(E6, r_max=r), lambda: oracle_check(E6, r_max=r)):
+        with pytest.raises(ValueError, match="must be an int"):
+            call()
+
+
 def test_reference_enumeration_agrees():
     for r in range(1, 5):
         fast = [m.gap_set for m in enumerate_colength(E6, r)]
@@ -494,6 +503,17 @@ def test_cli_rejects_r_below_one(capsys, args):
     assert rc == 2
     assert captured.out == ""
     assert "at least 1" in captured.err
+
+
+@pytest.mark.parametrize("args", [["--r", "7"], ["--oracle-check", "--max-r", "7"]], ids=" ".join)
+def test_cli_exits_2_on_a_relation_linear_in_no_parameter(capsys, args):
+    """⟨4,9⟩ r=7 forces −q00x013·q01x018 + q01x018², which no parameter
+    solves; both modes report it and exit 2, as README documents."""
+    rc = main(["--gens", "4,9"] + args)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "is not linear in any parameter" in captured.err
 
 
 def test_cli_oracle_mode(capsys):
