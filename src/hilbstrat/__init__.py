@@ -23,6 +23,7 @@ from .gamma_modules import (
     delta_set,
     enumerate_colength,
     enumeration_bound,
+    schubert_index,
 )
 from .ideal_cells import (
     CanonicalFamily,
@@ -39,7 +40,6 @@ from .report_cli import (
     oracle_check,
     stratify,
 )
-from .schubert import schubert_index
 from .semigroup_core import NumericalSemigroup
 from .symcalc import ParamPoly
 

@@ -71,10 +71,9 @@ from itertools import combinations, islice
 from operator import add, mul, or_
 
 from .errors import HilbstratError
-from .gamma_modules import GammaModule
+from .gamma_modules import GammaModule, schubert_index
 from .ideal_cells import canonical_family, cell_matrix, minor_support, plucker_point
 from .newton import facets
-from .schubert import schubert_index
 from .symcalc import ParamPoly, limit_s_to_zero, substitute
 
 CONTAINED = "contained"
@@ -705,19 +704,15 @@ def degeneration_limit(src, replacements, exponents):
     return {cols: p for cols, p in zip(system.terms, vec) if not p.is_zero()}
 
 
-class ComponentAnalysis:
-    __slots__ = ("components", "singular_candidates")
-
-
 def components(cells, verdicts):
-    """Irreducible components of the stratum from its closure verdicts.
+    """Irreducible components of the stratum from its closure verdicts, as
+    one dict per top: ``top``, ``members`` and ``pd_pattern``.
 
     ``verdicts`` must be closed: whenever (i, k) and (k, j) are contained,
     so is (i, j), as ``closure_verdicts`` guarantees.  A cell's certified
     closure is then its row, the cell and every cell it contains.  Tops are
-    the cells in no other cell's row, each component is its top's row,
-    sorted, and the singular candidates are the cells in two or more tops'
-    rows.
+    the cells in no other cell's row, and each component is its top's row,
+    sorted.
     """
     n = len(cells)
     rows = [{i} for i in range(n)]
@@ -725,12 +720,10 @@ def components(cells, verdicts):
         if v.status == CONTAINED:
             rows[i].add(j)
     tops = [t for t in range(n) if not any(t in rows[i] for i in range(n) if i != t)]
-    out = ComponentAnalysis.__new__(ComponentAnalysis)
-    out.components = []
+    out = []
     for t in tops:
         members = sorted(rows[t])
-        out.components.append({"top": t, "members": members, "pd_pattern": pd_pattern(cells, rows, members)})
-    out.singular_candidates = [i for i in range(n) if sum(i in rows[t] for t in tops) >= 2]
+        out.append({"top": t, "members": members, "pd_pattern": pd_pattern(cells, rows, members)})
     return out
 
 

@@ -1,8 +1,11 @@
-"""Gamma-modules: Γ-closed subsets S ⊆ Γ of finite colength, and Δ-sets.
+"""Gamma-modules: Γ-closed subsets S ⊆ Γ of finite colength, their Δ-sets,
+and the Schubert indices read off those.
 
 A module of colength r is determined by its gap sequence G(S) = Γ∖S,
 an r-element subset of Γ that is downward closed under Γ-subtraction
 (an order ideal in the poset (Γ, ≤_Γ) with a ≤_Γ b iff b − a ∈ Γ).
+A Schubert index is a plain tuple (a_1, ..., a_δ), weakly decreasing with
+δ ≥ a_1 and a_δ ≥ 0; the report prints it as W(a_1,...,a_δ).
 """
 
 from .errors import CardinalityMismatch, MalformedDelta, ShiftUnderflow
@@ -94,6 +97,22 @@ def delta_set(module):
     return elements
 
 
+def schubert_index(delta):
+    """Index of the Schubert cell containing the cell of the given Δ-set.
+
+    With Δ written b_1 < ... < b_δ, the index is a_{δ-i+1} = b_i - i + 1.
+    """
+    b = sorted(delta)
+    d = len(b)
+    a = tuple(reversed([b[i] - i for i in range(d)]))
+    for i in range(d - 1):
+        if a[i] < a[i + 1]:
+            raise MalformedDelta("index %r from Δ=%r is not weakly decreasing" % (a, b))
+    if d and (a[-1] < 0 or a[0] > d):
+        raise MalformedDelta("index %r from Δ=%r leaves [0, δ]" % (a, b))
+    return a
+
+
 def enumeration_bound(sg, r):
     # Descending by the multiplicity from any gap stays inside the gap set
     # until dropping below conductor + multiplicity, so a colength-r gap
@@ -108,6 +127,8 @@ def enumerate_colength(sg, r):
     ideal is itself an order ideal, and a candidate t may extend a prefix
     iff t − a lands in the prefix for every generator a with t − a ∈ Γ.
     """
+    if type(r) is not int:  # the exact type: a bool is refused too
+        raise ValueError("colength must be an int, got %r" % (r,))
     if r < 0:
         raise ValueError("colength must be >= 0, got %d" % r)
     if r == 0:

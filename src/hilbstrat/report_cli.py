@@ -66,7 +66,7 @@ def canonical_delta_labels(sg, r_max=None, modules=None):
 class StratumSection:
     """Everything computed about one ℳ_r, ready for serialization."""
 
-    __slots__ = ("r", "cells", "verdicts", "analysis", "dim", "unknowns")
+    __slots__ = ("r", "cells", "verdicts", "components", "singular_candidates", "dim", "unknowns")
 
     def to_dict(self):
         cells = []
@@ -88,20 +88,20 @@ class StratumSection:
             "r": self.r,
             "cells": cells,
             "dim": self.dim,
-            "components": self.analysis.components,
+            "components": self.components,
             "irreducible": self.irreducible(),
             "pd_pattern": self.pd_pattern(),
-            "singular_candidates": self.analysis.singular_candidates,
+            "singular_candidates": self.singular_candidates,
             "unknowns": self.unknowns,
         }
 
     def irreducible(self):
         """One top: every other cell then lies in its certified closure, so
         ℳ_r is that closure, whatever the unknown pairs."""
-        return len(self.analysis.components) == 1
+        return len(self.components) == 1
 
     def pd_pattern(self):
-        comps = self.analysis.components
+        comps = self.components
         return len(comps) == 1 and comps[0]["pd_pattern"]
 
 
@@ -134,7 +134,11 @@ def stratify(sg, r, labels=None, modules=None):
     section.r = r
     section.cells = cells
     section.verdicts = verdicts
-    section.analysis = components(cells, verdicts)
+    section.components = components(cells, verdicts)
+    # the cells in two or more components
+    section.singular_candidates = [
+        i for i in range(len(cells)) if sum(i in comp["members"] for comp in section.components) >= 2
+    ]
     section.dim = max(c.dim for c in cells)
     section.unknowns = sum(1 for v in verdicts.values() if v.status == UNKNOWN)
     return section
@@ -181,14 +185,14 @@ class StratReport:
         out.append("-" * len(header))
         for s in self.sections:
             irr = "yes" if s.irreducible() else "no"
-            sing = ",".join(s.cells[i].label or str(i) for i in s.analysis.singular_candidates)
+            sing = ",".join(s.cells[i].label or str(i) for i in s.singular_candidates)
             out.append(
                 "%2d | %5d | %3d | %5d | %-11s | %-3s | %-8s | %d"
                 % (
                     s.r,
                     len(s.cells),
                     s.dim,
-                    len(s.analysis.components),
+                    len(s.components),
                     irr,
                     "yes" if s.pd_pattern() else "no",
                     sing or "-",
@@ -209,7 +213,7 @@ class StratReport:
                     )
                 )
                 out.append("        I = (%s)" % ", ".join(c.family.format_generators()))
-            for comp in s.analysis.components:
+            for comp in s.components:
                 out.append(
                     "  component top %s: members %s%s"
                     % (
@@ -420,30 +424,22 @@ def main(argv=None):
 
     try:
         sg = NumericalSemigroup(_parse_gens(args.gens))
-    except (ValueError, HilbstratError) as exc:
-        print("hilbstrat: %s" % exc, file=sys.stderr)
-        return 2
-
-    if args.oracle_check:
-        try:
+        if args.oracle_check:
             diff = oracle_check(sg, r_max=args.r if args.r is not None else args.max_r)
-        except (ValueError, HilbstratError) as exc:
-            print("hilbstrat: %s" % exc, file=sys.stderr)
-            return 2
-        sys.stdout.write(json.dumps(diff, indent=2) + "\n")
-        if not diff["ok"]:
-            print("hilbstrat: oracle mismatch", file=sys.stderr)
-            return 1
-        return 0
-
-    try:
-        if args.r is not None:
+        elif args.r is not None:
             report = StratReport(sg, [stratify(sg, args.r)])
         else:
             report = analyze(sg, r_max=args.max_r)
     except (ValueError, HilbstratError) as exc:
         print("hilbstrat: %s" % exc, file=sys.stderr)
         return 2
+
+    if args.oracle_check:
+        sys.stdout.write(json.dumps(diff, indent=2) + "\n")
+        if not diff["ok"]:
+            print("hilbstrat: oracle mismatch", file=sys.stderr)
+            return 1
+        return 0
 
     if args.format == "json":
         sys.stdout.write(report.to_json())

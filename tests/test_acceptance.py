@@ -82,14 +82,14 @@ def test_criterion_4_component_structure():
         for sec in rep.sections:
             if sec.unknowns:
                 problems.append("%s r=%d has %d unknown verdicts" % (gens, sec.r, sec.unknowns))
-            got = len(sec.analysis.components)
+            got = len(sec.components)
             if got != expected[sec.r]:
                 problems.append(
                     "%s r=%d: %d components, expected %d"
                     % (gens, sec.r, got, expected[sec.r])
                 )
     sec5 = report_for((3, 4)).sections[4]
-    shared = {sec5.cells[i].label for i in sec5.analysis.singular_candidates}
+    shared = {sec5.cells[i].label for i in sec5.singular_candidates}
     if shared != {"Δ_2", "Δ_4"}:
         problems.append("E6 r=5 shared boundary %s" % sorted(shared))
     ok = not problems

@@ -686,7 +686,7 @@ def test_one_component_at_twice_delta(gens):
     sg = NumericalSemigroup(gens)
     section = stratify(sg, 2 * sg.delta)
     assert section.unknowns == 0
-    (component,) = section.analysis.components
+    (component,) = section.components
     assert [i for i, c in enumerate(section.cells) if c.dim == sg.delta] == [component["top"]]
 
 
@@ -743,7 +743,7 @@ def test_components_at_the_conductor(gens, count):
     sg = NumericalSemigroup(gens)
     section = stratify(sg, sg.conductor)
     assert section.unknowns == 0
-    assert len(section.analysis.components) == count
+    assert len(section.components) == count
 
 
 def test_containment_respects_schubert_order(cells_of):
@@ -781,30 +781,35 @@ def _verdicts(cells):
     return out
 
 
+def _shared(comps):
+    """The cells in the members of two or more components."""
+    return sorted({i for c in comps for i in c["members"] if sum(i in d["members"] for d in comps) >= 2})
+
+
 def test_components_e6_r5(cells_of):
     cells = cells_of(E6, 5)
-    ana = components(cells, _verdicts(cells))
-    assert len(ana.components) == 2
-    assert sorted(c["top"] for c in ana.components) == [2, 3]
-    assert ana.singular_candidates == [0, 1]
-    for comp in ana.components:
-        assert set(ana.singular_candidates) <= set(comp["members"])
+    comps = components(cells, _verdicts(cells))
+    assert len(comps) == 2
+    assert sorted(c["top"] for c in comps) == [2, 3]
+    assert _shared(comps) == [0, 1]
+    for comp in comps:
+        assert set(_shared(comps)) <= set(comp["members"])
 
 
 def test_components_e6_r6(cells_of):
     cells = cells_of(E6, 6)
-    ana = components(cells, _verdicts(cells))
-    assert len(ana.components) == 1
-    assert ana.components[0]["top"] == 4
-    assert ana.components[0]["members"] == [0, 1, 2, 3, 4]
-    assert ana.singular_candidates == []
+    comps = components(cells, _verdicts(cells))
+    assert len(comps) == 1
+    assert comps[0]["top"] == 4
+    assert comps[0]["members"] == [0, 1, 2, 3, 4]
+    assert _shared(comps) == []
 
 
 def test_components_e8_r4(cells_of):
     cells = cells_of(E8, 4)
-    ana = components(cells, _verdicts(cells))
-    assert len(ana.components) == 2
-    assert ana.singular_candidates == [0, 1]
+    comps = components(cells, _verdicts(cells))
+    assert len(comps) == 2
+    assert _shared(comps) == [0, 1]
 
 
 @pytest.mark.parametrize(
@@ -817,11 +822,11 @@ def test_top_dimensional_cells_bound_components_below(cells_of, gens, r):
     the stratum's dimension lies in no other cell's closure: each such cell
     is a top, and there are at least as many components as such cells."""
     cells = cells_of(gens, r)
-    ana = components(cells, _verdicts(cells))
+    comps = components(cells, _verdicts(cells))
     dim = max(c.dim for c in cells)
     top_dim = [i for i, c in enumerate(cells) if c.dim == dim]
-    assert set(top_dim) <= {c["top"] for c in ana.components}
-    assert len(ana.components) >= len(top_dim)
+    assert set(top_dim) <= {c["top"] for c in comps}
+    assert len(comps) >= len(top_dim)
 
 
 CHAIN_STRATA = [(E6, r) for r in range(1, 7)] + [(E8, r) for r in range(1, 9)] + [((4, 5), 8)]
@@ -927,7 +932,7 @@ def test_chains_settle_the_transitive_closure(cells_of, gens, r):
     assert {pair for pair, v in verdicts.items() if v.status == CONTAINED} == closure
     searched = closed(pair for pair, v in _verdicts(cells).items() if v.status == CONTAINED)
     exhaustive = {pair: closure_analysis.ClosureVerdict(CONTAINED) for pair in searched}
-    assert components(cells, verdicts).components == components(cells, exhaustive).components
+    assert components(cells, verdicts) == components(cells, exhaustive)
 
 
 REPLAY_STRATA = [

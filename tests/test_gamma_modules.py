@@ -109,6 +109,14 @@ def test_non_int_gap_rejected(gaps):
         GammaModule(E6, gaps)
 
 
+@pytest.mark.parametrize("r", [True, 2.0, "2"], ids=repr)
+def test_non_int_colength_rejected(r):
+    """A colength that is not exactly an int is refused, not coerced:
+    True is not the colength 1, nor is 2.0 the colength 2."""
+    with pytest.raises(ValueError, match="colength must be an int"):
+        enumerate_colength(E6, r)
+
+
 def test_int_gaps_unchanged():
     assert GammaModule(E6, [4, 0, 4]).gap_set == (0, 4)
     assert GammaModule(E6, (0, 3, 4, 7, 8, 11)) == enumerate_colength(E6, 6)[-1]

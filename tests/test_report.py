@@ -267,7 +267,7 @@ def test_readme_library_block_prints_its_comments():
     exec(block, {"print": lambda *args: printed.append(" ".join(map(repr, args)))})
     assert len(printed) == len(comments)
     pairs = [(got, want) for got, want in zip(printed, comments) if want]
-    assert len(pairs) == 6
+    assert len(pairs) == 7
     assert [got for got, _ in pairs] == [want.strip() for _, want in pairs]
 
 
@@ -339,7 +339,7 @@ def test_one_component_is_irreducible_whatever_its_unknowns():
     E6 r=6 that no cell links, between two cells other than the top, into
     an unknown keeps the relation closed and ℳ_6 irreducible."""
     sec = stratify(E6, 6)
-    n, top = len(sec.cells), sec.analysis.components[0]["top"]
+    n, top = len(sec.cells), sec.components[0]["top"]
     cont = {pair for pair, v in sec.verdicts.items() if v.status == CONTAINED}
     i, j = next(
         (i, j)
@@ -347,7 +347,7 @@ def test_one_component_is_irreducible_whatever_its_unknowns():
         if top not in (i, j) and not any((i, k) in cont and (k, j) in cont for k in range(n))
     )
     sec.verdicts[i, j] = ClosureVerdict(UNKNOWN, "no_face")
-    sec.analysis = components(sec.cells, sec.verdicts)
+    sec.components = components(sec.cells, sec.verdicts)
     sec.unknowns = 1
     d = sec.to_dict()
     assert (d["unknowns"], len(d["components"]), d["irreducible"]) == (1, 1, True)
@@ -375,6 +375,17 @@ def test_e6_r5_shared_boundary_labels():
     assert shared == {"Δ_2", "Δ_4"}
     tops = {d["cells"][c["top"]]["label"] for c in d["components"]}
     assert tops == {"Δ_1", "Δ_3"}
+
+
+@pytest.mark.parametrize("gens,r_max", [((3, 4), None), ((3, 5), None), ((4, 5), 8)], ids=str)
+def test_singular_candidates_lie_in_two_tops_rows(gens, r_max):
+    """A section's singular candidates are the cells in the closed rows of
+    two or more tops, the rows read off its verdicts directly."""
+    for sec in analyze(NumericalSemigroup(gens), r_max=r_max).sections:
+        n = len(sec.cells)
+        rows = [{i} | {j for (k, j), v in sec.verdicts.items() if k == i and v.status == CONTAINED} for i in range(n)]
+        tops = [t for t in range(n) if not any(t in rows[i] for i in range(n) if i != t)]
+        assert sec.singular_candidates == [i for i in range(n) if sum(i in rows[t] for t in tops) >= 2], sec.r
 
 
 def test_smooth_point_report():
@@ -514,6 +525,29 @@ def test_cli_exits_2_on_a_relation_linear_in_no_parameter(capsys, args):
     assert rc == 2
     assert captured.out == ""
     assert "is not linear in any parameter" in captured.err
+
+
+CLI_REFUSALS = [
+    (["--gens", "abc"], "invalid literal for int() with base 10: 'abc'"),
+    (["--gens", "4,6"], "generators [4, 6] have gcd 2"),
+    (["--gens", "4,9", "--r", "7"], "relation -q00x013*q01x018 + q01x018^2 is not linear in any parameter"),
+    (
+        ["--gens", "4,9", "--oracle-check", "--max-r", "7"],
+        "relation -q00x013*q01x018 + q01x018^2 is not linear in any parameter",
+    ),
+    (["--gens", "3,4", "--r", "0"], "r must be at least 1, got 0"),
+    (["--gens", "3,4", "--oracle-check", "--max-r", "0"], "r_max must be at least 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("args,message", CLI_REFUSALS, ids=[" ".join(args) for args, _ in CLI_REFUSALS])
+def test_cli_refusals_print_one_line_and_exit_2(capsys, args, message):
+    """A refused semigroup, colength or relation prints exactly one
+    ``hilbstrat:`` line on stderr, nothing on stdout, and exits 2, in the
+    report mode and the oracle mode alike."""
+    rc = main(args)
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (2, "", "hilbstrat: %s\n" % message)
 
 
 def test_cli_oracle_mode(capsys):
