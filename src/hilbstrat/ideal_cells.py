@@ -80,26 +80,13 @@ class CanonicalFamily:
         ]
 
     def _displayed_orders(self):
-        free = set(self.free_params)
+        bare = [ParamPoly.variable(name) for name in self.free_params]
         min_gens = set(self.module.min_generators)
-        orders = []
-        for s in sorted(min_gens.union(self.normal_forms)):
-            if s in min_gens:
-                orders.append(s)
-                continue
-            informative = False
-            for e, p in self.normal_forms[s].items():
-                if e == s:
-                    continue
-                if len(p.terms) == 1:
-                    ((key, c),) = p.terms.items()
-                    if c == 1 and len(key) == 1 and key[0][1] == 1 and key[0][0] in free:
-                        continue  # bare free parameter, carries no relation
-                informative = True
-                break
-            if informative:
-                orders.append(s)
-        return orders
+        return [
+            s
+            for s in sorted(min_gens.union(self.normal_forms))
+            if s in min_gens or any(e != s and p not in bare for e, p in self.normal_forms[s].items())
+        ]
 
     def format_generators(self):
         return [format_series(g, self.display_names) for g in self.generators]

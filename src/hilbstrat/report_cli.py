@@ -52,6 +52,7 @@ def canonical_delta_labels(sg, r_max=None, modules=None):
     seen = set()
     top = max(1, 2 * sg.delta)
     if r_max is not None:
+        _check_colength("r_max", r_max)
         top = min(top, r_max)
     modules = modules or {}
     for r in range(1, top + 1):
@@ -114,20 +115,22 @@ def _check_colength(name, r):
         raise ValueError("%s must be at least 1, got %d" % (name, r))
 
 
-def stratify(sg, r, labels=None, modules=None):
+def stratify(sg, r):
     """Compute one report section: cells, closure verdicts, components.
-    ``modules`` are the Γ-modules of colength r (``enumerate_colength``),
-    enumerated here when not given."""
+    Each cell is labelled Δ_i by the place of its Δ-set in
+    ``canonical_delta_labels(sg, r)``, the labels of strata 1..r."""
     _check_colength("r", r)
-    if modules is None:
-        modules = enumerate_colength(sg, r)
-    if labels is None:
-        labels = canonical_delta_labels(sg, r, {r: modules})
+    modules = enumerate_colength(sg, r)
+    return _section(r, canonical_delta_labels(sg, r, {r: modules}), modules)
+
+
+def _section(r, labels, modules):
+    """The section of ℳ_r over ``modules``; ``labels`` cover strata 1..r."""
     label_of = {d: "Δ_%d" % (i + 1) for i, d in enumerate(labels)}
     cells = []
     for module in modules:
         cell = build_cell(module)
-        cell.label = label_of.get(cell.delta, "Δ_?")
+        cell.label = label_of[cell.delta]
         cells.append(cell)
     verdicts = closure_verdicts(cells)
     section = StratumSection.__new__(StratumSection)
@@ -238,7 +241,7 @@ def analyze(sg, r_max=None, config=None):
     # each colength is enumerated once, for the labels and the cells alike
     modules = {r: enumerate_colength(sg, r) for r in rs}
     labels = canonical_delta_labels(sg, r_max, modules)
-    return StratReport(sg, [stratify(sg, r, labels, modules[r]) for r in rs])
+    return StratReport(sg, [_section(r, labels, modules[r]) for r in rs])
 
 
 # -- brute-force oracle mode ------------------------------------------

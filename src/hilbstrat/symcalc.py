@@ -4,12 +4,14 @@ Everything downstream works over the rationals.  Coefficients of ideal
 generators are polynomials in named parameters with exact coefficients: an
 integral coefficient is an ``int``, and a ``Fraction`` appears only where a
 division yields a non-integer, so integer inputs keep the arithmetic
-fraction-free.  A t-series is a plain map {exponent: nonzero ParamPoly};
-the one truncation the package uses, modulo t^{c(S)}, belongs to the module
-S and is applied where the series are built (``ideal_cells``), and
-``format_series`` displays one.  ``substitute`` is the one substitution,
-and ``ParamPoly.affine_in`` the one solve: it splits p = c*v + rest where
-p is affine in v with a monomial coefficient c.
+fraction-free.  ``+``, ``-`` and ``==`` take two polynomials; a scalar
+enters through ``ParamPoly.constant``, as a ``*`` factor or as the inverse
+in a negative power.  A t-series is a plain map {exponent: nonzero
+ParamPoly}; the one truncation the package uses, modulo t^{c(S)}, belongs
+to the module S and is applied where the series are built
+(``ideal_cells``), and ``format_series`` displays one.  ``substitute`` is
+the one substitution, and ``ParamPoly.affine_in`` the one solve: it splits
+p = c*v + rest where p is affine in v with a monomial coefficient c.
 """
 
 from fractions import Fraction
@@ -71,7 +73,9 @@ class ParamPoly:
     scalar and the inverse in a negative power, the only operations that
     divide; sums and products of ``int`` coefficients stay ``int``.  Since
     ``int`` and ``Fraction`` compare, hash and print alike on integers, the
-    form never changes an equality or a formatted polynomial.
+    form never changes an equality or a formatted polynomial.  ``+``, ``-``
+    and ``==`` take polynomials only: ``p + 1`` raises TypeError and
+    ``p == 1`` is False.
 
     Negative exponents are allowed (they arise for the auxiliary
     degeneration variable), so strictly speaking this is a Laurent
@@ -156,23 +160,18 @@ class ParamPoly:
 
     def __add__(self, other):
         if not isinstance(other, ParamPoly):
-            other = ParamPoly.constant(other)
+            return NotImplemented
         terms = dict(self.terms)
         _add_into(terms, other.terms)
         return ParamPoly(terms)
-
-    __radd__ = __add__
 
     def __neg__(self):
         return ParamPoly({key: -c for key, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, ParamPoly):
-            other = ParamPoly.constant(other)
+            return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return ParamPoly.constant(other) + (-self)
 
     def __mul__(self, other):
         if not isinstance(other, ParamPoly):
@@ -214,11 +213,9 @@ class ParamPoly:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, ParamPoly):
-            return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self.terms == ParamPoly.constant(other).terms
-        return NotImplemented
+        if not isinstance(other, ParamPoly):
+            return NotImplemented
+        return self.terms == other.terms
 
     __hash__ = None
 

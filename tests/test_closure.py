@@ -532,7 +532,7 @@ def test_match_rejects_a_point_off_the_target(cells_of, gens, r_max, altered):
                     if col == dst.delta[ri] or (len(names) == 1 and entry == ParamPoly.variable(names[0])):
                         continue
                     rows = [dict(other) for other in dst.rows]
-                    rows[ri][col] = entry + 1
+                    rows[ri][col] = entry + ParamPoly.one()
                     support = minor_support(rows)
                     minors = zip(support, plucker_point(rows, dst.delta, support))
                     limit = {cols: p for cols, p in minors if not p.is_zero()}
@@ -1043,10 +1043,10 @@ def test_dominance_witness_walks_integer_points_in_l1_lex_order():
     # q(-1, -1) = 0 skips the first point; the minor u0 * u1 is nonzero at the next
     assert witness(minor([[u0 * u1, zero]]), u0 - u1, target, ["u00", "u01"]) == {"u00": -1, "u01": 1}
     # the minor u1 - 1 vanishes at (-1, 1), so (1, -1) follows
-    found = witness(minor([[u1 - 1, zero]]), u0 - u1, target, ["u00", "u01"])
+    found = witness(minor([[u1 - ParamPoly.one(), zero]]), u0 - u1, target, ["u00", "u01"])
     assert found == {"u00": 1, "u01": -1}
     assert {type(x) for x in found.values()} == {int}
-    assert witness(u1 - 1, u0 - u1, target, ["u00", "u01"]) == found
+    assert witness(u1 - ParamPoly.one(), u0 - u1, target, ["u00", "u01"]) == found
 
 
 def test_nonzero_minor_is_independence_over_the_function_field():

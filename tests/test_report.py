@@ -410,11 +410,24 @@ def test_stratify_rejects_bad_r():
         stratify(E6, 0)
 
 
+@pytest.mark.parametrize("r", [0, -2])
+def test_labels_reject_r_max_below_one(r):
+    """``canonical_delta_labels`` checks ``r_max`` as ``analyze`` does,
+    instead of returning no labels."""
+    with pytest.raises(ValueError, match="must be at least 1"):
+        canonical_delta_labels(E6, r)
+
+
 @pytest.mark.parametrize("r", [True, 2.0, Fraction(2), "2"], ids=repr)
 def test_colengths_that_are_not_ints_are_refused(r):
     """A colength is exactly an ``int``: ``True`` would be reported as
     ``"r": true``, and ``2.0`` would fail inside ``range``."""
-    for call in (lambda: stratify(E6, r), lambda: analyze(E6, r_max=r), lambda: oracle_check(E6, r_max=r)):
+    for call in (
+        lambda: stratify(E6, r),
+        lambda: analyze(E6, r_max=r),
+        lambda: oracle_check(E6, r_max=r),
+        lambda: canonical_delta_labels(E6, r),
+    ):
         with pytest.raises(ValueError, match="must be an int"):
             call()
 

@@ -209,8 +209,29 @@ def test_integral_coefficients_are_ints():
     assert inv.terms == {(("a", -1),): Fraction(1, 2)}
     assert type(inv.terms[(("a", -1),)]) is Fraction
     assert type(((ParamPoly.constant(-1) * A) ** -1).terms[(("a", -1),)]) is int
-    built = [ONE, A, A * B - A * A * 3, (A * A * B).derivative("a"), (A * A).subs({"a": B - ONE}), A + Fraction(4, 2)]
+    built = [
+        ONE,
+        A,
+        A * B - A * A * 3,
+        (A * A * B).derivative("a"),
+        (A * A).subs({"a": B - ONE}),
+        A + ParamPoly.constant(Fraction(4, 2)),
+    ]
     assert {type(c) for p in built for c in p.terms.values()} == {int}
+
+
+def test_sums_and_equality_take_polynomials_only():
+    """``+``, ``-`` and ``==`` coerce no scalar; a scalar enters as a ``*``
+    factor, which keeps an integral coefficient an ``int``."""
+    for call in (lambda: A + 1, lambda: 1 + A, lambda: A - 1, lambda: 1 - A):
+        with pytest.raises(TypeError):
+            call()
+    assert (ParamPoly.one() == 1) is False
+    assert ParamPoly.one() == ParamPoly.constant(1)
+    assert (2 * A).terms == {(("a", 1),): 2}
+    assert type((2 * A).terms[(("a", 1),)]) is int
+    assert (A * Fraction(1, 2)).terms == {(("a", 1),): Fraction(1, 2)}
+    assert type((A * Fraction(1, 2)).terms[(("a", 1),)]) is Fraction
 
 
 def test_format_is_unchanged_by_int_coefficients():
@@ -257,7 +278,7 @@ def test_affine_in_splits_only_affine_monomial_coefficients():
     assert (B + C).affine_in("a") is None
     assert ParamPoly.zero().affine_in("a") is None
     for p, name in [
-        (A * B ** -1 - Fraction(3, 2) * A ** -2 * B + 2 * A * B * C + 7, "c"),
+        (A * B ** -1 - Fraction(3, 2) * A ** -2 * B + 2 * A * B * C + ParamPoly.constant(7), "c"),
         (Fraction(5, 3) * A ** -1 * C ** 2 + A * B * C ** -1 - 2 * C ** 3 + ONE, "b"),
         (A ** -1 * B * C + C, "b"),
         (B, "b"),
