@@ -110,7 +110,6 @@ class StratCell:
     of S, and ``delta``, the Δ-set, is the pivot set of the cell matrix ``rows``."""
 
     __slots__ = (
-        "label",
         "r",
         "module",
         "family",
@@ -131,7 +130,6 @@ def build_cell(module):
     """The cell J(S) in the stratum of the colength of S; its rows and Δ-set
     come from ``cell_matrix``, which reads the window through ``delta_set``."""
     cell = StratCell.__new__(StratCell)
-    cell.label = None
     cell.r = module.colength
     cell.module = module
     cell.family = canonical_family(module)

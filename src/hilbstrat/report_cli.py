@@ -2,8 +2,9 @@
 
 The report pipeline strings the lower layers together: enumerate the
 Γ-modules of each colength, build canonical families and Grassmannian
-cells, decide pairwise closures, and aggregate components.  Output is an
-aligned text table or a versioned JSON document.  Nothing in it depends on
+cells, decide pairwise closures, and aggregate components.  Output is a
+versioned JSON document, or an aligned text table that is a view of it:
+``render_table`` prints fields of ``to_dict`` alone.  Nothing depends on
 a seed, so the output, certificates included, is byte-identical for fixed
 inputs.  Only the brute-force oracle samples random points, from a fixed
 seed.
@@ -65,17 +66,18 @@ def canonical_delta_labels(sg, r_max=None, modules=None):
 
 
 class StratumSection:
-    """Everything computed about one ℳ_r, ready for serialization."""
+    """Everything computed about one ℳ_r, ready for serialization.
+    ``labels`` holds the Δ_i label of each cell, in the order of ``cells``."""
 
-    __slots__ = ("r", "cells", "verdicts", "components", "singular_candidates", "dim", "unknowns")
+    __slots__ = ("r", "cells", "labels", "verdicts", "components", "singular_candidates", "dim", "unknowns")
 
     def to_dict(self):
         cells = []
-        for c in self.cells:
+        for c, label in zip(self.cells, self.labels):
             fam = c.family
             cells.append(
                 {
-                    "label": c.label,
+                    "label": label,
                     "gaps": list(c.module.gap_set),
                     "min_gens": list(c.module.min_generators),
                     "delta_set": list(c.delta),
@@ -85,25 +87,19 @@ class StratumSection:
                     "eliminated": fam.eliminated_display(),
                 }
             )
+        comps = self.components
         return {
             "r": self.r,
             "cells": cells,
             "dim": self.dim,
-            "components": self.components,
-            "irreducible": self.irreducible(),
-            "pd_pattern": self.pd_pattern(),
+            "components": comps,
+            # one top: every other cell then lies in its certified closure,
+            # so ℳ_r is that closure, whatever the unknown pairs
+            "irreducible": len(comps) == 1,
+            "pd_pattern": len(comps) == 1 and comps[0]["pd_pattern"],
             "singular_candidates": self.singular_candidates,
             "unknowns": self.unknowns,
         }
-
-    def irreducible(self):
-        """One top: every other cell then lies in its certified closure, so
-        ℳ_r is that closure, whatever the unknown pairs."""
-        return len(self.components) == 1
-
-    def pd_pattern(self):
-        comps = self.components
-        return len(comps) == 1 and comps[0]["pd_pattern"]
 
 
 def _check_colength(name, r):
@@ -127,15 +123,12 @@ def stratify(sg, r):
 def _section(r, labels, modules):
     """The section of ℳ_r over ``modules``; ``labels`` cover strata 1..r."""
     label_of = {d: "Δ_%d" % (i + 1) for i, d in enumerate(labels)}
-    cells = []
-    for module in modules:
-        cell = build_cell(module)
-        cell.label = label_of[cell.delta]
-        cells.append(cell)
+    cells = [build_cell(module) for module in modules]
     verdicts = closure_verdicts(cells)
     section = StratumSection.__new__(StratumSection)
     section.r = r
     section.cells = cells
+    section.labels = [label_of[c.delta] for c in cells]
     section.verdicts = verdicts
     section.components = components(cells, verdicts)
     # the cells in two or more components
@@ -171,57 +164,59 @@ class StratReport:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
     def render_table(self):
-        sg = self.semigroup
+        """The aligned text table: a view of ``to_dict``, which it reads alone."""
+        doc = self.to_dict()
+        sg = doc["semigroup"]
         out = []
         out.append(
             "Γ = ⟨%s⟩   gaps {%s}   δ = %d   conductor %d"
             % (
-                ", ".join(str(g) for g in sg.gens),
-                ", ".join(str(g) for g in sg.gaps),
-                sg.delta,
-                sg.conductor,
+                ", ".join(str(g) for g in sg["gens"]),
+                ", ".join(str(g) for g in sg["gaps"]),
+                sg["delta"],
+                sg["conductor"],
             )
         )
         out.append("")
         header = " r | cells | dim | comps | irreducible | P^d | singular | unknowns"
         out.append(header)
         out.append("-" * len(header))
-        for s in self.sections:
-            irr = "yes" if s.irreducible() else "no"
-            sing = ",".join(s.cells[i].label or str(i) for i in s.singular_candidates)
+        for s in doc["strata"]:
+            sing = ",".join(s["cells"][i]["label"] for i in s["singular_candidates"])
             out.append(
                 "%2d | %5d | %3d | %5d | %-11s | %-3s | %-8s | %d"
                 % (
-                    s.r,
-                    len(s.cells),
-                    s.dim,
-                    len(s.components),
-                    irr,
-                    "yes" if s.pd_pattern() else "no",
+                    s["r"],
+                    len(s["cells"]),
+                    s["dim"],
+                    len(s["components"]),
+                    "yes" if s["irreducible"] else "no",
+                    "yes" if s["pd_pattern"] else "no",
                     sing or "-",
-                    s.unknowns,
+                    s["unknowns"],
                 )
             )
-        for s in self.sections:
+        for s in doc["strata"]:
+            labels = [c["label"] for c in s["cells"]]
             out.append("")
-            out.append("r = %d" % s.r)
-            for c in s.cells:
+            out.append("r = %d" % s["r"])
+            for c in s["cells"]:
                 out.append(
                     "  %-4s  W(%s)  dim %d  G(S) = {%s}"
                     % (
-                        c.label,
-                        ",".join(str(x) for x in c.schubert),
-                        c.dim,
-                        ", ".join(str(g) for g in c.module.gap_set),
+                        c["label"],
+                        ",".join(str(x) for x in c["schubert"]),
+                        c["dim"],
+                        ", ".join(str(g) for g in c["gaps"]),
                     )
                 )
-                out.append("        I = (%s)" % ", ".join(c.family.format_generators()))
-            for comp in s.components:
+                out.append("        I = (%s)" % ", ".join(c["generators"]))
+            for comp in s["components"]:
                 out.append(
                     "  component top %s: members %s%s"
                     % (
-                        s.cells[comp["top"]].label,
-                        " ".join(s.cells[j].label for j in comp["members"]),
+                        labels[comp["top"]],
+                        " ".join(labels[j] for j in comp["members"]),
                         "  [P^%d pattern]" % (len(comp["members"]) - 1) if comp["pd_pattern"] else "",
                     )
                 )

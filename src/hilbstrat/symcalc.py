@@ -9,9 +9,10 @@ enters through ``ParamPoly.constant``, as a ``*`` factor or as the inverse
 in a negative power.  A t-series is a plain map {exponent: nonzero
 ParamPoly}; the one truncation the package uses, modulo t^{c(S)}, belongs
 to the module S and is applied where the series are built
-(``ideal_cells``), and ``format_series`` displays one.  ``substitute`` is
-the one substitution, and ``ParamPoly.affine_in`` the one solve: it splits
-p = c*v + rest where p is affine in v with a monomial coefficient c.
+(``ideal_cells``), and ``format_series`` displays one through the term
+printer of ``ParamPoly.format``.  ``substitute`` is the one substitution,
+and ``ParamPoly.affine_in`` the one solve: it splits p = c*v + rest where
+p is affine in v with a monomial coefficient c.
 """
 
 from fractions import Fraction
@@ -56,9 +57,25 @@ def _signed_sum(pieces):
     return text
 
 
+def _term(key, c, rename):
+    """One term c*key as (sign, body): ``-2*a*t^3`` is ("-", "2*a*t^3"), and
+    the constant monomial prints |c| alone.  Factors print in key order."""
+    mono = "*".join(
+        (rename.get(name, name) if rename else name) + ("" if e == 1 else "^%d" % e) for name, e in key
+    )
+    if not mono:
+        body = str(abs(c))
+    elif abs(c) == 1:
+        body = mono
+    else:
+        body = "%s*%s" % (abs(c), mono)
+    return ("-" if c < 0 else "+"), body
+
+
 def _scalar(value):
-    """An exact scalar in stored form: an ``int`` when integral, else a Fraction."""
-    if isinstance(value, int):
+    """An exact scalar in stored form: an ``int`` when integral, else a
+    Fraction.  An int is taken by exact type, so a bool is refused."""
+    if type(value) is int:
         return value
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
@@ -284,22 +301,7 @@ class ParamPoly:
             self.terms.items(),
             key=lambda kv: (sum(e for _, e in kv[0]), kv[0]),
         )
-        pieces = []
-        for key, c in items:
-            factors = []
-            for name, e in key:
-                shown = rename.get(name, name) if rename else name
-                factors.append(shown if e == 1 else "%s^%d" % (shown, e))
-            mono = "*".join(factors)
-            if not mono:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = "%s*%s" % (abs(c), mono)
-            sign = "-" if c < 0 else "+"
-            pieces.append((sign, body))
-        return _signed_sum(pieces)
+        return _signed_sum([_term(key, c, rename) for key, c in items])
 
 
 def substitute(polys, mapping):
@@ -332,32 +334,21 @@ def substitute(polys, mapping):
 
 def format_series(coeffs, rename=None):
     """Display a t-series given as a map {exponent: nonzero ParamPoly}, in
-    ascending exponent order."""
+    ascending exponent order.  A one-term coefficient, a constant included,
+    prints through the polynomial's term printer with t^e as its last
+    factor; only a longer coefficient is parenthesized."""
     if not coeffs:
         return "0"
     pieces = []
     for e in sorted(coeffs):
         p = coeffs[e]
-        mono = "1" if e == 0 else ("t" if e == 1 else "t^%d" % e)
-        if p.is_constant():
-            c = p.constant_value()
-            if e == 0:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = "%s*%s" % (abs(c), mono)
-            sign = "-" if c < 0 else "+"
-        elif len(p.terms) == 1:
+        t = (("t", e),) if e else ()
+        if len(p.terms) == 1:
             ((key, c),) = p.terms.items()
-            text = ParamPoly({key: abs(c)}).format(rename)
-            body = "%s*%s" % (text, mono) if e else text
-            sign = "-" if c < 0 else "+"
+            pieces.append(_term(key + t, c, rename))
         else:
-            text = p.format(rename)
-            body = "(%s)*%s" % (text, mono) if e else "(%s)" % text
-            sign = "+"
-        pieces.append((sign, body))
+            body = "(%s)" % p.format(rename)
+            pieces.append(("+", "%s*%s" % (body, _term(t, 1, rename)[1]) if e else body))
     return _signed_sum(pieces)
 
 

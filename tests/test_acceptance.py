@@ -89,7 +89,7 @@ def test_criterion_4_component_structure():
                     % (gens, sec.r, got, expected[sec.r])
                 )
     sec5 = report_for((3, 4)).sections[4]
-    shared = {sec5.cells[i].label for i in sec5.singular_candidates}
+    shared = {sec5.labels[i] for i in sec5.singular_candidates}
     if shared != {"Δ_2", "Δ_4"}:
         problems.append("E6 r=5 shared boundary %s" % sorted(shared))
     ok = not problems

@@ -1,6 +1,7 @@
 """Enumeration of Γ-modules by colength, minimal generators, Δ-sets."""
 
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,7 +12,7 @@ from hilbstrat import (
     enumerate_colength,
 )
 from hilbstrat import gamma_modules
-from hilbstrat.errors import MalformedDelta
+from hilbstrat.errors import CardinalityMismatch, MalformedDelta, ShiftUnderflow
 
 E6 = NumericalSemigroup((3, 4))
 E8 = NumericalSemigroup((3, 5))
@@ -91,6 +92,25 @@ def test_delta_set_fixtures():
     s6 = GammaModule(E8, (0, 3, 5, 8, 10, 13))
     assert s6.min_generators == (6,)
     assert tuple(delta_set(s6)) == (0, 3, 5, 6)
+
+
+@pytest.mark.parametrize(
+    "colength,members,error,message",
+    [
+        (2, [1, 3, 4], ShiftUnderflow, "min(S) = 1 < r = 2; shift by -r not defined"),
+        (0, [0, 3], CardinalityMismatch, "Δ-set (0, 3) has 2 elements, expected δ=3"),
+        (0, [0, 1, 2], MalformedDelta, "Δ (0, 1, 2) not Γ-closed: 0 + 3 escapes"),
+    ],
+    ids=["underflow", "cardinality", "not-closed"],
+)
+def test_delta_set_refusals(colength, members, error, message):
+    """``delta_set`` refuses a window that no module of E6 has: an order
+    below the colength, a Δ-set of the wrong size, one that is not Γ-closed.
+    A stub supplies the window, since every real module passes all three."""
+    stub = SimpleNamespace(ambient=E6, colength=colength, members_below=lambda bound: members)
+    with pytest.raises(error) as info:
+        delta_set(stub)
+    assert str(info.value) == message
 
 
 def test_min_module_element_at_least_colength():

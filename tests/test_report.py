@@ -188,6 +188,18 @@ def test_replacement_charts_output_is_pinned():
     assert reasons == {"degeneration": 93, "chain": 113, "support": 11, "dimension": 284, "no_face": 5}
 
 
+def test_tables_are_pinned():
+    """sha256 of the text tables of E6 and E8 up to 2δ and of ⟨4,5⟩ and
+    ⟨3,7⟩ up to r = 8, in that order.  The table is a view of the JSON
+    report; this pins the view itself."""
+    text = "".join(
+        analyze(NumericalSemigroup(gens), r_max=r_max).render_table()
+        for gens, r_max in (((3, 4), None), ((3, 5), None), ((4, 5), 8), ((3, 7), 8))
+    )
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "c9a727edd4cbbde08b1568e3ce209e33d09e2684f58e7c440aa189dc60ae0189"
+
+
 def test_wide_report_is_pinned(capsys):
     """sha256 of the ⟨4,7⟩ report for r ≤ 3 (δ = 9): the wide, sparse cell
     matrices, 9 rows of 18 columns.  The command line's JSON output is the

@@ -218,6 +218,15 @@ def test_integral_coefficients_are_ints():
         A + ParamPoly.constant(Fraction(4, 2)),
     ]
     assert {type(c) for p in built for c in p.terms.values()} == {int}
+    # a bool is refused, not stored as a coefficient, on either side of ``*``
+    for call in (
+        lambda: ParamPoly.constant(True),
+        lambda: ParamPoly.constant(False),
+        lambda: A * True,
+        lambda: True * A,
+    ):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_sums_and_equality_take_polynomials_only():
